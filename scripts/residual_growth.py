@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from puiseux import ExpandOptions, expand, parse_problem, verify_residual
-from puiseux.problem import val_obj
+from puiseux.problem import val_obj, val_str
 
 
 def main() -> int:
@@ -33,10 +33,6 @@ def main() -> int:
         print("no solutions (see `puiseux run` diagnostics)")
         return 2
 
-    def fmt(v):
-        o = val_obj(v)
-        return "inf" if o == "inf" else "(" + ", ".join(o) + ")"
-
     for idx, sol in enumerate(result.solutions, start=1):
         kind = "exact" if sol.exact else "truncated"
         print("branch %d (%s, ramification %d):" % (idx, kind, sol.ramification))
@@ -44,7 +40,7 @@ def main() -> int:
         for k in range(1, depth + 1):
             coords = tuple(c[:k] for c in sol.coords)
             order = verify_residual(spec.gens, coords, spec.weights)
-            print("  %d term(s): residual order %s" % (k, fmt(order)))
+            print("  %d term(s): residual order %s" % (k, val_str(val_obj(order))))
     return 0
 
 

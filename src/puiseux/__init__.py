@@ -47,7 +47,7 @@ from .solver import (
     torus_solutions,
 )
 from .tropical import CandidateScan, EtaCandidate, candidate_etas, is_prevariety_point
-from .values import INF, NotInImage, Rat, Val, WeightMatrix
+from .values import INF, Val, WeightMatrix
 
 __version__ = "0.1.0"
 
@@ -63,10 +63,8 @@ __all__ = [
     "INF",
     "LPoly",
     "MonotonicityError",
-    "NotInImage",
     "ProblemError",
     "ProblemSpec",
-    "Rat",
     "SeriesSolution",
     "StepData",
     "Term",

@@ -23,6 +23,7 @@ from .problem import (
     parse_problem,
     run_document,
     val_obj,
+    val_str,
 )
 from .solver import BudgetExceeded
 
@@ -118,8 +119,7 @@ def _cmd_check(args) -> int:
             print("puiseux: solution %d is malformed: %s" % (idx, e), file=sys.stderr)
             return 1
         residual = verify_residual(spec.gens, coords, spec.weights)
-        r = val_obj(residual)
-        text = "infinity" if r == "inf" else "(" + ", ".join(r) + ")"
+        text = "infinity" if residual.is_inf else val_str(val_obj(residual))
         sys.stdout.write("solution %d: residual order %s\n" % (idx, text))
     if not sols:
         sys.stdout.write("no solutions in file\n")

@@ -241,12 +241,10 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
                 if not tsol.solutions:
                     info.no_torus += 1
                 for cvec in tsol.solutions:
-                    gamma: list = [None] * ny
                     c = [Fraction(0)] * ny
                     for pos, i in enumerate(lam):
-                        gamma[i] = W.preimage_of(cand.eta[i])
                         c[i] = cvec[pos]
-                    out.append(StepData(cand.eta, tuple(gamma), tuple(c)))
+                    out.append(StepData(cand.eta, cand.gamma, tuple(c)))
     out.sort(key=StepData.sort_key)
     return out, info
 

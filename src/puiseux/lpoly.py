@@ -175,9 +175,6 @@ class LPoly:
         return "LPoly(%s)" % " + ".join(parts)
 
 
-Eta = tuple  # an ny-tuple of Val entries, finite or INF
-
-
 def active_set(eta: Sequence[Val]) -> tuple[int, ...]:
     """Indices whose weight is finite; the rest are retired coordinates."""
     return tuple(i for i, e in enumerate(eta) if not e.is_inf)
@@ -237,6 +234,23 @@ def _check_x_monomial(nx: int, ny: int, m: LPoly, what: str):
         raise ValueError("%s must be zero or a single x-monomial" % what)
 
 
+def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
+    """Substitute ``y_i -> images[i]`` and expand exactly into one sum."""
+    powers: dict = {}
+    acc: dict = {}
+    for t in f.terms:
+        p = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
+        for i, b in enumerate(t.ydeg):
+            if b:
+                if (i, b) not in powers:
+                    powers[(i, b)] = images[i] ** b
+                p = p * powers[(i, b)]
+        for s in p.terms:
+            key = (s.xexp, s.ydeg)
+            acc[key] = acc.get(key, Fraction(0)) + s.coeff
+    return LPoly._from_dict(f.nx, f.ny, acc)
+
+
 def shift_y(f: LPoly, shifts: Sequence[LPoly]) -> LPoly:
     """Substitute ``y_i -> y_i + shifts[i]`` and expand exactly.
 
@@ -246,22 +260,7 @@ def shift_y(f: LPoly, shifts: Sequence[LPoly]) -> LPoly:
         raise ValueError("need one shift per y coordinate")
     for m in shifts:
         _check_x_monomial(f.nx, f.ny, m, "shift")
-    powers: dict = {}
-
-    def ypow(i: int, b: int) -> LPoly:
-        key = (i, b)
-        if key not in powers:
-            powers[key] = (LPoly.y_var(f.nx, f.ny, i) + shifts[i]) ** b
-        return powers[key]
-
-    out = LPoly.zero(f.nx, f.ny)
-    for t in f.terms:
-        p = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
-        for i, b in enumerate(t.ydeg):
-            if b:
-                p = p * ypow(i, b)
-        out = out + p
-    return out
+    return _substitute(f, [LPoly.y_var(f.nx, f.ny, i) + m for i, m in enumerate(shifts)])
 
 
 def set_y_zero(f: LPoly, indices) -> LPoly:
@@ -293,19 +292,4 @@ def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
             raise ValueError("substitute lives in a different ring")
         if not s.is_x_only():
             raise ValueError("substituted series must not contain y variables")
-    powers: dict = {}
-
-    def spow(i: int, b: int) -> LPoly:
-        key = (i, b)
-        if key not in powers:
-            powers[key] = series[i] ** b
-        return powers[key]
-
-    out = LPoly.zero(f.nx, f.ny)
-    for t in f.terms:
-        p = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
-        for i, b in enumerate(t.ydeg):
-            if b:
-                p = p * spow(i, b)
-        out = out + p
-    return out
+    return _substitute(f, series)

@@ -310,28 +310,34 @@ def _exp_str(name: str, e: Fraction) -> str:
     return "%s^(%s)" % (name, e)
 
 
-def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str:
-    """Canonical, re-parseable text form of a polynomial."""
-    if f.is_zero:
-        return "0"
-    parts = []
-    for t in f.terms:
-        factors = [_exp_str(x_names[i], e) for i, e in enumerate(t.xexp) if e != 0]
-        factors += [_exp_str(y_names[i], Fraction(b)) for i, b in enumerate(t.ydeg) if b != 0]
-        coeff = t.coeff
-        mag = -coeff if coeff < 0 else coeff
+def _sum_str(terms) -> str:
+    """Signed sum of ``(coefficient, factor strings)`` pairs, in the given order."""
+    out = ""
+    for coeff, factors in terms:
+        mag = abs(coeff)
         if not factors:
             body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
             body = "*".join([str(mag)] + factors)
-        parts.append(("- " if coeff < 0 else "+ ") + body)
-    first = parts[0]
-    out = ("-" + first[2:]) if first.startswith("- ") else first[2:]
-    for p in parts[1:]:
-        out += " " + p
-    return out
+        if out:
+            out += (" - " if coeff < 0 else " + ") + body
+        else:
+            out = ("-" if coeff < 0 else "") + body
+    return out or "0"
+
+
+def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str:
+    """Canonical, re-parseable text form of a polynomial."""
+    return _sum_str(
+        (
+            t.coeff,
+            [_exp_str(x_names[i], e) for i, e in enumerate(t.xexp) if e != 0]
+            + [_exp_str(y_names[i], Fraction(b)) for i, b in enumerate(t.ydeg) if b != 0],
+        )
+        for t in f.terms
+    )
 
 
 def rat_str(q: Fraction) -> str:
@@ -430,33 +436,21 @@ def run_document(spec: ProblemSpec, result: ExpandResult, opts: ExpandOptions) -
 
 
 def _series_str(entry: dict, x_names: Sequence[str]) -> str:
-    terms = entry["terms"]
-    if not terms:
-        return "0"
-    parts = []
-    for t in terms:
-        factors = [
-            _exp_str(x_names[i], Fraction(e))
-            for i, e in enumerate(t["exponent"])
-            if Fraction(e) != 0
-        ]
-        c = Fraction(t["coefficient"])
-        mag = -c if c < 0 else c
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        parts.append(("- " if c < 0 else "+ ") + body)
-    first = parts[0]
-    out = ("-" + first[2:]) if first.startswith("- ") else first[2:]
-    for p in parts[1:]:
-        out += " " + p
-    return out
+    return _sum_str(
+        (
+            Fraction(t["coefficient"]),
+            [
+                _exp_str(x_names[i], Fraction(e))
+                for i, e in enumerate(t["exponent"])
+                if Fraction(e) != 0
+            ],
+        )
+        for t in entry["terms"]
+    )
 
 
-def _val_str(v) -> str:
+def val_str(v) -> str:
+    """Plain text of a value object: ``inf`` or a parenthesized tuple."""
     return v if v == "inf" else "(" + ", ".join(v) + ")"
 
 
@@ -480,7 +474,7 @@ def format_plain(doc: dict) -> str:
         kind = "exact" if sol["exact"] else "truncated"
         lines.append(
             "solution %d: %s, ramification %d, residual order %s"
-            % (idx, kind, sol["ramification"], _val_str(sol["residual_order"]))
+            % (idx, kind, sol["ramification"], val_str(sol["residual_order"]))
         )
         for entry in sol["coordinates"]:
             lines.append("  %s = %s" % (entry["name"], _series_str(entry, prob["x_vars"])))
@@ -489,7 +483,7 @@ def format_plain(doc: dict) -> str:
                 "  step %d: eta=[%s] c=[%s] dgamma=%d"
                 % (
                     step,
-                    ", ".join(_val_str(v) for v in t["eta"]),
+                    ", ".join(val_str(v) for v in t["eta"]),
                     ", ".join(t["c"]),
                     t["dgamma"],
                 )

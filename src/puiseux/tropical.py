@@ -8,8 +8,11 @@ by solving its initial coefficient system on the torus.
 
 Candidates with a fixed retired set are found by choosing, for every
 surviving generator, one pair of terms with distinct restricted y-degrees
-and solving the linear system that makes the chosen pairs tie.  Solutions
-are kept when the chosen pairs really attain the weighted minimum of their
+and solving the linear system that makes the chosen pairs tie.  The system
+is solved for the exponent rows ``gamma_i`` of the next terms: two terms tie
+under ``eta_i = W.gamma_i`` exactly when their exponents tie, because ``W``
+is injective.  ``W`` only decides which terms are lowest: solutions are kept
+when the chosen pairs really attain the weighted minimum of their
 generators.  Pair systems with positive-dimensional solution sets are
 counted and reported rather than enumerated.
 """
@@ -29,12 +32,15 @@ from .values import INF, Val, WeightMatrix, solve_linear
 class EtaCandidate:
     """A validated candidate weight with its per-generator initial forms.
 
-    ``initials`` follows the input generator order; an entry is zero exactly
-    when the generator is absorbed by the retired coordinates, and every
-    nonzero entry has at least two terms.
+    ``gamma`` holds the exponent rows with ``W . gamma[i] = eta[i]`` (None
+    exactly where the weight is infinite).  ``initials`` follows the input
+    generator order; an entry is zero exactly when the generator is absorbed
+    by the retired coordinates, and every nonzero entry has at least two
+    terms.
     """
 
     eta: tuple[Val, ...]
+    gamma: tuple[tuple[Fraction, ...] | None, ...]
     initials: tuple[LPoly, ...]
 
 
@@ -85,9 +91,8 @@ def candidate_etas(
         if lam:
             # No equations constrain the |lam| unknown weights.
             return CandidateScan((), 1)
-        eta = (INF,) * ny
         initials = tuple(LPoly.zero(g.nx, g.ny) for g in gens)
-        return CandidateScan((EtaCandidate(eta, initials),), 0)
+        return CandidateScan((EtaCandidate((INF,) * ny, (None,) * ny, initials),), 0)
     if not lam:
         # A surviving x-only generator always has a one-term initial form.
         return CandidateScan((), 0)
@@ -111,18 +116,19 @@ def candidate_etas(
         a_rows = []
         b_rows = []
         for t1, t2 in choice:
-            a_rows.append([Fraction(t1.ydeg[i] - t2.ydeg[i]) for i in lam])
-            rhs = W.value_of(t2.xexp) + W.value_of(t1.xexp).scale(-1)
-            b_rows.append(list(rhs.coords))
+            a_rows.append([t1.ydeg[i] - t2.ydeg[i] for i in lam])
+            b_rows.append([e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)])
         status, x = solve_linear(a_rows, b_rows)
         if status == "none":
             continue
         if status == "many":
             underdetermined += 1
             continue
+        gamma = [None] * ny
         eta = [INF] * ny
         for pos, i in enumerate(lam):
-            eta[i] = Val(x[pos])
+            gamma[i] = x[pos]
+            eta[i] = W.value_of(x[pos])
         eta = tuple(eta)
         key = _eta_key(eta)
         if key in seen:
@@ -138,7 +144,7 @@ def candidate_etas(
         if not ok:
             continue
         initials = tuple(initial_form(g, W, eta) for g in gens)
-        found.append(EtaCandidate(eta, initials))
+        found.append(EtaCandidate(eta, tuple(gamma), initials))
 
     found.sort(key=lambda c: _eta_key(c.eta))
     return CandidateScan(tuple(found), underdetermined)

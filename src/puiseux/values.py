@@ -19,12 +19,6 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
-
-class NotInImage(ValueError):
-    """No exponent vector maps to the requested value under this matrix."""
-
 
 def _rats(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
@@ -195,21 +189,6 @@ class WeightMatrix:
         if len(e) != self.n:
             raise ValueError("exponent vector has wrong length")
         return Val(sum(w * x for w, x in zip(row, e)) for row in self.rows)
-
-    def preimage_of(self, val: Val) -> tuple[Fraction, ...]:
-        """The unique exponent vector with value ``val``.
-
-        Raises NotInImage when ``val`` is infinite or lies outside the column
-        space of the matrix.
-        """
-        if val.is_inf:
-            raise NotInImage("infinite value has no exponent preimage")
-        if len(val.coords) != self.d:
-            raise ValueError("value dimension does not match the weight matrix")
-        status, x = solve_linear(self.rows, [[c] for c in val.coords])
-        if status != "unique":
-            raise NotInImage("value is not in the image of the weight matrix")
-        return tuple(row[0] for row in x)
 
     def __eq__(self, other):
         if not isinstance(other, WeightMatrix):

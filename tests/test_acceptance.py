@@ -30,7 +30,7 @@ from puiseux import (
 from puiseux.cli import main as cli_main
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus, expand_curve
-from tutils import lp
+from tutils import coupled_pair, lp
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 W1 = WeightMatrix.identity(1)
@@ -156,39 +156,17 @@ def test_criterion_5_tropical_candidate_soundness():
     print("PASS criterion 5: candidate weights are sound and equal the polygon slope set")
 
 
-# The coupled-pair fixture: three generators in two y coordinates plus one
-# forced-zero coordinate.  For variant A the plausible-looking first-term
-# guesses below are inconsistent: at those weights the initial systems have
-# no torus solution at all, so no coefficient vector can start a branch
-# there.  Variant B flips one sign and expands; the brute-force oracle pins
-# its unique first-term coefficients.
+# The coupled-pair fixture (`tutils.coupled_pair`): three generators in two
+# y coordinates plus one forced-zero coordinate.  For variant A the
+# plausible-looking first-term guesses below are inconsistent: at those
+# weights the initial systems have no torus solution at all, so no
+# coefficient vector can start a branch there.  Variant B flips one sign and
+# expands; the brute-force oracle pins its unique first-term coefficients.
 WC = WeightMatrix([[1, 1], [0, 1]])
 
 
-def _coupled(sign: int):
-    g1 = lp(
-        2,
-        3,
-        (1, (F(1), F(0)), (0, 0, 0)),
-        (1, (F(0), F(0)), (1, 0, 0)),
-        (-1, (F(0), F(0)), (0, 1, 0)),
-        (1, (F(0), F(0)), (1, 1, 0)),
-        (1, (F(0), F(0)), (0, 0, 1)),
-    )
-    g2 = lp(
-        2,
-        3,
-        (1, (F(0), F(1)), (0, 0, 0)),
-        (-1, (F(0), F(0)), (1, 0, 0)),
-        (sign, (F(0), F(0)), (0, 1, 0)),
-        (2, (F(0), F(0)), (1, 1, 0)),
-    )
-    g3 = LPoly.y_var(2, 3, 2)
-    return [g1, g2, g3]
-
-
 def test_criterion_6_inconsistent_first_term_data_is_rejected():
-    variant_a = _coupled(+1)
+    variant_a = coupled_pair(+1)
     eta_a = (Val((1, 0)), Val((1, 0)), INF)
     eta_b = (Val((0, 0)), Val((0, 0)), INF)
     guesses = {eta_a: (F(1), F(1)), eta_b: (F(1, 3), F(1, 5))}
@@ -213,7 +191,7 @@ def test_criterion_6_inconsistent_first_term_data_is_rejected():
     assert res.dead_branches and res.dead_branches[0].reason == "no_rational_torus_solution"
     assert res.underdetermined_seen
 
-    corrected = _coupled(-1)
+    corrected = coupled_pair(-1)
     gamma = ((F(1), F(0)), (F(1), F(0)), None)
     brute = first_term_candidates(
         corrected, WC.rows, gamma, rational_grid(max_num=3, max_den=2)

@@ -22,6 +22,7 @@ from puiseux import (
     verify_residual,
     weighted_order,
 )
+from oracle_newton import curve, expand_curve
 from tutils import lp, xm
 
 W1 = WeightMatrix.identity(1)
@@ -361,3 +362,20 @@ class TestSubstituteConsistency:
         s_plus_t = LPoly.x_var(1, 1, 0) + t
         via_parent = substitute_y(NODAL, [s_plus_t])
         assert via_child == via_parent
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="candidate_etas marks an eta as seen before validating the pair choice "
+    "that produced it, so a later valid choice for the same eta is skipped",
+)
+def test_branches_survive_a_failed_first_tie():
+    # -y^2 - x*y + 2*x^2*y + 2*x^3 - x^4*y
+    support = [(0, 2, -1), (1, 1, -1), (2, 1, 2), (3, 0, 2), (4, 1, -1)]
+    f = LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
+    res = expand([f], W1, ExpandOptions(max_terms=3))
+    got = sorted(
+        (tuple((e[0], c) for c, e in s.coords[0]), s.exact) for s in res.solutions
+    )
+    want, _ = expand_curve(curve(support), max_terms=3)
+    assert got == want

@@ -4,14 +4,19 @@ import pytest
 
 from puiseux import (
     INF,
+    Branch,
+    ExpandOptions,
     LPoly,
     Val,
     WeightMatrix,
     candidate_etas,
     is_prevariety_point,
+    recenter,
+    starting_data,
 )
+from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus
-from tutils import lp
+from tutils import coupled_pair, lp
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -164,3 +169,41 @@ def test_plane_curve_candidates_match_polygon_slopes(support, poly, positive_onl
     scan = candidate_etas([poly], W1, (0,), positive_only=positive_only)
     got = sorted(eta[0].coords[0] for eta in scan.etas)
     assert got == oracle
+
+
+SURFACE = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
+GRID = rational_grid(max_num=3, max_den=2)
+
+
+def _root(gens):
+    ny = gens[0].ny
+    return Branch(tuple(gens), 0, 1, ((),) * ny, frozenset(), (), None)
+
+
+# Value space and exponent space differ here: one W mixes the coordinates,
+# the other has more rows than columns.
+@pytest.mark.parametrize(
+    "W", [WeightMatrix([[1, 1], [0, 1]]), WeightMatrix([[2, 3], [1, 1], [0, 5]])]
+)
+@pytest.mark.parametrize("gens", [[SURFACE], coupled_pair(-1)], ids=["surface", "coupled"])
+def test_step_data_is_sound_under_general_weights(W, gens):
+    opts = ExpandOptions()
+    root = _root(gens)
+    root_steps, _ = starting_data(root, W, opts)
+    assert root_steps
+    branches = [(root, root_steps)]
+    for sd in root_steps:
+        child = recenter(root, sd, W)
+        if child.gens:
+            branches.append((child, starting_data(child, W, opts)[0]))
+    on_grid = 0
+    for branch, steps in branches:
+        for sd in steps:
+            for e, g in zip(sd.eta, sd.gamma):
+                assert (g is None) if e.is_inf else W.value_of(g) == e
+            assert is_prevariety_point(branch.gens, W, sd.eta)
+            if all(sd.c[i] in GRID for i in sd.active):
+                on_grid += 1
+                brute = first_term_candidates(branch.gens, W.rows, sd.gamma, GRID)
+                assert sd.c in brute
+    assert on_grid

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from puiseux import INF, NotInImage, Val, WeightMatrix
+from puiseux import INF, Val, WeightMatrix
 from tutils import small_rats
 
 
@@ -65,23 +65,6 @@ class TestWeightMatrix:
         with pytest.raises(ValueError):
             WeightMatrix([[1, 0]])
 
-    def test_preimage_identity(self):
-        W = WeightMatrix.identity(2)
-        assert W.preimage_of(Val((F(1, 2), F(1, 2)))) == (F(1, 2), F(1, 2))
-
-    def test_preimage_inverts_two_by_two(self):
-        W = WeightMatrix([[1, 1], [0, 1]])
-        assert W.preimage_of(Val((0, -1))) == (F(1), F(-1))
-
-    def test_preimage_not_in_image(self):
-        W = WeightMatrix([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(NotInImage):
-            W.preimage_of(Val((1, 0, 0)))
-
-    def test_preimage_of_inf(self):
-        with pytest.raises(NotInImage):
-            WeightMatrix.identity(2).preimage_of(INF)
-
 
 WS = [
     WeightMatrix.identity(2),
@@ -108,8 +91,3 @@ def test_value_of_is_linear(w, a, b):
 def test_distinct_exponents_never_tie(w, a, b):
     if a != b:
         assert w.value_of(a) != w.value_of(b)
-
-
-@given(w=st.sampled_from(WS), a=st.tuples(small_rats, small_rats))
-def test_preimage_round_trip(w, a):
-    assert w.preimage_of(w.value_of(a)) == tuple(F(x) for x in a)

@@ -19,6 +19,29 @@ def xm(nx, ny, coeff, *exp):
     return LPoly.monomial(nx, ny, coeff, tuple(Fraction(e) for e in exp))
 
 
+def coupled_pair(sign: int):
+    """Three generators in two y coordinates plus one forced-zero coordinate."""
+    g1 = lp(
+        2,
+        3,
+        (1, (Fraction(1), Fraction(0)), (0, 0, 0)),
+        (1, (Fraction(0), Fraction(0)), (1, 0, 0)),
+        (-1, (Fraction(0), Fraction(0)), (0, 1, 0)),
+        (1, (Fraction(0), Fraction(0)), (1, 1, 0)),
+        (1, (Fraction(0), Fraction(0)), (0, 0, 1)),
+    )
+    g2 = lp(
+        2,
+        3,
+        (1, (Fraction(0), Fraction(1)), (0, 0, 0)),
+        (-1, (Fraction(0), Fraction(0)), (1, 0, 0)),
+        (sign, (Fraction(0), Fraction(0)), (0, 1, 0)),
+        (2, (Fraction(0), Fraction(0)), (1, 1, 0)),
+    )
+    g3 = LPoly.y_var(2, 3, 2)
+    return [g1, g2, g3]
+
+
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 nonzero_rats = small_rats.filter(lambda q: q != 0)
 
