@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from puiseux import ExpandOptions, expand, parse_problem, verify_residual
+from puiseux import expand, parse_problem, verify_residual
 from puiseux.problem import val_obj, val_str
 
 

@@ -20,7 +20,7 @@ coefficient system has only irrational roots.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -30,7 +30,6 @@ from .lpoly import (
     LPoly,
     active_set,
     at_x_one,
-    initial_form,
     ramify,
     set_y_zero,
     shift_y,
@@ -207,8 +206,10 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     """All valid next steps of a branch, with scan diagnostics.
 
     Enumerates candidate weights over every nonempty subset of the active
-    coordinates, filters by the strict-increase floor after the first step,
-    and emits one StepData per rational torus solution of each candidate's
+    coordinates, passing the branch floor down so that the enumeration can
+    skip terms that never reach a minimum above it.  Candidates that tie at
+    the floor without exceeding it are counted as ``rejected_increase``.
+    Emits one StepData per rational torus solution of each candidate's
     initial coefficient system.  The all-retired continuation is not
     produced here; the driver detects it as exact termination.
     """
@@ -225,6 +226,7 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
                 W,
                 lam,
                 positive_only=opts.positive_only and branch.step == 0,
+                floor=branch.floor,
             )
             info.underdetermined += scan.underdetermined
             for cand in scan.candidates:

@@ -33,7 +33,7 @@ from .expansion import (
     TraceStep,
 )
 from .lpoly import LPoly
-from .values import INF, Val, WeightMatrix
+from .values import Val, WeightMatrix
 
 
 class ProblemError(ValueError):

@@ -13,7 +13,15 @@ is solved for the exponent rows ``gamma_i`` of the next terms: two terms tie
 under ``eta_i = W.gamma_i`` exactly when their exponents tie, because ``W``
 is injective.  ``W`` only decides which terms are lowest: solutions are kept
 when the chosen pairs really attain the weighted minimum of their
-generators.  Pair systems with positive-dimensional solution sets are
+generators, and a weight is deduplicated only after some choice validates
+it.
+
+Only terms on the floor-adjusted Newton staircase take part.  Weights are
+enumerated above a floor (the branch's scaled previous weights, or zero on
+the first step), and a term that another term dominates there, with
+componentwise smaller y-degrees and a smaller floor-adjusted value, never
+reaches a minimum, so no pair containing it can validate.  Pair systems
+with positive-dimensional solution sets among the remaining terms are
 counted and reported rather than enumerated.
 """
 
@@ -24,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .lpoly import LPoly, initial_form, term_value, weighted_order
+from .lpoly import LPoly, initial_form
 from .values import INF, Val, WeightMatrix, solve_linear
 
 
@@ -58,18 +66,69 @@ def _eta_key(eta) -> tuple:
     return tuple(v.sort_key() for v in eta)
 
 
+def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
+    """The restricted terms that can reach a minimum, in term order.
+
+    Each entry is ``(term, W.xexp, lam-degrees)``.  A term ``t`` is dropped
+    when another term ``s`` has lam-degrees componentwise at most those of
+    ``t`` and a floor-adjusted value ``W.xexp + sum(ydeg[i] * floor[i])``
+    below that of ``t``: strictly below when the weights range over the
+    closed region ``eta_i >= floor_i``, at most equal when they range over
+    the open region ``eta_i > floor_i``.  Either way ``t`` lies strictly
+    above ``s`` at every weight of the region.  Without a floor only terms
+    of equal lam-degrees are compared.
+    """
+    entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
+    for t in restricted:
+        xval = W.value_of(t.xexp).coords
+        degs = tuple(t.ydeg[i] for i in lam)
+        adj = xval if floor is None else _value(xval, degs, floor)
+        entries.append((t, xval, degs, adj))
+
+    def dominates(s, t) -> bool:
+        _, _, s_degs, s_adj = s
+        _, _, t_degs, t_adj = t
+        if floor is None:
+            return s_degs == t_degs and s_adj < t_adj
+        if not all(p <= q for p, q in zip(s_degs, t_degs)):
+            return False
+        return s_adj < t_adj if closed else s_adj <= t_adj
+
+    # A dominating term sorts first, and dominance is transitive, so testing
+    # against the terms kept so far is enough.
+    order = sorted(range(len(entries)), key=lambda j: (entries[j][3], sum(entries[j][2])))
+    kept: list[int] = []
+    for j in order:
+        if not any(dominates(entries[k], entries[j]) for k in kept):
+            kept.append(j)
+    return [entries[j][:3] for j in sorted(kept)]
+
+
+def _value(xval, degs, eta) -> tuple:
+    """Weighted value of a restricted term under lam-weights ``eta``."""
+    return tuple(
+        v + sum(b * e[k] for b, e in zip(degs, eta) if b) for k, v in enumerate(xval)
+    )
+
+
 def candidate_etas(
     gens: Sequence[LPoly],
     W: WeightMatrix,
     lam: Sequence[int],
     positive_only: bool = True,
+    floor: Sequence[Val] | None = None,
 ) -> CandidateScan:
     """All determined candidate weights whose finite support is ``lam``.
 
     Coordinates outside ``lam`` are retired (weight INF, the variable is set
     to zero).  With ``positive_only`` every finite weight must be strictly
-    positive.  The count of underdetermined pair systems is reported in the
-    result instead of being expanded.
+    positive.  With a ``floor`` (one value per coordinate) only weights with
+    ``eta_i >= floor_i`` on ``lam`` are enumerated; ties at the floor itself
+    are returned, so that the caller can count them as failing the strict
+    increase.  The zero vector is the floor under ``positive_only``.  Terms that cannot
+    reach a minimum above the floor are dropped before pairs are built, and
+    the count of underdetermined pair systems among the rest is reported in
+    the result instead of being expanded.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -79,13 +138,13 @@ def candidate_etas(
         raise ValueError("lambda indices out of range")
     off = [i for i in range(ny) if i not in lam]
 
-    survivors = []  # (generator, restricted term list)
-    for g in gens:
+    survivors = []  # (generator index, lower restricted terms)
+    for gi, g in enumerate(gens):
         if g.is_zero:
             raise ValueError("generators must be nonzero")
         restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in off)]
         if restricted:
-            survivors.append((g, restricted))
+            survivors.append((gi, restricted))
 
     if not survivors:
         if lam:
@@ -97,26 +156,36 @@ def candidate_etas(
         # A surviving x-only generator always has a one-term initial form.
         return CandidateScan((), 0)
 
+    # The region of weights enumerated: eta >= floor, or eta > 0 under
+    # positive_only alone, or everything.
+    zero = (Fraction(0),) * W.d
+    closed = True
+    if floor is not None:
+        if any(floor[i].is_inf for i in lam):
+            raise ValueError("the floor must be finite on lambda")
+        low = tuple(floor[i].coords for i in lam)
+    elif positive_only:
+        low, closed = (zero,) * len(lam), False
+    else:
+        low = None
+    survivors = [(gi, _lower_terms(r, W, lam, low, closed)) for gi, r in survivors]
+
     pair_lists = []
-    for _, restricted in survivors:
-        pairs = [
-            (t1, t2)
-            for t1, t2 in combinations(restricted, 2)
-            if tuple(t1.ydeg[i] for i in lam) != tuple(t2.ydeg[i] for i in lam)
-        ]
+    for _, lower in survivors:
+        pairs = [(s, t) for s, t in combinations(lower, 2) if s[2] != t[2]]
         if not pairs:
             return CandidateScan((), 0)
         pair_lists.append(pairs)
 
-    zero = Val.zero(W.d)
-    seen: dict = {}
+    settled: set = set()  # gamma rows already found, or out of range
+    pending: dict = {}  # gamma rows -> (eta, per-generator minima), not yet validated
     underdetermined = 0
     found: list[EtaCandidate] = []
     for choice in product(*pair_lists):
         a_rows = []
         b_rows = []
-        for t1, t2 in choice:
-            a_rows.append([t1.ydeg[i] - t2.ydeg[i] for i in lam])
+        for (t1, _, d1), (t2, _, d2) in choice:
+            a_rows.append([p - q for p, q in zip(d1, d2)])
             b_rows.append([e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)])
         status, x = solve_linear(a_rows, b_rows)
         if status == "none":
@@ -124,27 +193,33 @@ def candidate_etas(
         if status == "many":
             underdetermined += 1
             continue
+        if x in settled:
+            continue
+        if x not in pending:
+            eta = tuple(W.value_of(row).coords for row in x)
+            if (positive_only and any(e <= zero for e in eta)) or (
+                low is not None and any(e < f for e, f in zip(eta, low))
+            ):
+                settled.add(x)
+                continue
+            pending[x] = (
+                eta,
+                tuple(min(_value(xv, d, eta) for _, xv, d in lower) for _, lower in survivors),
+            )
+        eta, minima = pending[x]
+        if any(_value(xv, d, eta) != m for ((_, xv, d), _), m in zip(choice, minima)):
+            continue
+        settled.add(x)
+        full_eta = [INF] * ny
         gamma = [None] * ny
-        eta = [INF] * ny
         for pos, i in enumerate(lam):
+            full_eta[i] = Val(eta[pos])
             gamma[i] = x[pos]
-            eta[i] = W.value_of(x[pos])
-        eta = tuple(eta)
-        key = _eta_key(eta)
-        if key in seen:
-            continue
-        seen[key] = True
-        if positive_only and any(not eta[i] > zero for i in lam):
-            continue
-        ok = True
-        for (g, _), (t1, _) in zip(survivors, choice):
-            if term_value(W, eta, t1) != weighted_order(g, W, eta):
-                ok = False
-                break
-        if not ok:
-            continue
-        initials = tuple(initial_form(g, W, eta) for g in gens)
-        found.append(EtaCandidate(eta, tuple(gamma), initials))
+        initials = [LPoly.zero(g.nx, g.ny) for g in gens]
+        for (gi, lower), m in zip(survivors, minima):
+            keep = tuple(t for t, xv, d in lower if _value(xv, d, eta) == m)
+            initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, keep)
+        found.append(EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials)))
 
     found.sort(key=lambda c: _eta_key(c.eta))
     return CandidateScan(tuple(found), underdetermined)

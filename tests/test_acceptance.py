@@ -43,6 +43,7 @@ PLANE_CORPUS = {
     "triple_cusp": [(0, 3, 1), (2, 0, -1)],
     "tangent_lines": [(0, 2, 1), (1, 1, -3), (2, 0, 2), (3, 0, 1)],
     "sqrt_factor": [(0, 2, 1), (2, 0, -1), (3, 0, -1)],
+    "failed_first_tie": [(0, 2, -1), (1, 1, -1), (2, 1, 2), (3, 0, 2), (4, 1, -1)],
 }
 
 

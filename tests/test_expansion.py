@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +24,7 @@ from puiseux import (
     weighted_order,
 )
 from oracle_newton import curve, expand_curve
-from tutils import lp, xm
+from tutils import coupled_pair, lp, xm
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -364,18 +365,38 @@ class TestSubstituteConsistency:
         assert via_child == via_parent
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="candidate_etas marks an eta as seen before validating the pair choice "
-    "that produced it, so a later valid choice for the same eta is skipped",
-)
-def test_branches_survive_a_failed_first_tie():
-    # -y^2 - x*y + 2*x^2*y + 2*x^3 - x^4*y
-    support = [(0, 2, -1), (1, 1, -1), (2, 1, 2), (3, 0, 2), (4, 1, -1)]
+def _against_newton_oracle(support, max_terms):
     f = LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
-    res = expand([f], W1, ExpandOptions(max_terms=3))
+    res = expand([f], W1, ExpandOptions(max_terms=max_terms, max_branches=10**6))
     got = sorted(
         (tuple((e[0], c) for c, e in s.coords[0]), s.exact) for s in res.solutions
     )
-    want, _ = expand_curve(curve(support), max_terms=3)
-    assert got == want
+    want, irrational = expand_curve(curve(support), max_terms=max_terms)
+    assert got == want, support
+    assert res.irrational_roots_detected == irrational, support
+
+
+def test_branches_survive_a_failed_first_tie():
+    # -y^2 - x*y + 2*x^2*y + 2*x^3 - x^4*y: the first pair that solves to
+    # eta = 2, (y^2, x^2*y), is not at the minimum; the later (x*y, x^3) is
+    support = [(0, 2, -1), (1, 1, -1), (2, 1, 2), (3, 0, 2), (4, 1, -1)]
+    _against_newton_oracle(support, 3)
+
+
+def test_random_plane_curves_match_the_polygon_oracle():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        support = [
+            (rng.randint(0, 5), rng.randint(0, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        _against_newton_oracle(support, 3)
+
+
+def test_tie_count_ignores_terms_that_never_reach_the_minimum():
+    # coupled_pair_a's dead branch: y1*y2 lies above y1 and y2 at every
+    # positive weight, so only one positive-dimensional pair system is left
+    res = expand(coupled_pair(+1), WeightMatrix([[1, 1], [0, 1]]), ExpandOptions(max_terms=3))
+    (dead,) = res.dead_branches
+    assert dead.underdetermined == 1
+    assert res.underdetermined_seen

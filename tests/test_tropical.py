@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed
 
 from puiseux import (
     INF,
@@ -10,12 +12,14 @@ from puiseux import (
     Val,
     WeightMatrix,
     candidate_etas,
+    initial_form,
     is_prevariety_point,
     recenter,
     starting_data,
 )
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus
+from oracle_pairs import brute_etas
 from tutils import coupled_pair, lp
 
 W1 = WeightMatrix.identity(1)
@@ -71,6 +75,33 @@ class TestCandidateEtas:
         (cand,) = scan.candidates
         assert len(cand.initials) == 2
         assert all(len(h.terms) >= 2 for h in cand.initials)
+
+    def test_failed_choice_does_not_hide_a_later_valid_one(self):
+        # y^3 + x^4*y^2 + x^6*y + x^10: the pair (y^3, x^4*y^2) comes first
+        # and ties at eta = 4 above the minimum; (x^6*y, x^10) attains it
+        f = lp(
+            1,
+            1,
+            (1, (F(0),), (3,)),
+            (1, (F(4),), (2,)),
+            (1, (F(6),), (1,)),
+            (1, (F(10),), (0,)),
+        )
+        assert candidate_etas([f], W1, (0,)).etas == ((Val((3,)),), (Val((4,)),))
+
+    def test_floor_bounds_the_enumerated_region(self):
+        # y2^2 - x1^3*x2^2 and 2*x1^3*x2^4*y1*y2^2 + 2*x1^4*x2^4 tie only at
+        # eta = ((-2, -2), (3/2, 1))
+        gens = [
+            lp(2, 2, (1, (F(0), F(0)), (0, 2)), (-1, (F(3), F(2)), (0, 0))),
+            lp(2, 2, (2, (F(3), F(4)), (1, 2)), (2, (F(4), F(4)), (0, 0))),
+        ]
+        eta = (Val((-2, -2)), Val((F(3, 2), 1)))
+        assert candidate_etas(gens, W2, (0, 1), positive_only=False).etas == (eta,)
+        # ties at the floor are returned, weights below it are not
+        assert candidate_etas(gens, W2, (0, 1), positive_only=False, floor=eta).etas == (eta,)
+        above = (Val((0, 1)), Val((0, 2)))
+        assert candidate_etas(gens, W2, (0, 1), positive_only=False, floor=above).etas == ()
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -207,3 +238,72 @@ def test_step_data_is_sound_under_general_weights(W, gens):
                 brute = first_term_candidates(branch.gens, W.rows, sd.gamma, GRID)
                 assert sd.c in brute
     assert on_grid
+
+
+# Differential against the brute-force pair enumerator: pruning dominated
+# terms must not change the validated weights in the enumerated region
+# (eta >= floor with a floor, eta > 0 under positive_only, else everything).
+
+
+def _gens(nx, ny, max_gens, max_terms):
+    term = st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.tuples(*[st.fractions(-2, 4, max_denominator=2)] * nx),
+        st.tuples(*[st.integers(0, 3)] * ny),
+    )
+    gen = st.lists(term, min_size=2, max_size=max_terms).map(
+        lambda ts: LPoly.from_terms(nx, ny, ts)
+    )
+    return st.lists(gen.filter(lambda g: len(g.terms) >= 2), min_size=1, max_size=max_gens)
+
+
+def _floors(ny, d):
+    val = st.tuples(*[st.fractions(-2, 3, max_denominator=3)] * d).map(Val)
+    return st.one_of(st.none(), st.tuples(*[val] * ny))
+
+
+def _in_region(eta, lam, d, positive_only, floor):
+    zero = (F(0),) * d
+    for i in lam:
+        if positive_only and not eta[i] > zero:
+            return False
+        if floor is not None and eta[i] < floor[i].coords:
+            return False
+    return True
+
+
+def _check_against_brute(gens, W, lam, positive_only, floor):
+    scan = candidate_etas(gens, W, lam, positive_only=positive_only, floor=floor)
+    got = {tuple(None if v.is_inf else v.coords for v in c.eta) for c in scan.candidates}
+    want = {
+        eta
+        for eta in brute_etas(gens, W.rows, lam)
+        if _in_region(eta, lam, W.d, positive_only, floor)
+    }
+    assert got == want
+    for c in scan.candidates:
+        assert c.initials == tuple(initial_form(g, W, c.eta) for g in gens)
+        for i in lam:
+            assert W.value_of(c.gamma[i]) == c.eta[i]
+
+
+@seed(20261018)
+@given(gens=_gens(1, 1, 1, 6), positive_only=st.booleans(), floor=_floors(1, 1))
+def test_pruned_plane_candidates_match_brute_force(gens, positive_only, floor):
+    _check_against_brute(gens, W1, (0,), positive_only, floor)
+
+
+@pytest.mark.parametrize(
+    "W",
+    [W2, WeightMatrix([[1, 1], [0, 1]]), WeightMatrix([[2, 3], [1, 1], [0, 5]])],
+    ids=["identity", "mixed", "tall"],
+)
+@seed(20261018)
+@given(
+    gens=_gens(2, 2, 2, 5),
+    lam=st.sampled_from([(0,), (1,), (0, 1)]),
+    positive_only=st.booleans(),
+    data=st.data(),
+)
+def test_pruned_system_candidates_match_brute_force(W, gens, lam, positive_only, data):
+    _check_against_brute(gens, W, lam, positive_only, data.draw(_floors(2, W.d)))
