@@ -2,7 +2,8 @@
 
 Exact rational arithmetic throughout: candidate first-term weights come from
 the generator-level tropical prevariety, coefficients from lex Groebner
-elimination with rational root extraction, and every emitted truncation
+elimination with rational roots found by exact real-root isolation and
+verified exactly, and every emitted truncation
 carries a residual-order certificate.
 """
 

@@ -1,11 +1,15 @@
 """Exact solving of the initial coefficient systems on the torus.
 
 The systems are small polynomial systems over Q in the active y variables.
-They are triangularized with a reduced lex Groebner basis, the univariate
-eliminant at each level is solved by the rational root theorem, and roots
-are back-substituted.  Only rational points are produced; levels whose
-eliminant keeps a factor without rational roots set a flag, as do levels
-with no univariate eliminant at all (positive-dimensional solution sets).
+They are triangularized with a reduced lex Groebner basis, the rational
+roots of the univariate eliminant at each level are found by
+isolate-round-verify, and roots are back-substituted: the real roots are
+isolated exactly by Sturm bisection, each is rounded to the nearest multiple
+of 1/a_n (a_n the integer leading coefficient; every rational root is one),
+and that candidate is verified exactly.  Only rational points are produced;
+levels whose eliminant keeps a factor without rational roots set a flag, as
+do levels with no univariate eliminant at all (positive-dimensional solution
+sets).
 
 Variables are ordered by ascending index, the lowest index being the most
 significant for the lex order.  Internally polynomials are dicts mapping
@@ -169,17 +173,97 @@ def reduced_groebner(
     return [_from_dict(g, variables, nx, ny) for g in G]
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list]:
+    """Quotient and remainder of a by b (ascending coefficients, b[-1] != 0)."""
+    a = [Fraction(c) for c in a]
+    quo = [Fraction(0)] * (len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        quo[shift] = q
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return quo, a
+
+
+def _primitive(poly: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of poly by a positive rational."""
+    den = lcm(*[c.denominator for c in poly])
+    ints = [int(c * den) for c in poly]
+    g = gcd(*ints)
+    return [a // g for a in ints]
+
+
+def _sturm_chain(poly: list[int]) -> list[list[int]]:
+    """Sturm sequence of poly, entries scaled to primitive integer polynomials.
+
+    The scale factors are positive, so signs are kept, and signs are all
+    that is read.  The last entry is gcd(poly, poly') up to a constant.
+    """
+    chain = [[Fraction(c) for c in poly]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while True:
+        rem = _divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return [_primitive(p) for p in chain]
+        chain.append([-c for c in rem])
+
+
+def _sturm_at(chain: list[list[int]], x: Fraction) -> tuple[int, bool]:
+    """Sign changes of the chain at x (zeros dropped); is x a root of chain[0]?"""
+    num, den = x.numerator, x.denominator
+    values = []
+    for p in chain:
+        acc, scale = 0, 1
+        for c in reversed(p):  # den**deg(p) * p(x), which has the sign of p(x)
+            acc = acc * num + c * scale
+            scale *= den
+        values.append(acc)
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:])), values[0] == 0
+
+
+def _root_candidates(poly: list[int]) -> list[Fraction]:
+    """One rational point per distinct real root of a primitive integer
+    polynomial of positive degree, equal to the root whenever it is rational.
+
+    The real roots of the squarefree part are isolated by Sturm bisection
+    from a Cauchy bound.  A rational root p/q has q | a_n, so once an
+    isolating interval is narrower than 1/(2|a_n|) its midpoint times a_n
+    rounds to a_n times the root.  A linear squarefree part isolates its
+    root exactly, and so does a bisection point that is a root.
+    """
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:  # repeated roots: work on the squarefree part
+        poly = _primitive(_divmod(poly, chain[-1])[0])
+        chain = _sturm_chain(poly)
+    if len(poly) == 2:
+        return [Fraction(-poly[0], poly[1])]
+    an = abs(poly[-1])
+    bound = Fraction(1 - max(abs(c) for c in poly[:-1]) // -an)  # Cauchy: |root| < bound
+    width = Fraction(1, 2 * an)
+    out = []
+    # (lo, hi, sign changes at lo and at hi, hi is a root): the interval
+    # (lo, hi] holds as many distinct roots as the sign changes drop by
+    stack = [(-bound, bound, _sturm_at(chain, -bound)[0], _sturm_at(chain, bound)[0], False)]
+    while stack:
+        lo, hi, vlo, vhi, hi_root = stack.pop()
+        count = vlo - vhi - hi_root
+        if count == 0:
+            continue
+        if count == 1 and hi - lo < width:
+            out.append(Fraction(round(an * (lo + hi) / 2), an))
+            continue
+        mid = (lo + hi) / 2
+        vmid, mid_root = _sturm_at(chain, mid)
+        if mid_root:
+            out.append(mid)
+        stack.append((mid, hi, vmid, vhi, hi_root))
+        stack.append((lo, mid, vlo, vmid, mid_root))
+    return out
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], int]:
@@ -187,6 +271,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
 
     Returns the sorted roots and the degree left after all rational root
     factors are divided out; a positive leftover means roots outside Q.
+    Candidates come from exact real-root isolation and are verified exactly.
     """
     cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
@@ -202,14 +287,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
         cs = cs[low:]
     if len(cs) == 1:
         return tuple(sorted(roots)), 0
-    den = lcm(*[c.denominator for c in cs])
-    ints = [int(c * den) for c in cs]
-    g = gcd(*ints)
-    ints = [a // g for a in ints]
-    a0, an = ints[0], ints[-1]
-    candidates = sorted(
-        {Fraction(s * p, q) for p in _divisors(a0) for q in _divisors(an) for s in (1, -1)}
-    )
+    ints = _primitive(cs)
     work = [Fraction(a) for a in ints]
 
     def _eval(poly, r):
@@ -226,7 +304,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
             out[k - 1] = carry
         return out
 
-    for r in candidates:
+    for r in _root_candidates(ints):
         while len(work) > 1 and _eval(work, r) == 0:
             roots.add(r)
             work = _deflate(work, r)

@@ -21,7 +21,6 @@ from puiseux import (
     starting_data,
     substitute_y,
     verify_residual,
-    weighted_order,
 )
 from oracle_newton import curve, expand_curve
 from tutils import coupled_pair, lp, xm
@@ -363,6 +362,24 @@ class TestSubstituteConsistency:
         s_plus_t = LPoly.x_var(1, 1, 0) + t
         via_parent = substitute_y(NODAL, [s_plus_t])
         assert via_child == via_parent
+
+
+def test_smooth_branches_at_depth_match_the_closed_form():
+    # y^2 = x^2 (1 + x): the branches are +-x (1 + x)^(1/2), whose x^(k+1)
+    # coefficient is +-binom(1/2, k); every step past the first is a linear
+    # eliminant with coefficients that grow with depth
+    res = expand([NODAL], W1, ExpandOptions(max_terms=30))
+    binom = [F(1)]
+    for k in range(1, 30):
+        binom.append(binom[-1] * (F(1, 2) - k + 1) / k)
+    got = sorted(tuple((c, e[0]) for c, e in s.coords[0]) for s in res.solutions)
+    want = sorted(
+        tuple((sign * b, F(k + 1)) for k, b in enumerate(binom)) for sign in (-1, 1)
+    )
+    assert got == want
+    for s in res.solutions:
+        shorter = verify_residual([NODAL], (s.coords[0][:29],), W1)
+        assert shorter < s.residual_order
 
 
 def _against_newton_oracle(support, max_terms):

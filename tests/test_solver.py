@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed
 
 from puiseux import (
     BudgetExceeded,
@@ -102,6 +104,45 @@ class TestRationalRoots:
         roots, leftover = rational_roots([F(-1), F(3), F(-3), F(1)])
         assert roots == (F(1),)
         assert leftover == 0
+
+
+BIG = 2**64
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_big_root = st.tuples(st.integers(-BIG, BIG), st.integers(1, BIG))
+_dyadic_root = st.tuples(st.integers(-8, 8), st.just(1))  # lands on bisection points
+_linear_factors = st.lists(
+    st.tuples(st.one_of(_big_root, _dyadic_root), st.integers(1, 3)), min_size=1, max_size=4
+)
+_close_pairs = st.lists(_big_root, max_size=1)  # p/q and (p+1)/q, closer than 1/|a_n|
+_rootless = st.lists(st.tuples(st.integers(1, BIG), st.integers(1, BIG)), max_size=2)
+_scales = st.fractions(min_value=-BIG, max_value=BIG, max_denominator=BIG).filter(bool)
+
+
+@seed(20261018)
+@given(linear=_linear_factors, close=_close_pairs, rootless=_rootless, scale=_scales)
+def test_roots_of_products_of_factors_with_large_coefficients(linear, close, rootless, scale):
+    # (q*t - p)^m, (q*t - p)(q*t - p - 1) and a*t^2 + b: roots and leftover
+    # degree are known by construction
+    poly, want = [scale], set()
+    for (p, q), mult in linear:
+        for _ in range(mult):
+            poly = _times(poly, [F(-p), F(q)])
+        want.add(F(p, q))
+    for p, q in close:
+        poly = _times(_times(poly, [F(-p), F(q)]), [F(-p - 1), F(q)])
+        want |= {F(p, q), F(p + 1, q)}
+    for a, b in rootless:
+        poly = _times(poly, [F(b), F(0), F(a)])
+    assert rational_roots(poly) == (tuple(sorted(want)), 2 * len(rootless))
 
 
 class TestTorusSolutions:
