@@ -10,26 +10,19 @@ carries a residual-order certificate.
 from .expansion import (
     Branch,
     BranchBudgetExceeded,
-    DeadBranch,
     ExpandOptions,
-    ExpandResult,
     MonotonicityError,
-    SeriesSolution,
     StepData,
-    TraceStep,
     defining_data,
     denominator_lcm,
     expand,
     monomials_of,
     recenter,
-    series_polys,
     starting_data,
     verify_residual,
 )
 from .lpoly import (
     LPoly,
-    Term,
-    active_set,
     at_x_one,
     initial_form,
     ramify,
@@ -39,16 +32,10 @@ from .lpoly import (
     term_value,
     weighted_order,
 )
-from .problem import ProblemError, ProblemSpec, parse_problem, render_poly
-from .solver import (
-    BudgetExceeded,
-    TorusSolutionSet,
-    rational_roots,
-    reduced_groebner,
-    torus_solutions,
-)
-from .tropical import CandidateScan, EtaCandidate, candidate_etas, is_prevariety_point
-from .values import INF, Val, WeightMatrix
+from .problem import ProblemError, parse_problem, render_poly
+from .solver import BudgetExceeded, rational_roots, reduced_groebner, torus_solutions
+from .tropical import candidate_etas, is_prevariety_point
+from .values import WeightMatrix
 
 __version__ = "0.1.0"
 
@@ -56,24 +43,12 @@ __all__ = [
     "Branch",
     "BranchBudgetExceeded",
     "BudgetExceeded",
-    "CandidateScan",
-    "DeadBranch",
-    "EtaCandidate",
     "ExpandOptions",
-    "ExpandResult",
-    "INF",
     "LPoly",
     "MonotonicityError",
     "ProblemError",
-    "ProblemSpec",
-    "SeriesSolution",
     "StepData",
-    "Term",
-    "TorusSolutionSet",
-    "TraceStep",
-    "Val",
     "WeightMatrix",
-    "active_set",
     "at_x_one",
     "candidate_etas",
     "defining_data",
@@ -88,7 +63,6 @@ __all__ = [
     "recenter",
     "reduced_groebner",
     "render_poly",
-    "series_polys",
     "set_y_zero",
     "shift_y",
     "starting_data",

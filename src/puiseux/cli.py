@@ -119,7 +119,7 @@ def _cmd_check(args) -> int:
             print("puiseux: solution %d is malformed: %s" % (idx, e), file=sys.stderr)
             return 1
         residual = verify_residual(spec.gens, coords, spec.weights)
-        text = "infinity" if residual.is_inf else val_str(val_obj(residual))
+        text = "infinity" if residual is None else val_str(val_obj(residual))
         sys.stdout.write("solution %d: residual order %s\n" % (idx, text))
     if not sols:
         sys.stdout.write("no solutions in file\n")

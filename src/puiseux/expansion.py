@@ -38,7 +38,7 @@ from .lpoly import (
 )
 from .solver import torus_solutions
 from .tropical import candidate_etas
-from .values import INF, Val, WeightMatrix
+from .values import WeightMatrix, canonical, sort_key
 
 
 class MonotonicityError(RuntimeError):
@@ -53,13 +53,14 @@ class BranchBudgetExceeded(RuntimeError):
 class StepData:
     """First-term data of one expansion step.
 
-    ``eta`` holds the weighted order of each coordinate's next term, ``gamma``
-    the exponent rows solving ``W . gamma[i] = eta[i]`` (None exactly where
-    the weight is infinite), and ``c`` the coefficients (zero exactly on the
-    retired coordinates).
+    ``eta`` holds the weighted order of each coordinate's next term (a value
+    tuple, or None where the weight is infinite), ``gamma`` the exponent rows
+    solving ``W . gamma[i] = eta[i]`` (None exactly where the weight is
+    infinite), and ``c`` the coefficients (zero exactly on the retired
+    coordinates).
     """
 
-    eta: tuple[Val, ...]
+    eta: tuple[tuple | None, ...]
     gamma: tuple[tuple[Fraction, ...] | None, ...]
     c: tuple[Fraction, ...]
 
@@ -77,7 +78,7 @@ class StepData:
             tuple(None if g is None else tuple(Fraction(e) for e in g) for g in self.gamma),
         )
         for e, g, c in zip(self.eta, self.gamma, self.c):
-            if e.is_inf:
+            if e is None:
                 if g is not None or c != 0:
                     raise ValueError("retired coordinates need an infinite row and zero coefficient")
             else:
@@ -89,11 +90,7 @@ class StepData:
         return active_set(self.eta)
 
     def sort_key(self):
-        return (
-            tuple(v.sort_key() for v in self.eta),
-            self.c,
-            tuple((1,) if g is None else (0,) + g for g in self.gamma),
-        )
+        return (tuple(map(sort_key, self.eta)), self.c, tuple(map(sort_key, self.gamma)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +104,7 @@ def defining_data(monomials: Sequence[LPoly], W: WeightMatrix) -> StepData:
     etas, gammas, cs = [], [], []
     for m in monomials:
         if m.is_zero:
-            etas.append(INF)
+            etas.append(None)
             gammas.append(None)
             cs.append(Fraction(0))
             continue
@@ -146,7 +143,7 @@ class Branch:
     acc: tuple[tuple[tuple[Fraction, tuple[Fraction, ...]], ...], ...]
     retired: frozenset[int]
     history: tuple[TraceStep, ...]
-    floor: tuple[Val, ...] | None  # scaled previous weights; None before the first step
+    floor: tuple[tuple | None, ...] | None  # scaled previous weights; None before the first step
 
 
 @dataclass(frozen=True)
@@ -162,13 +159,14 @@ class SeriesSolution:
     """One emitted branch: per-coordinate term lists in the original frame.
 
     Exponents are exact rationals lying in the lattice (1/ramification)Z^nx.
-    ``residual_order`` is INF exactly when the truncation solves the system.
+    ``residual_order`` is None (infinity) exactly when the truncation solves
+    the system.
     """
 
     coords: tuple[tuple[tuple[Fraction, tuple[Fraction, ...]], ...], ...]
     ramification: int
     exact: bool
-    residual_order: Val
+    residual_order: tuple | None
     trace: tuple[TraceStep, ...]
 
 
@@ -272,6 +270,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
                     "weights must strictly increase along a branch (coordinate %d)" % i
                 )
     k = denominator_lcm(data.gamma)
+    # gamma_i * k is integral by the choice of k: int exponents in the shift
     shifts = []
     for i in range(ny):
         if data.gamma[i] is None:
@@ -280,7 +279,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
             shifts.append(
                 LPoly.monomial(nx, ny, data.c[i], tuple(e * k for e in data.gamma[i]))
             )
-    newly_retired = [i for i in range(ny) if i not in branch.retired and data.eta[i].is_inf]
+    newly_retired = [i for i in range(ny) if i not in branch.retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:
         h = shift_y(ramify(g, k), shifts)
@@ -292,9 +291,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     for i in act:
         exp = tuple(e / branch.cum_ram for e in data.gamma[i])
         acc[i] = acc[i] + ((data.c[i], exp),)
-    floor = tuple(
-        INF if data.eta[i].is_inf else data.eta[i].scale(k) for i in range(ny)
-    )
+    floor = tuple(None if e is None else tuple(canonical(q * k) for q in e) for e in data.eta)
     return Branch(
         gens=tuple(gens),
         step=branch.step + 1,
@@ -318,28 +315,24 @@ def series_polys(coords, nx: int, ny: int) -> list[LPoly]:
     ]
 
 
-def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> Val:
+def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> tuple | None:
     """Order of the worst generator residual after substituting the series.
 
-    Returns INF exactly when every residual is the zero polynomial, which
-    certifies the (truncated) series as an exact solution.
+    Returns None (infinity) exactly when every residual is the zero
+    polynomial, which certifies the (truncated) series as an exact solution.
     """
     nx, ny = gens[0].nx, gens[0].ny
     series = series_polys(coords, nx, ny)
-    eta_inf = (INF,) * ny
-    best = INF
-    for g in gens:
-        o = weighted_order(substitute_y(g, series), W, eta_inf)
-        if o < best:
-            best = o
-    return best
+    eta_inf = (None,) * ny
+    orders = [weighted_order(substitute_y(g, series), W, eta_inf) for g in gens]
+    return min((o for o in orders if o is not None), default=None)
 
 
 def _coords_key(coords):
     return tuple(tuple((e, c) for c, e in coord) for coord in coords)
 
 
-def _solution(branch: Branch, exact: bool, residual: Val) -> SeriesSolution:
+def _solution(branch: Branch, exact: bool, residual: tuple | None) -> SeriesSolution:
     return SeriesSolution(
         coords=branch.acc,
         ramification=branch.cum_ram,
@@ -389,7 +382,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
         branch = frontier.popleft()
         exact = _is_exact(branch)
         if exact:
-            solutions.append(_solution(branch, True, INF))
+            solutions.append(_solution(branch, True, None))
         if branch.step >= opts.max_terms:
             if not exact:
                 solutions.append(

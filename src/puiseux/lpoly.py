@@ -1,27 +1,32 @@
 """Sparse Laurent-Puiseux polynomials with weighted orders and initial forms.
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
-fractional allowed) and nonnegative integer y-degrees.  Polynomials are kept
-in a canonical form, sorted by the plain tuple ``(xexp, ydeg)``, so equality
-and hashing are structural and independent of any weight.
+fractional allowed) and nonnegative integer y-degrees.  Coefficients are
+``Fraction``s.  ``from_terms`` and the constructors built on it store an
+x-exponent as ``int`` when it is integral and as ``Fraction`` only when not,
+so integral input keeps ``int`` exponents through all arithmetic.
+Polynomials are kept in a canonical form, sorted by the plain tuple
+``(xexp, ydeg)``, so equality and hashing are structural and independent of
+any weight.
 
-The weighted value of a term is ``value(xexp) + sum(eta[i] * ydeg[i])``.  A
-coordinate with infinite weight sends every term containing it to INF, while
-zero degrees contribute nothing regardless of the weight; the skip is
-explicit in ``term_value``.
+The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
+ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
+containing it infinite, while zero degrees contribute nothing regardless of
+the weight; the skip is explicit in ``term_value``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .values import INF, Val, WeightMatrix, _rats
+from .values import WeightMatrix, canonical
 
 
 class Term(NamedTuple):
     coeff: Fraction
-    xexp: tuple[Fraction, ...]
+    xexp: tuple[int | Fraction, ...]
     ydeg: tuple[int, ...]
 
 
@@ -45,7 +50,7 @@ class LPoly:
         acc: dict = {}
         for coeff, xexp, ydeg in items:
             c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            xe = _rats(xexp)
+            xe = tuple(canonical(e) for e in xexp)
             yd = tuple(int(b) for b in ydeg)
             if len(xe) != nx or len(yd) != ny:
                 raise ValueError("term arity does not match the polynomial ring")
@@ -76,13 +81,13 @@ class LPoly:
 
     @classmethod
     def x_var(cls, nx: int, ny: int, i: int, power=1) -> "LPoly":
-        xe = tuple(Fraction(power) if j == i else Fraction(0) for j in range(nx))
+        xe = tuple(power if j == i else 0 for j in range(nx))
         return cls.from_terms(nx, ny, [(1, xe, (0,) * ny)])
 
     @classmethod
     def y_var(cls, nx: int, ny: int, i: int, power: int = 1) -> "LPoly":
         yd = tuple(int(power) if j == i else 0 for j in range(ny))
-        return cls.from_terms(nx, ny, [(1, (Fraction(0),) * nx, yd)])
+        return cls.from_terms(nx, ny, [(1, (0,) * nx, yd)])
 
     @property
     def is_zero(self) -> bool:
@@ -127,15 +132,7 @@ class LPoly:
         if not isinstance(other, LPoly):
             return NotImplemented
         self._check_compat(other)
-        acc: dict = {}
-        for s in self.terms:
-            for t in other.terms:
-                key = (
-                    tuple(a + b for a, b in zip(s.xexp, t.xexp)),
-                    tuple(a + b for a, b in zip(s.ydeg, t.ydeg)),
-                )
-                acc[key] = acc.get(key, Fraction(0)) + s.coeff * t.coeff
-        return LPoly._from_dict(self.nx, self.ny, acc)
+        return LPoly._from_dict(self.nx, self.ny, _product(_items(self), _items(other)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -175,42 +172,50 @@ class LPoly:
         return "LPoly(%s)" % " + ".join(parts)
 
 
-def active_set(eta: Sequence[Val]) -> tuple[int, ...]:
+def _items(f: LPoly) -> list:
+    return [((t.xexp, t.ydeg), t.coeff) for t in f.terms]
+
+
+def _product(p, q) -> dict:
+    """Product of two ``((xexp, ydeg), coeff)`` sequences, merged, unsorted."""
+    acc: dict = {}
+    for (pa, pb), pc in p:
+        for (qa, qb), qc in q:
+            key = (tuple(map(add, pa, qa)), tuple(map(add, pb, qb)))
+            acc[key] = acc.get(key, 0) + pc * qc
+    return acc
+
+
+def active_set(eta: Sequence[tuple | None]) -> tuple[int, ...]:
     """Indices whose weight is finite; the rest are retired coordinates."""
-    return tuple(i for i, e in enumerate(eta) if not e.is_inf)
+    return tuple(i for i, e in enumerate(eta) if e is not None)
 
 
-def term_value(W: WeightMatrix, eta: Sequence[Val], term: Term) -> Val:
-    """Weighted value of one term; INF if it touches a retired coordinate.
+def term_value(W: WeightMatrix, eta: Sequence[tuple | None], term: Term) -> tuple | None:
+    """Weighted value of one term; None if it touches a retired coordinate.
 
     Zero degrees are skipped outright, so an infinite weight paired with a
     zero degree contributes nothing.
     """
     v = W.value_of(term.xexp)
-    for i, b in enumerate(term.ydeg):
-        if b == 0:
-            continue
-        e = eta[i]
-        if e.is_inf:
-            return INF
-        v = v + e.scale(b)
+    for b, e in zip(term.ydeg, eta):
+        if b:
+            if e is None:
+                return None
+            v = tuple(p + b * q for p, q in zip(v, e))
     return v
 
 
-def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[Val]) -> Val:
-    """Minimum weighted value over the support; INF for the zero polynomial."""
-    best = INF
-    for t in f.terms:
-        v = term_value(W, eta, t)
-        if v < best:
-            best = v
-    return best
+def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tuple | None:
+    """Minimum weighted value over the support; None for the zero polynomial."""
+    values = (term_value(W, eta, t) for t in f.terms)
+    return min((v for v in values if v is not None), default=None)
 
 
-def initial_form(f: LPoly, W: WeightMatrix, eta: Sequence[Val]) -> LPoly:
+def initial_form(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> LPoly:
     """The sum of minimum-value terms; zero when the order is infinite."""
     best = weighted_order(f, W, eta)
-    if best.is_inf:
+    if best is None:
         return LPoly.zero(f.nx, f.ny)
     keep = tuple(t for t in f.terms if term_value(W, eta, t) == best)
     return LPoly(f.nx, f.ny, keep)
@@ -235,19 +240,34 @@ def _check_x_monomial(nx: int, ny: int, m: LPoly, what: str):
 
 
 def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
-    """Substitute ``y_i -> images[i]`` and expand exactly into one sum."""
-    powers: dict = {}
+    """Substitute ``y_i -> images[i]`` and expand exactly into one sum.
+
+    Each power ``images[i] ** b`` is built once, from ``images[i] ** (b - 1)``,
+    and each distinct y-monomial of ``f`` is expanded once; every term's
+    products then go straight into one accumulator, sorted once at the end.
+    """
+    one = [(((0,) * f.nx, (0,) * f.ny), Fraction(1))]
+    bases = [_items(g) for g in images]
+    powers: dict = {}  # (i, b) -> images[i] ** b
+
+    def power(i: int, b: int) -> list:
+        if (i, b) not in powers:
+            prev = power(i, b - 1) if b > 1 else one
+            powers[(i, b)] = list(_product(prev, bases[i]).items())
+        return powers[(i, b)]
+
+    expanded: dict = {}  # y-degrees -> product of images[i] ** ydeg[i]
     acc: dict = {}
     for t in f.terms:
-        p = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
-        for i, b in enumerate(t.ydeg):
-            if b:
-                if (i, b) not in powers:
-                    powers[(i, b)] = images[i] ** b
-                p = p * powers[(i, b)]
-        for s in p.terms:
-            key = (s.xexp, s.ydeg)
-            acc[key] = acc.get(key, Fraction(0)) + s.coeff
+        if t.ydeg not in expanded:
+            m = one
+            for i, b in enumerate(t.ydeg):
+                if b:
+                    m = power(i, b) if m is one else list(_product(m, power(i, b)).items())
+            expanded[t.ydeg] = m
+        for (xe, yd), c in expanded[t.ydeg]:
+            key = (tuple(map(add, t.xexp, xe)), yd)
+            acc[key] = acc.get(key, 0) + t.coeff * c
     return LPoly._from_dict(f.nx, f.ny, acc)
 
 
@@ -273,7 +293,7 @@ def set_y_zero(f: LPoly, indices) -> LPoly:
 def at_x_one(f: LPoly) -> LPoly:
     """Set every x variable to 1, collecting like y-monomials."""
     acc: dict = {}
-    zero_x = (Fraction(0),) * f.nx
+    zero_x = (0,) * f.nx
     for t in f.terms:
         key = (zero_x, t.ydeg)
         acc[key] = acc.get(key, Fraction(0)) + t.coeff

@@ -33,7 +33,7 @@ from .expansion import (
     TraceStep,
 )
 from .lpoly import LPoly
-from .values import Val, WeightMatrix
+from .values import WeightMatrix
 
 
 class ProblemError(ValueError):
@@ -302,29 +302,31 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def _exp_str(name: str, e: Fraction) -> str:
-    if e == 1:
+def _exp_str(name: str, e: str) -> str:
+    """``name`` raised to the nonzero exponent written ``e`` (a "p/q" string)."""
+    if e == "1":
         return name
-    if e.denominator == 1 and e > 0:
-        return "%s^%d" % (name, e)
-    return "%s^(%s)" % (name, e)
+    if "/" in e or e.startswith("-"):
+        return "%s^(%s)" % (name, e)
+    return "%s^%s" % (name, e)
 
 
 def _sum_str(terms) -> str:
-    """Signed sum of ``(coefficient, factor strings)`` pairs, in the given order."""
+    """Signed sum of ``(coefficient string, factor strings)`` pairs, in the given order."""
     out = ""
     for coeff, factors in terms:
-        mag = abs(coeff)
+        negative = coeff.startswith("-")
+        mag = coeff[1:] if negative else coeff
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([mag] + factors)
         if out:
-            out += (" - " if coeff < 0 else " + ") + body
+            out += (" - " if negative else " + ") + body
         else:
-            out = ("-" if coeff < 0 else "") + body
+            out = ("-" if negative else "") + body
     return out or "0"
 
 
@@ -332,31 +334,27 @@ def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str
     """Canonical, re-parseable text form of a polynomial."""
     return _sum_str(
         (
-            t.coeff,
-            [_exp_str(x_names[i], e) for i, e in enumerate(t.xexp) if e != 0]
-            + [_exp_str(y_names[i], Fraction(b)) for i, b in enumerate(t.ydeg) if b != 0],
+            rat_str(t.coeff),
+            [_exp_str(x_names[i], rat_str(e)) for i, e in enumerate(t.xexp) if e != 0]
+            + [_exp_str(y_names[i], str(b)) for i, b in enumerate(t.ydeg) if b != 0],
         )
         for t in f.terms
     )
 
 
-def rat_str(q: Fraction) -> str:
+def rat_str(q: int | Fraction) -> str:
     return str(q)
 
 
-def val_obj(v: Val):
-    return "inf" if v.is_inf else [rat_str(c) for c in v.coords]
-
-
-def _row_obj(row):
-    return "inf" if row is None else [rat_str(e) for e in row]
+def val_obj(v: tuple | None):
+    return "inf" if v is None else [rat_str(c) for c in v]
 
 
 def _trace_obj(trace: tuple[TraceStep, ...]):
     return [
         {
             "eta": [val_obj(v) for v in t.data.eta],
-            "gamma": [_row_obj(r) for r in t.data.gamma],
+            "gamma": [val_obj(r) for r in t.data.gamma],
             "c": [rat_str(c) for c in t.data.c],
             "dgamma": t.dgamma,
         }
@@ -438,12 +436,8 @@ def run_document(spec: ProblemSpec, result: ExpandResult, opts: ExpandOptions) -
 def _series_str(entry: dict, x_names: Sequence[str]) -> str:
     return _sum_str(
         (
-            Fraction(t["coefficient"]),
-            [
-                _exp_str(x_names[i], Fraction(e))
-                for i, e in enumerate(t["exponent"])
-                if Fraction(e) != 0
-            ],
+            t["coefficient"],
+            [_exp_str(x_names[i], e) for i, e in enumerate(t["exponent"]) if e != "0"],
         )
         for t in entry["terms"]
     )

@@ -58,7 +58,7 @@ def _from_dict(p: dict, variables: Sequence[int], nx: int, ny: int) -> LPoly:
         yd = [0] * ny
         for v, b in zip(variables, key):
             yd[v] = b
-        items.append((c, (Fraction(0),) * nx, tuple(yd)))
+        items.append((c, (0,) * nx, tuple(yd)))
     return LPoly.from_terms(nx, ny, items)
 
 

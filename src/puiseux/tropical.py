@@ -33,21 +33,21 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .lpoly import LPoly, initial_form
-from .values import INF, Val, WeightMatrix, solve_linear
+from .values import WeightMatrix, solve_linear, sort_key
 
 
 @dataclass(frozen=True)
 class EtaCandidate:
     """A validated candidate weight with its per-generator initial forms.
 
-    ``gamma`` holds the exponent rows with ``W . gamma[i] = eta[i]`` (None
-    exactly where the weight is infinite).  ``initials`` follows the input
-    generator order; an entry is zero exactly when the generator is absorbed
-    by the retired coordinates, and every nonzero entry has at least two
-    terms.
+    ``eta`` holds value tuples, None where the weight is infinite, and
+    ``gamma`` the exponent rows with ``W . gamma[i] = eta[i]`` (None exactly
+    there too).  ``initials`` follows the input generator order; an entry is
+    zero exactly when the generator is absorbed by the retired coordinates,
+    and every nonzero entry has at least two terms.
     """
 
-    eta: tuple[Val, ...]
+    eta: tuple[tuple | None, ...]
     gamma: tuple[tuple[Fraction, ...] | None, ...]
     initials: tuple[LPoly, ...]
 
@@ -58,12 +58,8 @@ class CandidateScan:
     underdetermined: int
 
     @property
-    def etas(self) -> tuple[tuple[Val, ...], ...]:
+    def etas(self) -> tuple[tuple[tuple | None, ...], ...]:
         return tuple(c.eta for c in self.candidates)
-
-
-def _eta_key(eta) -> tuple:
-    return tuple(v.sort_key() for v in eta)
 
 
 def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
@@ -80,7 +76,7 @@ def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
     """
     entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
     for t in restricted:
-        xval = W.value_of(t.xexp).coords
+        xval = W.value_of(t.xexp)
         degs = tuple(t.ydeg[i] for i in lam)
         adj = xval if floor is None else _value(xval, degs, floor)
         entries.append((t, xval, degs, adj))
@@ -116,11 +112,11 @@ def candidate_etas(
     W: WeightMatrix,
     lam: Sequence[int],
     positive_only: bool = True,
-    floor: Sequence[Val] | None = None,
+    floor: Sequence[tuple | None] | None = None,
 ) -> CandidateScan:
     """All determined candidate weights whose finite support is ``lam``.
 
-    Coordinates outside ``lam`` are retired (weight INF, the variable is set
+    Coordinates outside ``lam`` are retired (weight None, the variable is set
     to zero).  With ``positive_only`` every finite weight must be strictly
     positive.  With a ``floor`` (one value per coordinate) only weights with
     ``eta_i >= floor_i`` on ``lam`` are enumerated; ties at the floor itself
@@ -151,19 +147,19 @@ def candidate_etas(
             # No equations constrain the |lam| unknown weights.
             return CandidateScan((), 1)
         initials = tuple(LPoly.zero(g.nx, g.ny) for g in gens)
-        return CandidateScan((EtaCandidate((INF,) * ny, (None,) * ny, initials),), 0)
+        return CandidateScan((EtaCandidate((None,) * ny, (None,) * ny, initials),), 0)
     if not lam:
         # A surviving x-only generator always has a one-term initial form.
         return CandidateScan((), 0)
 
     # The region of weights enumerated: eta >= floor, or eta > 0 under
     # positive_only alone, or everything.
-    zero = (Fraction(0),) * W.d
+    zero = (0,) * W.d
     closed = True
     if floor is not None:
-        if any(floor[i].is_inf for i in lam):
+        if any(floor[i] is None for i in lam):
             raise ValueError("the floor must be finite on lambda")
-        low = tuple(floor[i].coords for i in lam)
+        low = tuple(floor[i] for i in lam)
     elif positive_only:
         low, closed = (zero,) * len(lam), False
     else:
@@ -196,7 +192,7 @@ def candidate_etas(
         if x in settled:
             continue
         if x not in pending:
-            eta = tuple(W.value_of(row).coords for row in x)
+            eta = tuple(W.value_of(row) for row in x)
             if (positive_only and any(e <= zero for e in eta)) or (
                 low is not None and any(e < f for e, f in zip(eta, low))
             ):
@@ -210,10 +206,10 @@ def candidate_etas(
         if any(_value(xv, d, eta) != m for ((_, xv, d), _), m in zip(choice, minima)):
             continue
         settled.add(x)
-        full_eta = [INF] * ny
+        full_eta = [None] * ny
         gamma = [None] * ny
         for pos, i in enumerate(lam):
-            full_eta[i] = Val(eta[pos])
+            full_eta[i] = eta[pos]
             gamma[i] = x[pos]
         initials = [LPoly.zero(g.nx, g.ny) for g in gens]
         for (gi, lower), m in zip(survivors, minima):
@@ -221,11 +217,13 @@ def candidate_etas(
             initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, keep)
         found.append(EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials)))
 
-    found.sort(key=lambda c: _eta_key(c.eta))
+    found.sort(key=lambda c: tuple(map(sort_key, c.eta)))
     return CandidateScan(tuple(found), underdetermined)
 
 
-def is_prevariety_point(gens: Sequence[LPoly], W: WeightMatrix, eta: Sequence[Val]) -> bool:
+def is_prevariety_point(
+    gens: Sequence[LPoly], W: WeightMatrix, eta: Sequence[tuple | None]
+) -> bool:
     """Generator-level membership test: no initial form may be a monomial.
 
     An initial form that vanishes means the generator is absorbed by the

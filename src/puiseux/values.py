@@ -2,101 +2,44 @@
 
 A generic weight is represented by a rational matrix ``W`` with full column
 rank.  The value of an exponent vector ``a`` in Q^n is the column vector
-``W.a``, and values are compared lexicographically.  Full column rank makes
-the value map injective, so distinct exponents never tie: the induced order
-on exponents is total, Q-linear and tie-free, which is everything the
-expansion algorithm needs from a generic weight.
+``W.a``, a plain tuple of exact rationals, and values are compared as
+tuples, that is lexicographically.  Full column rank makes the value map
+injective, so distinct exponents never tie: the induced order on exponents
+is total, Q-linear and tie-free, which is everything the expansion
+algorithm needs from a generic weight.
 
-``INF`` is the distinguished infinite value.  It is greater than every
-finite value, absorbs addition, and stays infinite under scaling by a
-nonzero rational.  It serves as the order of the zero polynomial and as the
-weight of retired coordinates.
+Infinity is ``None``.  It is the order of the zero polynomial and the
+weight of a retired coordinate, and code that takes minima or adds values
+tests for it explicitly; ``sort_key`` places it after every finite value.
+
+Exponents and weight entries are created in canonical form, an ``int`` when
+integral and a ``Fraction`` only when not (see ``canonical``), so integral
+input never pays for ``Fraction`` arithmetic on exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Sequence
+
+
+def canonical(x) -> int | Fraction:
+    """An exact rational in canonical form: ``int`` when integral, else ``Fraction``."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+def sort_key(v: tuple | None) -> tuple:
+    """Sort key for a value or an exponent row; ``None`` (infinity) sorts last."""
+    return (1,) if v is None else (0,) + v
 
 
 def _rats(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
 
 
-@total_ordering
-class Val:
-    """A vector of rationals under lexicographic order, or infinity.
-
-    Scaling INF by zero is rejected here: where weighted degrees are summed,
-    zero degrees are skipped instead, so the product never arises.
-    """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable | None):
-        self.coords = None if coords is None else _rats(coords)
-
-    @classmethod
-    def zero(cls, dim: int) -> "Val":
-        return cls((Fraction(0),) * dim)
-
-    @property
-    def is_inf(self) -> bool:
-        return self.coords is None
-
-    def __eq__(self, other):
-        if not isinstance(other, Val):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(("Val", self.coords))
-
-    def __lt__(self, other):
-        if not isinstance(other, Val):
-            return NotImplemented
-        if self.coords is None:
-            return False
-        if other.coords is None:
-            return True
-        if len(self.coords) != len(other.coords):
-            raise ValueError("cannot compare values of different dimensions")
-        return self.coords < other.coords
-
-    def __add__(self, other: "Val") -> "Val":
-        if not isinstance(other, Val):
-            return NotImplemented
-        if self.coords is None or other.coords is None:
-            return INF
-        if len(self.coords) != len(other.coords):
-            raise ValueError("cannot add values of different dimensions")
-        return Val(a + b for a, b in zip(self.coords, other.coords))
-
-    def scale(self, k) -> "Val":
-        """Multiply by a rational scalar; INF stays INF for nonzero k."""
-        if self.coords is None:
-            if k == 0:
-                raise ValueError("INF cannot be scaled by zero; skip zero degrees instead")
-            return INF
-        return Val(c * k for c in self.coords)
-
-    def is_positive(self) -> bool:
-        """Strictly greater than zero; INF counts as positive."""
-        if self.coords is None:
-            return True
-        return self > Val.zero(len(self.coords))
-
-    def sort_key(self):
-        return (1,) if self.coords is None else (0,) + self.coords
-
-    def __repr__(self):
-        if self.coords is None:
-            return "Val(inf)"
-        return "Val(%s)" % ", ".join(str(c) for c in self.coords)
-
-
-INF = Val(None)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
@@ -153,12 +96,13 @@ class WeightMatrix:
     The rows give the coordinates of the value ``W.a`` of an exponent vector
     ``a``.  Construction fails if the matrix does not have full column rank,
     since a rank-deficient matrix would let distinct exponents share a value.
+    Entries are stored in canonical form (see ``canonical``).
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(_rats(r) for r in rows)
+        rs = tuple(tuple(canonical(x) for x in r) for r in rows)
         if not rs or not rs[0]:
             raise ValueError("weight matrix must be nonempty")
         n = len(rs[0])
@@ -181,14 +125,13 @@ class WeightMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "WeightMatrix":
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    def value_of(self, exp: Sequence) -> Val:
+    def value_of(self, exp: Sequence) -> tuple:
         """The weighted value ``W.exp`` of an exponent vector."""
-        e = _rats(exp)
-        if len(e) != self.n:
+        if len(exp) != self.n:
             raise ValueError("exponent vector has wrong length")
-        return Val(sum(w * x for w, x in zip(row, e)) for row in self.rows)
+        return tuple(sum(w * x for w, x in zip(row, exp)) for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, WeightMatrix):

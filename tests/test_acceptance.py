@@ -11,10 +11,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 from puiseux import (
-    INF,
     ExpandOptions,
     LPoly,
-    Val,
     WeightMatrix,
     at_x_one,
     candidate_etas,
@@ -30,7 +28,8 @@ from puiseux import (
 from puiseux.cli import main as cli_main
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus, expand_curve
-from tutils import coupled_pair, lp
+from puiseux.values import sort_key
+from tutils import assert_trace_monotone, coupled_pair, lp, vadd
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 W1 = WeightMatrix.identity(1)
@@ -77,7 +76,7 @@ def test_criterion_2_ramified_exact_solution():
     coeffs = []
     for s in res.solutions:
         assert s.exact
-        assert s.residual_order.is_inf
+        assert s.residual_order is None
         assert s.ramification == 2
         ((c, e),) = s.coords[0]
         assert e == (F(1, 2), F(1, 2))
@@ -95,7 +94,7 @@ def test_criterion_3_residual_growth_certificate():
         verify_residual([f], (sol.coords[0][:k],), W1) for k in range(1, 5)
     ]
     assert all(a < b for a, b in zip(orders, orders[1:]))
-    assert orders[-1] > Val((5,))
+    assert orders[-1] > (5,)
     print("PASS criterion 3: truncation residual orders grow strictly and exceed exponent 5")
 
 
@@ -115,9 +114,9 @@ def _random_eta(rng, ny, d):
     out = []
     for _ in range(ny):
         if rng.random() < 0.25:
-            out.append(INF)
+            out.append(None)
         else:
-            out.append(Val(tuple(F(rng.randint(-4, 8), rng.choice((1, 2))) for _ in range(d))))
+            out.append(tuple(F(rng.randint(-4, 8), rng.choice((1, 2))) for _ in range(d)))
     return tuple(out)
 
 
@@ -130,11 +129,11 @@ def test_criterion_4_valuation_property_suite():
         eta = _random_eta(rng, 2, 2)
         of, og = weighted_order(f, W2, eta), weighted_order(g, W2, eta)
         fg = f * g
-        if weighted_order(fg, W2, eta) != of + og:
+        if weighted_order(fg, W2, eta) != vadd(of, og):
             failures += 1
         if initial_form(fg, W2, eta) != initial_form(f, W2, eta) * initial_form(g, W2, eta):
             failures += 1
-        if weighted_order(f + g, W2, eta) < min(of, og):
+        if sort_key(weighted_order(f + g, W2, eta)) < min(sort_key(of), sort_key(og)):
             failures += 1
         h = initial_form(f, W2, eta)
         if initial_form(h, W2, eta) != h:
@@ -152,7 +151,7 @@ def test_criterion_5_tropical_candidate_soundness():
             scan = candidate_etas([poly], W1, (0,), positive_only=positive_only)
             for eta in scan.etas:
                 assert is_prevariety_point([poly], W1, eta), name
-            got = sorted(eta[0].coords[0] for eta in scan.etas)
+            got = sorted(eta[0][0] for eta in scan.etas)
             assert got == edge_mus(_curve_dict(support), positive_only), name
     print("PASS criterion 5: candidate weights are sound and equal the polygon slope set")
 
@@ -168,8 +167,8 @@ WC = WeightMatrix([[1, 1], [0, 1]])
 
 def test_criterion_6_inconsistent_first_term_data_is_rejected():
     variant_a = coupled_pair(+1)
-    eta_a = (Val((1, 0)), Val((1, 0)), INF)
-    eta_b = (Val((0, 0)), Val((0, 0)), INF)
+    eta_a = ((1, 0), (1, 0), None)
+    eta_b = ((0, 0), (0, 0), None)
     guesses = {eta_a: (F(1), F(1)), eta_b: (F(1, 3), F(1, 5))}
     for eta, c in guesses.items():
         system = [
@@ -203,22 +202,11 @@ def test_criterion_6_inconsistent_first_term_data_is_rejected():
     sol = res2.solutions[0]
     assert sol.coords[0][0] == (F(-1, 2), (F(1), F(0)))
     assert sol.coords[1][0] == (F(1, 2), (F(1), F(0)))
-    _assert_trace_monotone(sol.trace)
+    assert_trace_monotone(sol.trace)
     print(
         "PASS criterion 6: inconsistent first-term data is rejected with diagnostics; "
         "the sign variant expands"
     )
-
-
-def _assert_trace_monotone(trace):
-    floor = None
-    for t in trace:
-        for i, e in enumerate(t.data.eta):
-            if e.is_inf:
-                continue
-            if floor is not None:
-                assert e > floor[i], "weight failed to increase along a branch"
-        floor = tuple(INF if e.is_inf else e.scale(t.dgamma) for e in t.data.eta)
 
 
 def test_criterion_7_monotonicity_across_corpus():
@@ -230,10 +218,10 @@ def test_criterion_7_monotonicity_across_corpus():
         except Exception as e:  # any corpus failure is build-breaking
             raise AssertionError("%s failed to expand: %s" % (path.name, e))
         for s in res.solutions:
-            _assert_trace_monotone(s.trace)
+            assert_trace_monotone(s.trace)
             checked += 1
         for d in res.dead_branches:
-            _assert_trace_monotone(d.trace)
+            assert_trace_monotone(d.trace)
     assert checked > 0
     print("PASS criterion 7: every emitted branch trace strictly increases after scaling")
 

@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, seed
 
 from puiseux import (
-    INF,
     Branch,
+    BranchBudgetExceeded,
+    BudgetExceeded,
     ExpandOptions,
     LPoly,
     MonotonicityError,
     StepData,
-    Val,
     WeightMatrix,
     defining_data,
     denominator_lcm,
@@ -23,7 +25,7 @@ from puiseux import (
     verify_residual,
 )
 from oracle_newton import curve, expand_curve
-from tutils import coupled_pair, lp, xm
+from tutils import assert_trace_monotone, coupled_pair, lp, vscale, xm
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -49,13 +51,13 @@ class TestStepData:
     def test_defining_data_of_monomial_tuple(self):
         m = (xm(2, 3, 3, 3, 0), xm(2, 3, 7, 2, 1), LPoly.zero(2, 3))
         d = defining_data(m, W2)
-        assert d.eta == (Val((3, 0)), Val((2, 1)), INF)
+        assert d.eta == ((3, 0), (2, 1), None)
         assert d.gamma == ((F(3), F(0)), (F(2), F(1)), None)
         assert d.c == (F(3), F(7), F(0))
 
     def test_defining_data_of_zero_tuple(self):
         d = defining_data((LPoly.zero(2, 2), LPoly.zero(2, 2)), W2)
-        assert d.eta == (INF, INF)
+        assert d.eta == (None, None)
         assert d.c == (F(0), F(0))
 
     def test_round_trip(self):
@@ -64,14 +66,14 @@ class TestStepData:
             (((F(0), F(-1)), None), (F(5), F(0))),
         ]:
             eta = tuple(
-                INF if g is None else W2.value_of(g) for g in gamma
+                None if g is None else W2.value_of(g) for g in gamma
             )
             d = StepData(eta, gamma, c)
             assert defining_data(monomials_of(d, 2), W2) == d
 
     def test_monomials_of(self):
         d = StepData(
-            (Val((1, 0)), Val((1, 0)), INF),
+            ((1, 0), (1, 0), None),
             ((F(1), F(0)), (F(1), F(0)), None),
             (F(1), F(1), F(0)),
         )
@@ -88,18 +90,18 @@ class TestStepData:
         d = StepData((W2.value_of(gamma[0]),), gamma, (F(2),))
         r = 3
         scaled = StepData(
-            (d.eta[0].scale(r),), ((F(3, 2), F(3)),), d.c
+            (vscale(d.eta[0], r),), ((F(3, 2), F(3)),), d.c
         )
         want = tuple(ramify(m, r) for m in monomials_of(d, 2))
         assert monomials_of(scaled, 2) == want
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            StepData((Val((1,)),), ((F(1),),), (F(0),))  # active with zero coeff
+            StepData(((1,),), ((F(1),),), (F(0),))  # active with zero coeff
         with pytest.raises(ValueError):
-            StepData((INF,), ((F(1),),), (F(0),))  # retired with finite row
+            StepData((None,), ((F(1),),), (F(0),))  # retired with finite row
         with pytest.raises(ValueError):
-            StepData((INF,), (None,), (F(2),))  # retired with nonzero coeff
+            StepData((None,), (None,), (F(2),))  # retired with nonzero coeff
 
     def test_denominator_lcm(self):
         assert denominator_lcm(((F(1, 2), F(1, 2)),)) == 2
@@ -112,14 +114,14 @@ class TestStartingData:
     def test_nodal_cubic_two_starts(self):
         sets, info = starting_data(root_branch([NODAL]), W1, ExpandOptions())
         assert [d.c for d in sets] == [(F(-1),), (F(1),)]
-        assert all(d.eta == (Val((1,)),) for d in sets)
+        assert all(d.eta == ((1,),) for d in sets)
         assert all(d.gamma == ((F(1),),) for d in sets)
         assert info.candidates == 1
 
     def test_surface_start_is_ramified(self):
         sets, _ = starting_data(root_branch([SURFACE]), W2, ExpandOptions())
         assert [d.c for d in sets] == [(F(-1),), (F(1),)]
-        assert all(d.eta == (Val((F(1, 2), F(1, 2))),) for d in sets)
+        assert all(d.eta == ((F(1, 2), F(1, 2)),) for d in sets)
 
     def test_mixed_weights_need_validation(self):
         g1 = lp(2, 2, (1, (F(0), F(0)), (1, 0)), (-1, (F(1), F(0)), (0, 0)))
@@ -133,7 +135,7 @@ class TestStartingData:
         sets, _ = starting_data(root_branch([g1, g2]), W2, ExpandOptions())
         assert len(sets) == 1
         (d,) = sets
-        assert d.eta == (Val((1, 0)), Val((0, 1)))
+        assert d.eta == ((1, 0), (0, 1))
         assert d.c == (F(1), F(1))
 
     def test_irrational_coefficients_flagged(self):
@@ -146,19 +148,19 @@ class TestStartingData:
         b = root_branch([NODAL])
         b_after = recenter(
             b,
-            StepData((Val((1,)),), ((F(1),),), (F(1),)),
+            StepData(((1,),), ((F(1),),), (F(1),)),
             W1,
         )
         sets, info = starting_data(b_after, W1, ExpandOptions())
         # y^2 + 2xy - x^3 has candidates at 1 (floor) and 2 (valid)
-        assert [d.eta for d in sets] == [(Val((2,)),)]
+        assert [d.eta for d in sets] == [((2,),)]
         assert info.rejected_increase == 1
 
 
 class TestRecenter:
     def test_plane_shift(self):
         b = root_branch([NODAL])
-        d = StepData((Val((1,)),), ((F(1),),), (F(1),))
+        d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         want = lp(1, 1, (1, (F(0),), (2,)), (2, (F(1),), (1,)), (-1, (F(3),), (0,)))
         assert nb.gens == (want,)
@@ -168,7 +170,7 @@ class TestRecenter:
     def test_ramified_shift(self):
         b = root_branch([SURFACE])
         d = StepData(
-            (Val((F(1, 2), F(1, 2))),), ((F(1, 2), F(1, 2)),), (F(1),)
+            ((F(1, 2), F(1, 2)),), ((F(1, 2), F(1, 2)),), (F(1),)
         )
         nb = recenter(b, d, W2)
         want = lp(2, 1, (1, (F(0), F(0)), (2,)), (2, (F(1), F(1)), (1,)))
@@ -181,7 +183,7 @@ class TestRecenter:
         g2 = lp(2, 2, (1, (F(0), F(0)), (0, 1)), (1, (F(1), F(0)), (0, 0)))
         b = root_branch([g1, g2])
         d = StepData(
-            (INF, Val((1, 0))),
+            (None, (1, 0)),
             (None, (F(1), F(0))),
             (F(0), F(-1)),
         )
@@ -193,14 +195,14 @@ class TestRecenter:
 
     def test_monotonicity_violation_raises(self):
         b = root_branch([NODAL])
-        d = StepData((Val((1,)),), ((F(1),),), (F(1),))
+        d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         with pytest.raises(MonotonicityError):
             recenter(nb, d, W1)
 
     def test_zero_coefficient_step_rejected_by_invariants(self):
         with pytest.raises(ValueError):
-            StepData((Val((1,)),), ((F(1),),), (F(0),))
+            StepData(((1,),), ((F(1),),), (F(0),))
 
 
 class TestExpand:
@@ -210,7 +212,7 @@ class TestExpand:
         for s, c in zip(res.solutions, (F(-1), F(1))):
             assert s.exact
             assert s.ramification == 2
-            assert s.residual_order.is_inf
+            assert s.residual_order is None
             assert s.coords == (((c, (F(1, 2), F(1, 2))),),)
 
     def test_binomial_square_root_series(self):
@@ -220,7 +222,7 @@ class TestExpand:
         plus = res.solutions[1]
         assert [c for c, _ in plus.coords[0]] == [F(1), F(1, 2), F(-1, 8), F(1, 16)]
         assert [e[0] for _, e in plus.coords[0]] == [F(1), F(2), F(3), F(4)]
-        assert plus.residual_order == Val((6,))
+        assert plus.residual_order == (6,)
         minus = res.solutions[0]
         assert [c for c, _ in minus.coords[0]] == [F(-1), F(-1, 2), F(1, 8), F(-1, 16)]
 
@@ -267,24 +269,13 @@ class TestExpand:
         assert res.dead_branches[0].reason == "no_prevariety_candidate"
 
     def test_branch_budget(self):
-        from puiseux import BranchBudgetExceeded
-
         with pytest.raises(BranchBudgetExceeded):
             expand([NODAL], W1, ExpandOptions(max_terms=4, max_branches=2))
 
     def test_monotonicity_along_traces(self):
         res = expand([NODAL], W1, ExpandOptions(max_terms=4))
         for s in res.solutions:
-            floor = None
-            for t in s.trace:
-                for i, e in enumerate(t.data.eta):
-                    if e.is_inf:
-                        continue
-                    if floor is not None:
-                        assert e > floor[i]
-                floor = tuple(
-                    INF if e.is_inf else e.scale(t.dgamma) for e in t.data.eta
-                )
+            assert_trace_monotone(s.trace)
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -305,15 +296,15 @@ class TestExpand:
 class TestVerify:
     def test_exact_certificate(self):
         coords = (((F(1), (F(1, 2), F(1, 2))),),)
-        assert verify_residual([SURFACE], coords, W2).is_inf
+        assert verify_residual([SURFACE], coords, W2) is None
 
     def test_two_term_truncation(self):
         coords = (((F(1), (F(1),)), (F(1, 2), (F(2),))),)
-        assert verify_residual([NODAL], coords, W1) == Val((4,))
+        assert verify_residual([NODAL], coords, W1) == (4,)
 
     def test_empty_series(self):
         f = lp(1, 1, (1, (F(0),), (1,)), (-1, (F(1),), (0,)))
-        assert verify_residual([f], ((),), W1) == Val((1,))
+        assert verify_residual([f], ((),), W1) == (1,)
 
     def test_residual_growth_on_truncations(self):
         res = expand([NODAL], W1, ExpandOptions(max_terms=4))
@@ -322,25 +313,25 @@ class TestVerify:
         for k in range(1, 5):
             coords = (s.coords[0][:k],)
             orders.append(verify_residual([NODAL], coords, W1))
-        assert orders == [Val((3,)), Val((4,)), Val((5,)), Val((6,))]
+        assert orders == [(3,), (4,), (5,), (6,)]
         assert all(a < b for a, b in zip(orders, orders[1:]))
 
     def test_zero_correspondence_under_recentering(self):
         # a residual certificate for the recentered system transfers to the
         # parent after adding the step monomial and ramifying
         b = root_branch([NODAL])
-        d = StepData((Val((1,)),), ((F(1),),), (F(1),))
+        d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         child_coords = (((F(1, 2), (F(2),)),),)
         child_res = verify_residual(list(nb.gens), child_coords, W1)
         parent_coords = (((F(1), (F(1),)), (F(1, 2), (F(2),))),)
         parent_res = verify_residual([NODAL], parent_coords, W1)
-        assert child_res == parent_res == Val((4,))
+        assert child_res == parent_res == (4,)
 
     def test_zero_correspondence_with_ramification(self):
         b = root_branch([SURFACE])
         d = StepData(
-            (Val((F(1, 2), F(1, 2))),), ((F(1, 2), F(1, 2)),), (F(1),)
+            ((F(1, 2), F(1, 2)),), ((F(1, 2), F(1, 2)),), (F(1),)
         )
         nb = recenter(b, d, W2)
         # child residual of the zero series vs parent residual of the step
@@ -348,14 +339,14 @@ class TestVerify:
         parent_res = verify_residual(
             [SURFACE], (((F(1), (F(1, 2), F(1, 2))),),), W2
         )
-        assert child_res.is_inf and parent_res.is_inf
+        assert child_res is None and parent_res is None
 
 
 class TestSubstituteConsistency:
     def test_recentered_generators_match_direct_substitution(self):
         # f(x, s + y) evaluated at y = t equals f(x, s + t)
         b = root_branch([NODAL])
-        d = StepData((Val((1,)),), ((F(1),),), (F(1),))
+        d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         t = LPoly.x_var(1, 1, 0, power=2).scale(F(1, 2))
         via_child = substitute_y(nb.gens[0], [t])
@@ -417,3 +408,66 @@ def test_tie_count_ignores_terms_that_never_reach_the_minimum():
     (dead,) = res.dead_branches
     assert dead.underdetermined == 1
     assert res.underdetermined_seen
+
+
+# Number types: exact rationals everywhere, and int exponents for integral
+# input.  The weight matrices cover the identity, a mixing one and one with
+# a fractional entry.
+NUMBER_WS = [W2, WeightMatrix([[1, 1], [0, 1]]), WeightMatrix([[F(1, 2), 1], [1, -1]])]
+
+
+@st.composite
+def _systems(draw, integral):
+    ny = draw(st.integers(1, 2))
+    exps = st.integers(-2, 4) if integral else st.fractions(-2, 4, max_denominator=3)
+    term = st.tuples(
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.tuples(exps, exps),
+        st.tuples(*[st.integers(0, 2)] * ny),
+    )
+    gen = st.lists(term, min_size=2, max_size=4).map(lambda ts: LPoly.from_terms(2, ny, ts))
+    gens = draw(st.lists(gen.filter(lambda g: g.terms), min_size=ny, max_size=ny))
+    W = draw(st.sampled_from(NUMBER_WS))
+    opts = ExpandOptions(max_terms=3, positive_only=draw(st.booleans()))
+    return gens, W, opts
+
+
+def _trace_numbers(trace):
+    for t in trace:
+        for v in t.data.eta + t.data.gamma:
+            yield from v or ()
+        yield from t.data.c
+
+
+@seed(20261018)
+@given(system=st.booleans().flatmap(_systems))
+def test_every_result_number_is_an_exact_rational(system):
+    gens, W, opts = system
+    try:
+        res = expand(gens, W, opts)
+    except (BranchBudgetExceeded, BudgetExceeded):
+        assume(False)
+    numbers = []
+    for s in res.solutions:
+        numbers += [q for coord in s.coords for c, exp in coord for q in (c, *exp)]
+        numbers += s.residual_order or ()
+        numbers += _trace_numbers(s.trace)
+    for d in res.dead_branches:
+        numbers += _trace_numbers(d.trace)
+    assert {type(q) for q in numbers} <= {int, F}
+
+
+@seed(20261018)
+@given(system=_systems(integral=True))
+def test_integral_input_keeps_int_exponents(system):
+    gens, W, opts = system
+    frontier = [root_branch(gens)]
+    for _ in range(2):
+        children = []
+        for b in frontier[:8]:
+            for sd in starting_data(b, W, opts)[0]:
+                child = recenter(b, sd, W)
+                for g in child.gens:
+                    assert all(type(e) is int for t in g.terms for e in t.xexp)
+                children.append(child)
+        frontier = children

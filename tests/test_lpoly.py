@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given
 
 from puiseux import (
-    INF,
     LPoly,
-    Val,
     WeightMatrix,
     at_x_one,
     initial_form,
@@ -15,9 +13,11 @@ from puiseux import (
     set_y_zero,
     shift_y,
     substitute_y,
+    term_value,
     weighted_order,
 )
-from tutils import etas, lp, lpolys, small_rats
+from puiseux.values import sort_key
+from tutils import etas, lp, lpolys, small_rats, vadd, vscale
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -61,19 +61,19 @@ class TestArithmetic:
 class TestWeightedOrder:
     def test_tie_between_x_and_y(self):
         f = lp(2, 1, (1, (F(1), F(0)), (0,)), (1, (F(0), F(0)), (1,)))
-        assert weighted_order(f, W2, (Val((1, 0)),)) == Val((1, 0))
+        assert weighted_order(f, W2, ((1, 0),)) == (1, 0)
 
     def test_retired_variable_gives_inf(self):
         f = LPoly.y_var(1, 1, 0)
-        assert weighted_order(f, W1, (INF,)).is_inf
+        assert weighted_order(f, W1, (None,)) is None
 
     def test_zero_polynomial_gives_inf(self):
-        assert weighted_order(LPoly.zero(1, 1), W1, (Val((1,)),)).is_inf
+        assert weighted_order(LPoly.zero(1, 1), W1, ((1,),)) is None
 
     def test_inf_weight_with_zero_degree_contributes_nothing(self):
         # x1 alone keeps a finite order even when the y weight is infinite
         f = LPoly.x_var(1, 1, 0)
-        assert weighted_order(f, W1, (INF,)) == Val((1,))
+        assert weighted_order(f, W1, (None,)) == (1,)
 
 
 class TestInitialForm:
@@ -84,19 +84,19 @@ class TestInitialForm:
         phi = LPoly.x_var(1, 1, 0)  # order 1
         f = self.binomial(2, phi)
         # 2 * eta < 1: the pure power is alone at the bottom
-        got = initial_form(f, W1, (Val((F(1, 4),)),))
+        got = initial_form(f, W1, ((F(1, 4),),))
         assert got == LPoly.y_var(1, 1, 0, power=2)
 
     def test_tie_keeps_both_sides(self):
         phi = LPoly.x_var(1, 1, 0) + LPoly.x_var(1, 1, 0, power=2)
         f = self.binomial(1, phi)
-        got = initial_form(f, W1, (Val((1,)),))
+        got = initial_form(f, W1, ((1,),))
         assert got == LPoly.y_var(1, 1, 0) - LPoly.x_var(1, 1, 0)
 
     def test_series_side_dominates(self):
         phi = LPoly.x_var(1, 1, 0) + LPoly.x_var(1, 1, 0, power=2)
         f = self.binomial(1, phi)
-        got = initial_form(f, W1, (Val((5,)),))
+        got = initial_form(f, W1, ((5,),))
         assert got == -LPoly.x_var(1, 1, 0)
 
     def test_mixed_system_initial(self):
@@ -110,7 +110,7 @@ class TestInitialForm:
             (1, (F(0), F(0)), (1, 1, 0)),
             (1, (F(0), F(0)), (0, 0, 1)),
         )
-        eta = (Val((1, 0)), Val((1, 0)), INF)
+        eta = ((1, 0), (1, 0), None)
         got = initial_form(f, W2, eta)
         want = lp(
             2,
@@ -123,7 +123,7 @@ class TestInitialForm:
 
     def test_zero_when_order_infinite(self):
         f = LPoly.y_var(1, 1, 0)
-        assert initial_form(f, W1, (INF,)).is_zero
+        assert initial_form(f, W1, (None,)).is_zero
 
 
 class TestSubstitutions:
@@ -204,7 +204,7 @@ class TestSubstitutions:
         s = LPoly.x_var(1, 1, 0) + LPoly.x_var(1, 1, 0, power=2).scale(F(1, 2))
         got = substitute_y(f, [s])
         assert got == LPoly.x_var(1, 1, 0, power=4).scale(F(1, 4))
-        assert weighted_order(got, W1, (INF,)) == Val((4,))
+        assert weighted_order(got, W1, (None,)) == (4,)
 
 
 ETAS2 = etas(2, 2)
@@ -213,15 +213,15 @@ ETAS2 = etas(2, 2)
 @given(f=lpolys(2, 2), g=lpolys(2, 2), eta=ETAS2)
 def test_order_of_sum_at_least_min(f, g, eta):
     of, og = weighted_order(f, W2, eta), weighted_order(g, W2, eta)
-    lower = min(of, og)
-    assert not weighted_order(f + g, W2, eta) < lower
+    lower = min(of, og, key=sort_key)
+    assert sort_key(weighted_order(f + g, W2, eta)) >= sort_key(lower)
 
 
 @given(f=lpolys(2, 2, max_terms=4), g=lpolys(2, 2, max_terms=4), eta=ETAS2)
 def test_order_and_initial_of_product_multiply(f, g, eta):
     of, og = weighted_order(f, W2, eta), weighted_order(g, W2, eta)
     fg = f * g
-    assert weighted_order(fg, W2, eta) == of + og
+    assert weighted_order(fg, W2, eta) == vadd(of, og)
     assert initial_form(fg, W2, eta) == initial_form(f, W2, eta) * initial_form(g, W2, eta)
 
 
@@ -233,8 +233,6 @@ def test_initial_form_is_idempotent(f, eta):
 
 @given(f=lpolys(2, 2), eta=ETAS2)
 def test_initial_form_is_homogeneous(f, eta):
-    from puiseux import term_value
-
     h = initial_form(f, W2, eta)
     o = weighted_order(f, W2, eta)
     for t in h.terms:
@@ -243,11 +241,11 @@ def test_initial_form_is_homogeneous(f, eta):
 
 @given(
     f=lpolys(1, 1),
-    eta=st.tuples(st.one_of(st.just(INF), small_rats.map(lambda q: Val((q,))))),
+    eta=st.tuples(st.one_of(st.none(), st.tuples(small_rats))),
     k=st.integers(1, 4),
 )
 def test_ramification_scales_the_order(f, eta, k):
-    scaled_eta = tuple(INF if e.is_inf else e.scale(k) for e in eta)
+    scaled_eta = tuple(vscale(e, k) for e in eta)
     before = weighted_order(f, W1, eta)
     after = weighted_order(ramify(f, k), W1, scaled_eta)
-    assert after == (INF if before.is_inf else before.scale(k))
+    assert after == vscale(before, k)

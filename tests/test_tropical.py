@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, seed
 
 from puiseux import (
-    INF,
     Branch,
     ExpandOptions,
     LPoly,
-    Val,
     WeightMatrix,
     candidate_etas,
     initial_form,
@@ -31,13 +29,13 @@ NODAL = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(2),), (0,)), (-1, (F(3),), (0,)))
 class TestCandidateEtas:
     def test_nodal_cubic_single_slope(self):
         scan = candidate_etas([NODAL], W1, (0,))
-        assert scan.etas == ((Val((1,)),),)
+        assert scan.etas == (((1,),),)
         assert scan.underdetermined == 0
 
     def test_surface_tie(self):
         f = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
         scan = candidate_etas([f], W2, (0,))
-        assert scan.etas == ((Val((F(1, 2), F(1, 2))),),)
+        assert scan.etas == (((F(1, 2), F(1, 2)),),)
 
     def test_retiring_everything_needs_vanishing_generators(self):
         f = LPoly.y_var(1, 1, 0) - LPoly.x_var(1, 1, 0)
@@ -47,18 +45,18 @@ class TestCandidateEtas:
     def test_all_generators_vanish_when_retired(self):
         f = lp(1, 2, (1, (F(0),), (1, 0)), (1, (F(1),), (1, 1)))
         scan = candidate_etas([f], W1, ())
-        assert scan.etas == (((INF, INF)),)
+        assert scan.etas == ((None, None),)
 
     def test_validation_rejects_non_minimal_pairs(self):
         # the (y^2, x^3) tie gives eta = 3/2 but x^2 sits lower
         scan = candidate_etas([NODAL], W1, (0,), positive_only=False)
-        assert (Val((F(3, 2),)),) not in scan.etas
+        assert ((F(3, 2),),) not in scan.etas
 
     def test_positive_only_filter(self):
         f = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(-2),), (0,)))  # y^2 - x^-2
         assert candidate_etas([f], W1, (0,)).etas == ()
         scan = candidate_etas([f], W1, (0,), positive_only=False)
-        assert scan.etas == ((Val((-1,)),),)
+        assert scan.etas == (((-1,),),)
 
     def test_underdetermined_tie_is_reported(self):
         f = LPoly.y_var(1, 2, 0) - LPoly.y_var(1, 2, 1)
@@ -71,7 +69,7 @@ class TestCandidateEtas:
         scan = candidate_etas([NODAL, g2], W1, (0,))
         # the shared weight must make both initial forms non-monomial;
         # eta = 1 works for both generators here
-        assert scan.etas == ((Val((1,)),),)
+        assert scan.etas == (((1,),),)
         (cand,) = scan.candidates
         assert len(cand.initials) == 2
         assert all(len(h.terms) >= 2 for h in cand.initials)
@@ -87,7 +85,7 @@ class TestCandidateEtas:
             (1, (F(6),), (1,)),
             (1, (F(10),), (0,)),
         )
-        assert candidate_etas([f], W1, (0,)).etas == ((Val((3,)),), (Val((4,)),))
+        assert candidate_etas([f], W1, (0,)).etas == (((3,),), ((4,),))
 
     def test_floor_bounds_the_enumerated_region(self):
         # y2^2 - x1^3*x2^2 and 2*x1^3*x2^4*y1*y2^2 + 2*x1^4*x2^4 tie only at
@@ -96,11 +94,11 @@ class TestCandidateEtas:
             lp(2, 2, (1, (F(0), F(0)), (0, 2)), (-1, (F(3), F(2)), (0, 0))),
             lp(2, 2, (2, (F(3), F(4)), (1, 2)), (2, (F(4), F(4)), (0, 0))),
         ]
-        eta = (Val((-2, -2)), Val((F(3, 2), 1)))
+        eta = ((-2, -2), (F(3, 2), 1))
         assert candidate_etas(gens, W2, (0, 1), positive_only=False).etas == (eta,)
         # ties at the floor are returned, weights below it are not
         assert candidate_etas(gens, W2, (0, 1), positive_only=False, floor=eta).etas == (eta,)
-        above = (Val((0, 1)), Val((0, 2)))
+        above = ((0, 1), (0, 2))
         assert candidate_etas(gens, W2, (0, 1), positive_only=False, floor=above).etas == ()
 
     def test_zero_generator_rejected(self):
@@ -110,19 +108,19 @@ class TestCandidateEtas:
 
 class TestPrevarietyPoint:
     def test_accepts_tied_weight(self):
-        assert is_prevariety_point([NODAL], W1, (Val((1,)),))
+        assert is_prevariety_point([NODAL], W1, ((1,),))
 
     def test_rejects_monomial_initial(self):
-        assert not is_prevariety_point([NODAL], W1, (Val((F(1, 3),)),))
+        assert not is_prevariety_point([NODAL], W1, ((F(1, 3),),))
 
     def test_rejects_pure_x_generators(self):
         f = LPoly.x_var(2, 1, 0) - LPoly.x_var(2, 1, 1)
-        for eta in [(Val((1, 1)),), (INF,)]:
+        for eta in [((1, 1),), (None,)]:
             assert not is_prevariety_point([f], W2, eta)
 
     def test_absorbed_generator_imposes_nothing(self):
         f = LPoly.y_var(1, 1, 0)
-        assert is_prevariety_point([f], W1, (INF,))
+        assert is_prevariety_point([f], W1, (None,))
 
 
 class TestSoundnessAndCompleteness:
@@ -198,7 +196,7 @@ PLANE_CURVES = [
 def test_plane_curve_candidates_match_polygon_slopes(support, poly, positive_only):
     oracle = edge_mus(curve([(F(a), i, c) for a, i, c in support]), positive_only)
     scan = candidate_etas([poly], W1, (0,), positive_only=positive_only)
-    got = sorted(eta[0].coords[0] for eta in scan.etas)
+    got = sorted(eta[0][0] for eta in scan.etas)
     assert got == oracle
 
 
@@ -231,7 +229,7 @@ def test_step_data_is_sound_under_general_weights(W, gens):
     for branch, steps in branches:
         for sd in steps:
             for e, g in zip(sd.eta, sd.gamma):
-                assert (g is None) if e.is_inf else W.value_of(g) == e
+                assert (g is None) if e is None else W.value_of(g) == e
             assert is_prevariety_point(branch.gens, W, sd.eta)
             if all(sd.c[i] in GRID for i in sd.active):
                 on_grid += 1
@@ -258,7 +256,7 @@ def _gens(nx, ny, max_gens, max_terms):
 
 
 def _floors(ny, d):
-    val = st.tuples(*[st.fractions(-2, 3, max_denominator=3)] * d).map(Val)
+    val = st.tuples(*[st.fractions(-2, 3, max_denominator=3)] * d)
     return st.one_of(st.none(), st.tuples(*[val] * ny))
 
 
@@ -267,14 +265,14 @@ def _in_region(eta, lam, d, positive_only, floor):
     for i in lam:
         if positive_only and not eta[i] > zero:
             return False
-        if floor is not None and eta[i] < floor[i].coords:
+        if floor is not None and eta[i] < floor[i]:
             return False
     return True
 
 
 def _check_against_brute(gens, W, lam, positive_only, floor):
     scan = candidate_etas(gens, W, lam, positive_only=positive_only, floor=floor)
-    got = {tuple(None if v.is_inf else v.coords for v in c.eta) for c in scan.candidates}
+    got = {c.eta for c in scan.candidates}
     want = {
         eta
         for eta in brute_etas(gens, W.rows, lam)

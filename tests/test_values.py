@@ -4,58 +4,51 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from puiseux import INF, Val, WeightMatrix
+from puiseux import LPoly, WeightMatrix, term_value
+from puiseux.values import sort_key
 from tutils import small_rats
 
 
 class TestValOrder:
+    """Values are tuples compared lexicographically; None is infinity."""
+
     def test_equal(self):
-        assert Val((1, 0)) == Val((1, 0))
+        # canonical ints and their Fraction forms are one value
+        assert WeightMatrix.identity(2).value_of((1, 0)) == (F(1), F(0))
+        assert sort_key((1, 0)) == sort_key((F(1), F(0)))
 
     def test_lex_on_second_coordinate(self):
-        assert Val((1, -5)) < Val((1, 0))
+        assert sorted([(1, 0), None, (1, -5)], key=sort_key) == [(1, -5), (1, 0), None]
 
     def test_inf_greater_than_everything(self):
-        assert INF > Val((100, 100))
-        assert not INF < Val((100, 100))
-        assert INF == INF
-
-    def test_total_order_helpers(self):
-        assert Val((0, 1)) <= Val((1, 0))
-        assert Val((1, 0)) >= Val((0, 1))
-        assert Val((2,)) != Val((3,))
+        assert sort_key(None) > sort_key((100, 100))
+        assert min([None, (100, 100)], key=sort_key) == (100, 100)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Val((1,)) < Val((1, 2))
+            WeightMatrix.identity(2).value_of((1,))
 
     def test_addition_absorbs_inf(self):
-        assert (INF + Val((1, 2))).is_inf
-        assert Val((1, 2)) + Val((1, -1)) == Val((2, 1))
-
-    def test_scale(self):
-        assert Val((1, F(1, 2))).scale(2) == Val((2, 1))
-        assert INF.scale(3).is_inf
-        assert INF.scale(-2).is_inf
-        with pytest.raises(ValueError):
-            INF.scale(0)
-
-    def test_positive(self):
-        assert Val((0, 1)).is_positive()
-        assert not Val((0, 0)).is_positive()
-        assert not Val((0, -1)).is_positive()
-        assert INF.is_positive()
+        W = WeightMatrix.identity(2)
+        t = LPoly.monomial(2, 2, 1, (1, 2), (1, 0)).terms[0]
+        assert term_value(W, (None, (5, 5)), t) is None
+        assert term_value(W, ((1, -1), None), t) == (2, 1)
 
 
 class TestWeightMatrix:
     def test_identity_value(self):
         W = WeightMatrix.identity(2)
-        assert W.value_of((0, 0)) == Val((0, 0))
-        assert W.value_of((2, 1)) == Val((2, 1))
+        assert W.value_of((0, 0)) == (0, 0)
+        assert W.value_of((2, 1)) == (2, 1)
 
     def test_hand_product(self):
         W = WeightMatrix([[1, 1], [0, 1]])
-        assert W.value_of((1, -1)) == Val((0, -1))
+        assert W.value_of((1, -1)) == (0, -1)
+
+    def test_entries_are_canonical(self):
+        W = WeightMatrix([[F(2), F(1, 2)], [F(1), -1]])
+        assert W.rows == ((2, F(1, 2)), (1, -1))
+        assert [type(e) for row in W.rows for e in row] == [int, F, int, int]
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +73,7 @@ WS = [
 )
 def test_value_of_is_linear(w, a, b):
     s = tuple(x + y for x, y in zip(a, b))
-    assert w.value_of(s) == w.value_of(a) + w.value_of(b)
+    assert w.value_of(s) == tuple(p + q for p, q in zip(w.value_of(a), w.value_of(b)))
 
 
 @given(

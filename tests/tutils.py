@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from puiseux import INF, LPoly, Val
+from puiseux import LPoly
 
 
 def lp(nx, ny, *terms):
@@ -61,9 +61,29 @@ def lpolys(nx, ny, max_terms=5):
 
 
 def vals(dim):
-    return st.tuples(*([small_rats] * dim)).map(Val)
+    return st.tuples(*([small_rats] * dim))
 
 
 def etas(ny, dim):
-    entry = st.one_of(st.just(INF), vals(dim))
+    entry = st.one_of(st.none(), vals(dim))
     return st.tuples(*([entry] * ny))
+
+
+def vadd(a, b):
+    """Sum of two values; None (infinity) absorbs."""
+    return None if a is None or b is None else tuple(p + q for p, q in zip(a, b))
+
+
+def vscale(v, k):
+    """A value times a positive integer; None (infinity) stays None."""
+    return None if v is None else tuple(q * k for q in v)
+
+
+def assert_trace_monotone(trace):
+    """Every finite weight strictly exceeds the previous step's scaled weight."""
+    floor = None
+    for t in trace:
+        for i, e in enumerate(t.data.eta):
+            if e is not None and floor is not None:
+                assert e > floor[i], "weight failed to increase along a branch"
+        floor = tuple(vscale(e, t.dgamma) for e in t.data.eta)
