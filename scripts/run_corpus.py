@@ -3,7 +3,6 @@
 
     python scripts/run_corpus.py                 # one summary line per file
     python scripts/run_corpus.py --json          # dump the full documents
-    python scripts/run_corpus.py --check-determinism
 """
 
 import argparse
@@ -28,24 +27,12 @@ def capture(argv):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--json", action="store_true", help="print full documents")
-    ap.add_argument(
-        "--check-determinism",
-        action="store_true",
-        help="run each file twice and compare the bytes",
-    )
     args = ap.parse_args()
 
     worst = 0
     for path in sorted(PROBLEMS.glob("*.txt")):
         rc, out = capture(["run", str(path), "--json"])
         worst = max(worst, 0 if rc in (0, 2) else rc)
-        if args.check_determinism:
-            rc2, out2 = capture(["run", str(path), "--json"])
-            status = "stable" if (rc, out) == (rc2, out2) else "UNSTABLE"
-            print("%-24s %s" % (path.name, status))
-            if status == "UNSTABLE":
-                worst = 1
-            continue
         if args.json:
             print(out, end="")
             continue

@@ -13,10 +13,8 @@ from .expansion import (
     ExpandOptions,
     MonotonicityError,
     StepData,
-    defining_data,
     denominator_lcm,
     expand,
-    monomials_of,
     recenter,
     starting_data,
     verify_residual,
@@ -34,7 +32,7 @@ from .lpoly import (
 )
 from .problem import ProblemError, parse_problem, render_poly
 from .solver import BudgetExceeded, rational_roots, reduced_groebner, torus_solutions
-from .tropical import candidate_etas, is_prevariety_point
+from .tropical import candidate_etas
 from .values import WeightMatrix
 
 __version__ = "0.1.0"
@@ -51,12 +49,9 @@ __all__ = [
     "WeightMatrix",
     "at_x_one",
     "candidate_etas",
-    "defining_data",
     "denominator_lcm",
     "expand",
     "initial_form",
-    "is_prevariety_point",
-    "monomials_of",
     "parse_problem",
     "ramify",
     "rational_roots",

@@ -9,12 +9,17 @@ Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
 per solution: ramify so the new exponent rows become integral, shift each
 active y by its new monomial, and retire coordinates whose weight went
-infinite.  A branch terminates when setting every remaining y to zero kills
-all generators (the accumulated sum is then an exact solution), or when the
-step budget runs out (the truncation is emitted with a residual
-certificate).  Branches with no continuation are reported, not silently
-dropped: over Q a candidate can genuinely die, for instance when its
-coefficient system has only irrational roots.
+infinite.  After recentering, the y-free part of each generator is the
+original generator evaluated at the accumulated truncation, in the ramified
+frame.  So ``expand`` (and with it ``puiseux run``) reads the residual order
+off the recentered generators (``residual_order``) and never substitutes
+the series back.  A branch terminates when every y-free part is zero (the
+accumulated sum is then an exact solution), or when the step budget runs
+out (the truncation is emitted with its residual order as a certificate).
+``verify_residual`` substitutes a series into the original generators
+independently; ``puiseux check`` runs it.  Branches with no continuation
+are reported, not silently dropped: over Q a candidate can genuinely die,
+for instance when its coefficient system has only irrational roots.
 """
 
 from __future__ import annotations
@@ -99,36 +104,6 @@ class TraceStep:
     dgamma: int
 
 
-def defining_data(monomials: Sequence[LPoly], W: WeightMatrix) -> StepData:
-    """Step data of a tuple of x-monomials; zero entries become retired rows."""
-    etas, gammas, cs = [], [], []
-    for m in monomials:
-        if m.is_zero:
-            etas.append(None)
-            gammas.append(None)
-            cs.append(Fraction(0))
-            continue
-        if len(m.terms) != 1 or any(b != 0 for b in m.terms[0].ydeg):
-            raise ValueError("defining data needs x-monomial (or zero) entries")
-        t = m.terms[0]
-        etas.append(W.value_of(t.xexp))
-        gammas.append(t.xexp)
-        cs.append(t.coeff)
-    return StepData(tuple(etas), tuple(gammas), tuple(cs))
-
-
-def monomials_of(data: StepData, nx: int) -> tuple[LPoly, ...]:
-    """The monomial tuple a StepData defines: ``c_i x^gamma_i``, zero if retired."""
-    ny = len(data.eta)
-    out = []
-    for i in range(ny):
-        if data.gamma[i] is None:
-            out.append(LPoly.zero(nx, ny))
-        else:
-            out.append(LPoly.monomial(nx, ny, data.c[i], data.gamma[i]))
-    return tuple(out)
-
-
 def denominator_lcm(gamma: Sequence[tuple[Fraction, ...] | None]) -> int:
     """Least k making every finite exponent row integral; 1 when none are finite."""
     dens = [e.denominator for row in gamma if row is not None for e in row]
@@ -159,15 +134,19 @@ class SeriesSolution:
     """One emitted branch: per-coordinate term lists in the original frame.
 
     Exponents are exact rationals lying in the lattice (1/ramification)Z^nx.
-    ``residual_order`` is None (infinity) exactly when the truncation solves
-    the system.
+    ``residual_order``, read off the recentered generators, is None (infinity)
+    exactly when the truncation solves the system; ``puiseux check``
+    recomputes it independently by substitution (``verify_residual``).
     """
 
     coords: tuple[tuple[tuple[Fraction, tuple[Fraction, ...]], ...], ...]
     ramification: int
-    exact: bool
     residual_order: tuple | None
     trace: tuple[TraceStep, ...]
+
+    @property
+    def exact(self) -> bool:
+        return self.residual_order is None
 
 
 @dataclass(frozen=True)
@@ -303,26 +282,27 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     )
 
 
-def _is_exact(branch: Branch) -> bool:
-    return all(g.y_free_part().is_zero for g in branch.gens)
+def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
+    """Order of the worst generator residual at the branch's truncation.
 
-
-def series_polys(coords, nx: int, ny: int) -> list[LPoly]:
-    """Per-coordinate x-only polynomials built from accumulated term lists."""
-    return [
-        LPoly.from_terms(nx, ny, [(c, e, (0,) * ny) for c, e in coords[i]])
-        for i in range(ny)
-    ]
+    The least order of the y-free parts of the recentered generators, scaled
+    back by ``cum_ram``; None (infinity) exactly when they all vanish.
+    """
+    eta_inf = (None,) * len(branch.acc)
+    orders = [weighted_order(g.y_free_part(), W, eta_inf) for g in branch.gens]
+    best = min((o for o in orders if o is not None), default=None)
+    return None if best is None else tuple(canonical(Fraction(q, branch.cum_ram)) for q in best)
 
 
 def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> tuple | None:
     """Order of the worst generator residual after substituting the series.
 
-    Returns None (infinity) exactly when every residual is the zero
-    polynomial, which certifies the (truncated) series as an exact solution.
+    Independent of any expansion.  Returns None (infinity) exactly when every
+    residual is the zero polynomial, which certifies the (truncated) series
+    as an exact solution.
     """
     nx, ny = gens[0].nx, gens[0].ny
-    series = series_polys(coords, nx, ny)
+    series = [LPoly.from_terms(nx, ny, [(c, e, (0,) * ny) for c, e in coord]) for coord in coords]
     eta_inf = (None,) * ny
     orders = [weighted_order(substitute_y(g, series), W, eta_inf) for g in gens]
     return min((o for o in orders if o is not None), default=None)
@@ -332,11 +312,10 @@ def _coords_key(coords):
     return tuple(tuple((e, c) for c, e in coord) for coord in coords)
 
 
-def _solution(branch: Branch, exact: bool, residual: tuple | None) -> SeriesSolution:
+def _solution(branch: Branch, residual: tuple | None) -> SeriesSolution:
     return SeriesSolution(
         coords=branch.acc,
         ramification=branch.cum_ram,
-        exact=exact,
         residual_order=residual,
         trace=branch.history,
     )
@@ -380,16 +359,11 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
 
     while frontier:
         branch = frontier.popleft()
-        exact = _is_exact(branch)
-        if exact:
-            solutions.append(_solution(branch, True, None))
-        if branch.step >= opts.max_terms:
-            if not exact:
-                solutions.append(
-                    _solution(branch, False, verify_residual(gens, branch.acc, W))
-                )
-            continue
-        if not branch.gens:
+        residual = residual_order(branch, W)
+        exact = residual is None
+        if exact or branch.step >= opts.max_terms:
+            solutions.append(_solution(branch, residual))
+        if branch.step >= opts.max_terms or not branch.gens:
             continue
         steps, info = starting_data(branch, W, opts)
         any_irrational |= info.irrational

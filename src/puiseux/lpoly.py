@@ -2,9 +2,10 @@
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
 fractional allowed) and nonnegative integer y-degrees.  Coefficients are
-``Fraction``s.  ``from_terms`` and the constructors built on it store an
-x-exponent as ``int`` when it is integral and as ``Fraction`` only when not,
-so integral input keeps ``int`` exponents through all arithmetic.
+``Fraction``s.  ``from_terms`` and the constructors built on it, products and
+``ramify`` store an x-exponent as ``int`` when it is integral and as
+``Fraction`` only when not, so recentered generators keep canonical
+exponents for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
@@ -132,7 +133,8 @@ class LPoly:
         if not isinstance(other, LPoly):
             return NotImplemented
         self._check_compat(other)
-        return LPoly._from_dict(self.nx, self.ny, _product(_items(self), _items(other)))
+        acc = _product(_items(self), _items(other))
+        return LPoly.from_terms(self.nx, self.ny, ((c, xe, yd) for (xe, yd), c in acc.items()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -228,7 +230,7 @@ def ramify(f: LPoly, k: int) -> LPoly:
     return LPoly(
         f.nx,
         f.ny,
-        tuple(Term(t.coeff, tuple(e * k for e in t.xexp), t.ydeg) for t in f.terms),
+        tuple(Term(t.coeff, tuple(canonical(e * k) for e in t.xexp), t.ydeg) for t in f.terms),
     )
 
 

@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .lpoly import LPoly, initial_form
-from .values import WeightMatrix, solve_linear, sort_key
+from .lpoly import LPoly
+from .values import WeightMatrix, canonical, solve_linear, sort_key
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,11 @@ def candidate_etas(
         if status == "many":
             underdetermined += 1
             continue
+        x = tuple(tuple(map(canonical, row)) for row in x)
         if x in settled:
             continue
         if x not in pending:
-            eta = tuple(W.value_of(row) for row in x)
+            eta = tuple(tuple(map(canonical, W.value_of(row))) for row in x)
             if (positive_only and any(e <= zero for e in eta)) or (
                 low is not None and any(e < f for e, f in zip(eta, low))
             ):
@@ -220,20 +221,3 @@ def candidate_etas(
     found.sort(key=lambda c: tuple(map(sort_key, c.eta)))
     return CandidateScan(tuple(found), underdetermined)
 
-
-def is_prevariety_point(
-    gens: Sequence[LPoly], W: WeightMatrix, eta: Sequence[tuple | None]
-) -> bool:
-    """Generator-level membership test: no initial form may be a monomial.
-
-    An initial form that vanishes means the generator is absorbed by the
-    retired coordinates and imposes nothing; a single-term initial form is a
-    monomial witness and rejects the weight.
-    """
-    for g in gens:
-        h = initial_form(g, W, tuple(eta))
-        if h.is_zero:
-            continue
-        if len(h.terms) < 2:
-            return False
-    return True

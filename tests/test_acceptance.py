@@ -18,7 +18,6 @@ from puiseux import (
     candidate_etas,
     expand,
     initial_form,
-    is_prevariety_point,
     parse_problem,
     term_value,
     torus_solutions,
@@ -29,7 +28,7 @@ from puiseux.cli import main as cli_main
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus, expand_curve
 from puiseux.values import sort_key
-from tutils import assert_trace_monotone, coupled_pair, lp, vadd
+from tutils import assert_trace_monotone, coupled_pair, is_prevariety_point, lp, vadd
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 W1 = WeightMatrix.identity(1)

@@ -1,9 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, seed
+from hypothesis import assume, given, seed, settings
 
 from puiseux import (
     Branch,
@@ -14,18 +16,26 @@ from puiseux import (
     MonotonicityError,
     StepData,
     WeightMatrix,
-    defining_data,
     denominator_lcm,
     expand,
-    monomials_of,
+    parse_problem,
     ramify,
     recenter,
     starting_data,
     substitute_y,
     verify_residual,
 )
+from puiseux import expansion
 from oracle_newton import curve, expand_curve
-from tutils import assert_trace_monotone, coupled_pair, lp, vscale, xm
+from tutils import (
+    assert_trace_monotone,
+    coupled_pair,
+    defining_data,
+    lp,
+    monomials_of,
+    vscale,
+    xm,
+)
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -457,9 +467,12 @@ def test_every_result_number_is_an_exact_rational(system):
     assert {type(q) for q in numbers} <= {int, F}
 
 
-@seed(20261018)
-@given(system=_systems(integral=True))
-def test_integral_input_keeps_int_exponents(system):
+def _is_canonical(q) -> bool:
+    return type(q) is int or (type(q) is F and q.denominator != 1)
+
+
+def _recentered(system):
+    """Each step data and child of the first two levels of an expansion."""
     gens, W, opts = system
     frontier = [root_branch(gens)]
     for _ in range(2):
@@ -467,7 +480,103 @@ def test_integral_input_keeps_int_exponents(system):
         for b in frontier[:8]:
             for sd in starting_data(b, W, opts)[0]:
                 child = recenter(b, sd, W)
-                for g in child.gens:
-                    assert all(type(e) is int for t in g.terms for e in t.xexp)
+                yield sd, child
                 children.append(child)
         frontier = children
+
+
+@seed(20261018)
+@given(system=_systems(integral=True))
+def test_integral_input_keeps_int_exponents(system):
+    for sd, child in _recentered(system):
+        assert all(_is_canonical(q) for v in sd.eta if v is not None for q in v)
+        for g in child.gens:
+            assert all(type(e) is int for t in g.terms for e in t.xexp)
+
+
+@seed(20261018)
+@given(system=_systems(integral=False))
+def test_fractional_input_keeps_canonical_exponents(system):
+    for sd, child in _recentered(system):
+        assert all(_is_canonical(q) for v in sd.eta if v is not None for q in v)
+        for g in child.gens:
+            assert all(_is_canonical(e) for t in g.terms for e in t.xexp)
+
+
+# The residual order that expand reads off the recentered generators, checked
+# against verify_residual, which substitutes the series into the original
+# generators.
+RESIDUAL_WS = [
+    W2,
+    WeightMatrix([[1, 1], [0, 1]]),
+    WeightMatrix([[F(1, 2), 1], [1, -1]]),
+    WeightMatrix([[2, 3], [1, 1], [0, 5]]),
+]
+PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+
+
+def _assert_residuals_match(gens, W, res):
+    for s in res.solutions:
+        assert s.residual_order == verify_residual(gens, s.coords, W)
+        assert s.exact == (s.residual_order is None)
+        assert all(_is_canonical(q) for q in s.residual_order or ())
+
+
+@st.composite
+def _residual_systems(draw):
+    plane = draw(st.booleans())
+    nx, ny = (1, 1) if plane else (2, draw(st.integers(1, 2)))
+    exps = st.fractions(-2, 4, max_denominator=3)
+    term = st.tuples(
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.tuples(*[exps] * nx),
+        st.tuples(*[st.integers(0, 3 if plane else 2)] * ny),
+    )
+    # a y-free term and a term linear in one y in every generator: y = 0 is
+    # no branch, and many candidates have rational coefficients
+    y_free = st.tuples(
+        st.sampled_from([-2, -1, 1, 2]), st.tuples(*[exps] * nx), st.just((0,) * ny)
+    )
+    linear = st.builds(
+        lambda c, e, i: (c, e, tuple(int(j == i) for j in range(ny))),
+        st.sampled_from([-1, 1]),
+        st.tuples(*[exps] * nx),
+        st.integers(0, ny - 1),
+    )
+    gen = st.tuples(y_free, linear, st.lists(term, min_size=1, max_size=2)).map(
+        lambda ts: LPoly.from_terms(nx, ny, [ts[0], ts[1], *ts[2]])
+    )
+    gens = draw(st.lists(gen.filter(lambda g: len(g.terms) > 1), min_size=ny, max_size=ny))
+    W = W1 if plane else draw(st.sampled_from(RESIDUAL_WS))
+    opts = ExpandOptions(
+        max_terms=draw(st.integers(2, 4)), positive_only=draw(st.booleans())
+    )
+    return gens, W, opts
+
+
+@seed(20261018)
+@settings(max_examples=150)
+@given(system=_residual_systems())
+def test_residual_order_matches_substitution(system):
+    gens, W, opts = system
+    try:
+        res = expand(gens, W, opts)
+    except (BranchBudgetExceeded, BudgetExceeded):
+        assume(False)
+    _assert_residuals_match(gens, W, res)
+
+
+def _raise(*args):
+    raise AssertionError("expand must not substitute the series back")
+
+
+@pytest.mark.parametrize("max_terms", [3, 6, 10])
+def test_corpus_residual_orders_without_substitution(monkeypatch, max_terms):
+    for path in PROBLEMS:
+        spec = parse_problem(path.read_text())
+        opts = replace(spec.options, max_terms=max_terms)
+        with monkeypatch.context() as m:
+            m.setattr(expansion, "verify_residual", _raise)
+            m.setattr(expansion, "substitute_y", _raise)
+            res = expand(spec.gens, spec.weights, opts)
+        _assert_residuals_match(spec.gens, spec.weights, res)

@@ -11,14 +11,13 @@ from puiseux import (
     WeightMatrix,
     candidate_etas,
     initial_form,
-    is_prevariety_point,
     recenter,
     starting_data,
 )
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus
 from oracle_pairs import brute_etas
-from tutils import coupled_pair, lp
+from tutils import coupled_pair, is_prevariety_point, lp
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)

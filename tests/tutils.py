@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from puiseux import LPoly
+from puiseux import LPoly, StepData, initial_form
 
 
 def lp(nx, ny, *terms):
@@ -40,6 +40,52 @@ def coupled_pair(sign: int):
     )
     g3 = LPoly.y_var(2, 3, 2)
     return [g1, g2, g3]
+
+
+def defining_data(monomials, W):
+    """Step data of a tuple of x-monomials; zero entries become retired rows."""
+    etas, gammas, cs = [], [], []
+    for m in monomials:
+        if m.is_zero:
+            etas.append(None)
+            gammas.append(None)
+            cs.append(Fraction(0))
+            continue
+        if len(m.terms) != 1 or any(b != 0 for b in m.terms[0].ydeg):
+            raise ValueError("defining data needs x-monomial (or zero) entries")
+        t = m.terms[0]
+        etas.append(W.value_of(t.xexp))
+        gammas.append(t.xexp)
+        cs.append(t.coeff)
+    return StepData(tuple(etas), tuple(gammas), tuple(cs))
+
+
+def monomials_of(data, nx):
+    """The monomial tuple a StepData defines: ``c_i x^gamma_i``, zero if retired."""
+    ny = len(data.eta)
+    out = []
+    for i in range(ny):
+        if data.gamma[i] is None:
+            out.append(LPoly.zero(nx, ny))
+        else:
+            out.append(LPoly.monomial(nx, ny, data.c[i], data.gamma[i]))
+    return tuple(out)
+
+
+def is_prevariety_point(gens, W, eta):
+    """Generator-level membership test: no initial form may be a monomial.
+
+    An initial form that vanishes means the generator is absorbed by the
+    retired coordinates and imposes nothing; a single-term initial form is a
+    monomial witness and rejects the weight.
+    """
+    for g in gens:
+        h = initial_form(g, W, tuple(eta))
+        if h.is_zero:
+            continue
+        if len(h.terms) < 2:
+            return False
+    return True
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
