@@ -1,9 +1,12 @@
 """The branch-expansion driver.
 
-A branch carries the current recentered generators, the accumulated series
-terms, and the scaled weight floor that every later step must exceed.  One
-step of a branch is described by a StepData triple (weights, exponent rows,
-coefficients): the monomials it defines are the next terms of the series.
+A branch is its recentered generators plus its trace, the StepData triples
+(weights, exponent rows, coefficients) of the steps taken so far.  The
+monomials a step defines are the next terms of the series, so everything
+else is read off the trace: the step count, the cumulative ramification,
+the retired coordinates, the scaled weight floor that every later step must
+exceed, and the series itself, which is built once, when a branch is
+emitted.
 
 Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
@@ -21,14 +24,13 @@ independently; ``puiseux check`` runs it.  Branches with no continuation
 are reported, not silently dropped: over Q a candidate can genuinely die,
 for instance when its coefficient system has only irrational roots.
 """
-
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .lpoly import (
@@ -61,27 +63,20 @@ class StepData:
     ``eta`` holds the weighted order of each coordinate's next term (a value
     tuple, or None where the weight is infinite), ``gamma`` the exponent rows
     solving ``W . gamma[i] = eta[i]`` (None exactly where the weight is
-    infinite), and ``c`` the coefficients (zero exactly on the retired
-    coordinates).
+    infinite, entries canonical), and ``c`` the coefficients (zero exactly
+    on the retired coordinates).
     """
 
     eta: tuple[tuple | None, ...]
-    gamma: tuple[tuple[Fraction, ...] | None, ...]
+    gamma: tuple[tuple | None, ...]
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not (len(self.eta) == len(self.gamma) == len(self.c)):
             raise ValueError("step data fields must have equal length")
-        object.__setattr__(
-            self,
-            "c",
-            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in self.c),
-        )
-        object.__setattr__(
-            self,
-            "gamma",
-            tuple(None if g is None else tuple(Fraction(e) for e in g) for g in self.gamma),
-        )
+        object.__setattr__(self, "c", tuple(map(Fraction, self.c)))
+        gamma = tuple(None if g is None else tuple(map(canonical, g)) for g in self.gamma)
+        object.__setattr__(self, "gamma", gamma)
         for e, g, c in zip(self.eta, self.gamma, self.c):
             if e is None:
                 if g is not None or c != 0:
@@ -94,17 +89,16 @@ class StepData:
     def active(self) -> tuple[int, ...]:
         return active_set(self.eta)
 
+    @property
+    def dgamma(self) -> int:
+        """The ramification this step adds: the denominator lcm of its rows."""
+        return denominator_lcm(self.gamma)
+
     def sort_key(self):
         return (tuple(map(sort_key, self.eta)), self.c, tuple(map(sort_key, self.gamma)))
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    data: StepData
-    dgamma: int
-
-
-def denominator_lcm(gamma: Sequence[tuple[Fraction, ...] | None]) -> int:
+def denominator_lcm(gamma: Sequence[tuple | None]) -> int:
     """Least k making every finite exponent row integral; 1 when none are finite."""
     dens = [e.denominator for row in gamma if row is not None for e in row]
     return lcm(*dens) if dens else 1
@@ -112,13 +106,51 @@ def denominator_lcm(gamma: Sequence[tuple[Fraction, ...] | None]) -> int:
 
 @dataclass(frozen=True)
 class Branch:
+    """A branch: its recentered generators and the steps that led to them.
+
+    Everything else about the branch is read off the trace, here and only
+    here.
+    """
+
     gens: tuple[LPoly, ...]
-    step: int
-    cum_ram: int
-    acc: tuple[tuple[tuple[Fraction, tuple[Fraction, ...]], ...], ...]
-    retired: frozenset[int]
-    history: tuple[TraceStep, ...]
-    floor: tuple[tuple | None, ...] | None  # scaled previous weights; None before the first step
+    trace: tuple[StepData, ...] = ()
+
+    @property
+    def step(self) -> int:
+        return len(self.trace)
+
+    @property
+    def cum_ram(self) -> int:
+        """The ramification of the recentered frame: the product of the steps' dgamma."""
+        return prod(t.dgamma for t in self.trace)
+
+    @property
+    def retired(self) -> frozenset[int]:
+        """The coordinates set to zero: infinite in the last step's weights."""
+        return frozenset(i for t in self.trace[-1:] for i, e in enumerate(t.eta) if e is None)
+
+    @property
+    def floor(self) -> tuple[tuple | None, ...] | None:
+        """The last step's weights scaled by its dgamma; None before the first step."""
+        if not self.trace:
+            return None
+        last = self.trace[-1]
+        k = last.dgamma
+        return tuple(None if e is None else tuple(canonical(q * k) for q in e) for e in last.eta)
+
+    def coords(self, ny: int) -> tuple[tuple[tuple[Fraction, tuple], ...], ...]:
+        """The accumulated series: per coordinate, its terms ``(c, exponent)``.
+
+        A step's rows live in the frame ramified by the earlier steps, so its
+        exponents are divided by their ramification, back to the original frame.
+        """
+        coords = [[] for _ in range(ny)]
+        ram = 1
+        for t in self.trace:
+            for i in t.active:
+                coords[i].append((t.c[i], tuple(canonical(Fraction(e, ram)) for e in t.gamma[i])))
+            ram *= t.dgamma
+        return tuple(map(tuple, coords))
 
 
 @dataclass(frozen=True)
@@ -133,16 +165,16 @@ class ExpandOptions:
 class SeriesSolution:
     """One emitted branch: per-coordinate term lists in the original frame.
 
-    Exponents are exact rationals lying in the lattice (1/ramification)Z^nx.
+    Exponents are canonical exact rationals in the lattice (1/ramification)Z^nx.
     ``residual_order``, read off the recentered generators, is None (infinity)
     exactly when the truncation solves the system; ``puiseux check``
     recomputes it independently by substitution (``verify_residual``).
     """
 
-    coords: tuple[tuple[tuple[Fraction, tuple[Fraction, ...]], ...], ...]
+    coords: tuple[tuple[tuple[Fraction, tuple], ...], ...]
     ramification: int
     residual_order: tuple | None
-    trace: tuple[TraceStep, ...]
+    trace: tuple[StepData, ...]
 
     @property
     def exact(self) -> bool:
@@ -158,7 +190,7 @@ class DeadBranch:
     underdetermined: int
     irrational_roots_detected: bool
     nonzero_dimensional: bool
-    trace: tuple[TraceStep, ...]
+    trace: tuple[StepData, ...]
 
 
 @dataclass(frozen=True)
@@ -174,7 +206,6 @@ class ScanInfo:
     candidates: int = 0
     rejected_increase: int = 0
     underdetermined: int = 0
-    no_torus: int = 0
     irrational: bool = False
     nonzero_dimensional: bool = False
 
@@ -194,7 +225,8 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     if not branch.gens:
         return [], info
     ny = branch.gens[0].ny
-    active = sorted(set(range(ny)) - set(branch.retired))
+    active = sorted(set(range(ny)) - branch.retired)
+    floor = branch.floor
     out: list[StepData] = []
     for size in range(1, len(active) + 1):
         for lam in combinations(active, size):
@@ -202,23 +234,19 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
                 branch.gens,
                 W,
                 lam,
-                positive_only=opts.positive_only and branch.step == 0,
-                floor=branch.floor,
+                positive_only=opts.positive_only and floor is None,
+                floor=floor,
             )
             info.underdetermined += scan.underdetermined
             for cand in scan.candidates:
                 info.candidates += 1
-                if branch.floor is not None and any(
-                    not cand.eta[i] > branch.floor[i] for i in lam
-                ):
+                if floor is not None and any(not cand.eta[i] > floor[i] for i in lam):
                     info.rejected_increase += 1
                     continue
                 system = [at_x_one(h) for h in cand.initials if not h.is_zero]
                 tsol = torus_solutions(system, lam, max_pairs=opts.solver_budget)
                 info.irrational |= tsol.irrational_roots_detected
                 info.nonzero_dimensional |= tsol.nonzero_dimensional
-                if not tsol.solutions:
-                    info.no_torus += 1
                 for cvec in tsol.solutions:
                     c = [Fraction(0)] * ny
                     for pos, i in enumerate(lam):
@@ -231,24 +259,24 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
 def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     """Apply one step: ramify, shift the active y coordinates, retire the rest.
 
-    The new terms ``c_i x^(gamma_i / cum_ram)`` are appended before the
-    cumulative ramification is multiplied by the step's denominator lcm, so
-    accumulated exponents always live in the original frame.
+    The generators are ramified by the step's dgamma, so that its exponent
+    rows become integral, and the step is appended to the trace.
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
     nx, ny = branch.gens[0].nx, branch.gens[0].ny
     act = data.active
-    for i in act:
-        if i in branch.retired:
-            raise ValueError("step data revives a retired coordinate")
-    if branch.floor is not None:
+    retired = branch.retired
+    if any(i in retired for i in act):
+        raise ValueError("step data revives a retired coordinate")
+    floor = branch.floor
+    if floor is not None:
         for i in act:
-            if not data.eta[i] > branch.floor[i]:
+            if not data.eta[i] > floor[i]:
                 raise MonotonicityError(
                     "weights must strictly increase along a branch (coordinate %d)" % i
                 )
-    k = denominator_lcm(data.gamma)
+    k = data.dgamma
     # gamma_i * k is integral by the choice of k: int exponents in the shift
     shifts = []
     for i in range(ny):
@@ -258,7 +286,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
             shifts.append(
                 LPoly.monomial(nx, ny, data.c[i], tuple(e * k for e in data.gamma[i]))
             )
-    newly_retired = [i for i in range(ny) if i not in branch.retired and data.eta[i] is None]
+    newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:
         h = shift_y(ramify(g, k), shifts)
@@ -266,20 +294,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
             h = set_y_zero(h, newly_retired)
         if not h.is_zero:
             gens.append(h)
-    acc = list(branch.acc)
-    for i in act:
-        exp = tuple(e / branch.cum_ram for e in data.gamma[i])
-        acc[i] = acc[i] + ((data.c[i], exp),)
-    floor = tuple(None if e is None else tuple(canonical(q * k) for q in e) for e in data.eta)
-    return Branch(
-        gens=tuple(gens),
-        step=branch.step + 1,
-        cum_ram=branch.cum_ram * k,
-        acc=tuple(acc),
-        retired=branch.retired | frozenset(newly_retired),
-        history=branch.history + (TraceStep(data, k),),
-        floor=floor,
-    )
+    return Branch(tuple(gens), branch.trace + (data,))
 
 
 def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
@@ -288,8 +303,7 @@ def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
     The least order of the y-free parts of the recentered generators, scaled
     back by ``cum_ram``; None (infinity) exactly when they all vanish.
     """
-    eta_inf = (None,) * len(branch.acc)
-    orders = [weighted_order(g.y_free_part(), W, eta_inf) for g in branch.gens]
+    orders = [weighted_order(g.y_free_part(), W, (None,) * g.ny) for g in branch.gens]
     best = min((o for o in orders if o is not None), default=None)
     return None if best is None else tuple(canonical(Fraction(q, branch.cum_ram)) for q in best)
 
@@ -312,15 +326,6 @@ def _coords_key(coords):
     return tuple(tuple((e, c) for c, e in coord) for coord in coords)
 
 
-def _solution(branch: Branch, residual: tuple | None) -> SeriesSolution:
-    return SeriesSolution(
-        coords=branch.acc,
-        ramification=branch.cum_ram,
-        residual_order=residual,
-        trace=branch.history,
-    )
-
-
 def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandOptions()) -> ExpandResult:
     """Breadth-first expansion of every branch of the given system.
 
@@ -341,16 +346,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     if nx != W.n:
         raise ValueError("weight matrix size does not match the x variables")
 
-    root = Branch(
-        gens=gens,
-        step=0,
-        cum_ram=1,
-        acc=((),) * ny,
-        retired=frozenset(),
-        history=(),
-        floor=None,
-    )
-    frontier = deque([root])
+    frontier = deque([Branch(gens)])
     spawned = 1
     solutions: list[SeriesSolution] = []
     dead: list[DeadBranch] = []
@@ -362,7 +358,8 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
         residual = residual_order(branch, W)
         exact = residual is None
         if exact or branch.step >= opts.max_terms:
-            solutions.append(_solution(branch, residual))
+            sol = SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace)
+            solutions.append(sol)
         if branch.step >= opts.max_terms or not branch.gens:
             continue
         steps, info = starting_data(branch, W, opts)
@@ -384,7 +381,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
                     underdetermined=info.underdetermined,
                     irrational_roots_detected=info.irrational,
                     nonzero_dimensional=info.nonzero_dimensional,
-                    trace=branch.history,
+                    trace=branch.trace,
                 )
             )
             continue
@@ -401,7 +398,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
         unique.setdefault(_coords_key(s.coords), s)
     final = tuple(sorted(unique.values(), key=lambda s: _coords_key(s.coords)))
     dead_sorted = tuple(
-        sorted(dead, key=lambda d: (d.step, tuple(t.data.sort_key() for t in d.trace)))
+        sorted(dead, key=lambda d: (d.step, tuple(t.sort_key() for t in d.trace)))
     )
     return ExpandResult(
         solutions=final,

@@ -30,7 +30,7 @@ from .expansion import (
     ExpandOptions,
     ExpandResult,
     SeriesSolution,
-    TraceStep,
+    StepData,
 )
 from .lpoly import LPoly
 from .values import WeightMatrix
@@ -350,12 +350,12 @@ def val_obj(v: tuple | None):
     return "inf" if v is None else [rat_str(c) for c in v]
 
 
-def _trace_obj(trace: tuple[TraceStep, ...]):
+def _trace_obj(trace: tuple[StepData, ...]):
     return [
         {
-            "eta": [val_obj(v) for v in t.data.eta],
-            "gamma": [val_obj(r) for r in t.data.gamma],
-            "c": [rat_str(c) for c in t.data.c],
+            "eta": [val_obj(v) for v in t.eta],
+            "gamma": [val_obj(r) for r in t.gamma],
+            "c": [rat_str(c) for c in t.c],
             "dgamma": t.dgamma,
         }
         for t in trace

@@ -32,7 +32,6 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TorusSolutionSet:
-    variables: tuple[int, ...]
     solutions: tuple[tuple[Fraction, ...], ...]
     nonzero_dimensional: bool
     irrational_roots_detected: bool
@@ -287,27 +286,14 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
         cs = cs[low:]
     if len(cs) == 1:
         return tuple(sorted(roots)), 0
-    ints = _primitive(cs)
-    work = [Fraction(a) for a in ints]
-
-    def _eval(poly, r):
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * r + c
-        return acc
-
-    def _deflate(poly, r):
-        out = [Fraction(0)] * (len(poly) - 1)
-        carry = Fraction(0)
-        for k in range(len(poly) - 1, 0, -1):
-            carry = poly[k] + carry * r
-            out[k - 1] = carry
-        return out
-
-    for r in _root_candidates(ints):
-        while len(work) > 1 and _eval(work, r) == 0:
+    work = _primitive(cs)
+    for r in _root_candidates(work):
+        while len(work) > 1:
+            quo, rem = _divmod(work, [-r, 1])
+            if rem:
+                break
             roots.add(r)
-            work = _deflate(work, r)
+            work = quo
     return tuple(sorted(roots)), len(work) - 1
 
 
@@ -385,7 +371,6 @@ def torus_solutions(
                 raise AssertionError("solver produced a non-root; this is a bug")
 
     return TorusSolutionSet(
-        variables=variables,
         solutions=tuple(torus),
         nonzero_dimensional=flags["dim"],
         irrational_roots_detected=flags["irr"],

@@ -73,6 +73,11 @@ def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
     the open region ``eta_i > floor_i``.  Either way ``t`` lies strictly
     above ``s`` at every weight of the region.  Without a floor only terms
     of equal lam-degrees are compared.
+
+    The lam-degrees in the output are pairwise distinct: two restricted
+    terms with equal lam-degrees have equal y-degrees, so distinct
+    x-exponents, and since ``W`` is injective distinct values.  The lower
+    one dominates the other in every mode.
     """
     entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
     for t in restricted:
@@ -168,7 +173,7 @@ def candidate_etas(
 
     pair_lists = []
     for _, lower in survivors:
-        pairs = [(s, t) for s, t in combinations(lower, 2) if s[2] != t[2]]
+        pairs = list(combinations(lower, 2))
         if not pairs:
             return CandidateScan((), 0)
         pair_lists.append(pairs)

@@ -44,19 +44,6 @@ NODAL = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(2),), (0,)), (-1, (F(3),), (0,)))
 SURFACE = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
 
 
-def root_branch(gens):
-    ny = gens[0].ny
-    return Branch(
-        gens=tuple(gens),
-        step=0,
-        cum_ram=1,
-        acc=((),) * ny,
-        retired=frozenset(),
-        history=(),
-        floor=None,
-    )
-
-
 class TestStepData:
     def test_defining_data_of_monomial_tuple(self):
         m = (xm(2, 3, 3, 3, 0), xm(2, 3, 7, 2, 1), LPoly.zero(2, 3))
@@ -122,14 +109,14 @@ class TestStepData:
 
 class TestStartingData:
     def test_nodal_cubic_two_starts(self):
-        sets, info = starting_data(root_branch([NODAL]), W1, ExpandOptions())
+        sets, info = starting_data(Branch((NODAL,)), W1, ExpandOptions())
         assert [d.c for d in sets] == [(F(-1),), (F(1),)]
         assert all(d.eta == ((1,),) for d in sets)
         assert all(d.gamma == ((F(1),),) for d in sets)
         assert info.candidates == 1
 
     def test_surface_start_is_ramified(self):
-        sets, _ = starting_data(root_branch([SURFACE]), W2, ExpandOptions())
+        sets, _ = starting_data(Branch((SURFACE,)), W2, ExpandOptions())
         assert [d.c for d in sets] == [(F(-1),), (F(1),)]
         assert all(d.eta == ((F(1, 2), F(1, 2)),) for d in sets)
 
@@ -142,7 +129,7 @@ class TestStartingData:
             (-1, (F(0), F(1)), (0, 0)),
             (1, (F(0), F(0)), (1, 0)),
         )
-        sets, _ = starting_data(root_branch([g1, g2]), W2, ExpandOptions())
+        sets, _ = starting_data(Branch((g1, g2)), W2, ExpandOptions())
         assert len(sets) == 1
         (d,) = sets
         assert d.eta == ((1, 0), (0, 1))
@@ -150,12 +137,12 @@ class TestStartingData:
 
     def test_irrational_coefficients_flagged(self):
         f = lp(1, 1, (1, (F(0),), (2,)), (-2, (F(2),), (0,)))  # y^2 - 2x^2
-        sets, info = starting_data(root_branch([f]), W1, ExpandOptions())
+        sets, info = starting_data(Branch((f,)), W1, ExpandOptions())
         assert sets == []
         assert info.irrational
 
     def test_strict_increase_filter(self):
-        b = root_branch([NODAL])
+        b = Branch((NODAL,))
         b_after = recenter(
             b,
             StepData(((1,),), ((F(1),),), (F(1),)),
@@ -169,16 +156,16 @@ class TestStartingData:
 
 class TestRecenter:
     def test_plane_shift(self):
-        b = root_branch([NODAL])
+        b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         want = lp(1, 1, (1, (F(0),), (2,)), (2, (F(1),), (1,)), (-1, (F(3),), (0,)))
         assert nb.gens == (want,)
         assert nb.cum_ram == 1
-        assert nb.acc == (((F(1), (F(1),)),),)
+        assert nb.coords(1) == (((F(1), (F(1),)),),)
 
     def test_ramified_shift(self):
-        b = root_branch([SURFACE])
+        b = Branch((SURFACE,))
         d = StepData(
             ((F(1, 2), F(1, 2)),), ((F(1, 2), F(1, 2)),), (F(1),)
         )
@@ -186,12 +173,12 @@ class TestRecenter:
         want = lp(2, 1, (1, (F(0), F(0)), (2,)), (2, (F(1), F(1)), (1,)))
         assert nb.gens == (want,)
         assert nb.cum_ram == 2
-        assert nb.acc == (((F(1), (F(1, 2), F(1, 2))),),)
+        assert nb.coords(1) == (((F(1), (F(1, 2), F(1, 2))),),)
 
     def test_retirement_substitutes_zero(self):
         g1 = LPoly.y_var(2, 2, 0)  # y1, absorbed on retirement
         g2 = lp(2, 2, (1, (F(0), F(0)), (0, 1)), (1, (F(1), F(0)), (0, 0)))
-        b = root_branch([g1, g2])
+        b = Branch((g1, g2))
         d = StepData(
             (None, (1, 0)),
             (None, (F(1), F(0))),
@@ -200,11 +187,10 @@ class TestRecenter:
         nb = recenter(b, d, W2)
         assert nb.retired == frozenset({0})
         assert nb.gens == (LPoly.y_var(2, 2, 1),)
-        assert nb.acc[0] == ()
-        assert nb.acc[1] == ((F(-1), (F(1), F(0))),)
+        assert nb.coords(2) == ((), ((F(-1), (F(1), F(0))),))
 
     def test_monotonicity_violation_raises(self):
-        b = root_branch([NODAL])
+        b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         with pytest.raises(MonotonicityError):
@@ -329,7 +315,7 @@ class TestVerify:
     def test_zero_correspondence_under_recentering(self):
         # a residual certificate for the recentered system transfers to the
         # parent after adding the step monomial and ramifying
-        b = root_branch([NODAL])
+        b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         child_coords = (((F(1, 2), (F(2),)),),)
@@ -339,7 +325,7 @@ class TestVerify:
         assert child_res == parent_res == (4,)
 
     def test_zero_correspondence_with_ramification(self):
-        b = root_branch([SURFACE])
+        b = Branch((SURFACE,))
         d = StepData(
             ((F(1, 2), F(1, 2)),), ((F(1, 2), F(1, 2)),), (F(1),)
         )
@@ -355,7 +341,7 @@ class TestVerify:
 class TestSubstituteConsistency:
     def test_recentered_generators_match_direct_substitution(self):
         # f(x, s + y) evaluated at y = t equals f(x, s + t)
-        b = root_branch([NODAL])
+        b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         t = LPoly.x_var(1, 1, 0, power=2).scale(F(1, 2))
@@ -444,9 +430,9 @@ def _systems(draw, integral):
 
 def _trace_numbers(trace):
     for t in trace:
-        for v in t.data.eta + t.data.gamma:
+        for v in t.eta + t.gamma:
             yield from v or ()
-        yield from t.data.c
+        yield from t.c
 
 
 @seed(20261018)
@@ -474,7 +460,7 @@ def _is_canonical(q) -> bool:
 def _recentered(system):
     """Each step data and child of the first two levels of an expansion."""
     gens, W, opts = system
-    frontier = [root_branch(gens)]
+    frontier = [Branch(tuple(gens))]
     for _ in range(2):
         children = []
         for b in frontier[:8]:
@@ -485,6 +471,20 @@ def _recentered(system):
         frontier = children
 
 
+def _assert_result_exponents_canonical(system):
+    """Every trace row entry and every coordinate exponent of the result."""
+    gens, W, opts = system
+    try:
+        res = expand(gens, W, opts)
+    except (BranchBudgetExceeded, BudgetExceeded):
+        return
+    traces = [s.trace for s in res.solutions] + [d.trace for d in res.dead_branches]
+    rows = [row for trace in traces for t in trace for row in t.gamma if row is not None]
+    assert all(_is_canonical(q) for row in rows for q in row)
+    exps = [exp for s in res.solutions for coord in s.coords for _, exp in coord]
+    assert all(_is_canonical(q) for exp in exps for q in exp)
+
+
 @seed(20261018)
 @given(system=_systems(integral=True))
 def test_integral_input_keeps_int_exponents(system):
@@ -492,6 +492,7 @@ def test_integral_input_keeps_int_exponents(system):
         assert all(_is_canonical(q) for v in sd.eta if v is not None for q in v)
         for g in child.gens:
             assert all(type(e) is int for t in g.terms for e in t.xexp)
+    _assert_result_exponents_canonical(system)
 
 
 @seed(20261018)
@@ -501,6 +502,7 @@ def test_fractional_input_keeps_canonical_exponents(system):
         assert all(_is_canonical(q) for v in sd.eta if v is not None for q in v)
         for g in child.gens:
             assert all(_is_canonical(e) for t in g.terms for e in t.xexp)
+    _assert_result_exponents_canonical(system)
 
 
 # The residual order that expand reads off the recentered generators, checked

@@ -1,4 +1,5 @@
-"""Every imported name in the program, tests and scripts is used."""
+"""Every imported name in the program, tests and scripts is used, and every
+dataclass field of the program is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,10 @@ FILES = sorted(
     p.relative_to(ROOT).as_posix()
     for d in ("src", "tests", "scripts")
     for p in (ROOT / d).rglob("*.py")
+)
+# everything that may read a field of the program
+READERS = FILES + sorted(
+    p.relative_to(ROOT).as_posix() for p in (ROOT / "perfbench").rglob("*.py")
 )
 
 
@@ -64,3 +69,61 @@ def test_the_scan_sees_unused_and_exempt_names():
         "print(lcm, os.sep)\n"
     )
     assert unused_imports(source) == ["line 3: j", "line 4: gcd"]
+
+
+def _last_name(node) -> str | None:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def record_fields(source: str) -> list[str]:
+    """``Class.field`` for every field of a ``@dataclass`` or ``NamedTuple`` class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and (
+            any(_last_name(d) == "dataclass" for d in node.decorator_list)
+            or any(_last_name(b) == "NamedTuple" for b in node.bases)
+        ):
+            out += [
+                "%s.%s" % (node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return out
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names read as attributes (``obj.name`` in load context)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_record_field_is_read():
+    read = set().union(*(attributes_read((ROOT / path).read_text()) for path in READERS))
+    fields = [
+        f for path in FILES if path.startswith("src/") for f in record_fields((ROOT / path).read_text())
+    ]
+    assert fields
+    assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_the_field_scan_sees_records_and_reads():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import typing\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "class B(typing.NamedTuple):\n"
+        "    z: int\n"
+        "class C:\n"
+        "    w: int\n"
+        "a = A(1)\n"
+        "a.y = a.x\n"
+    )
+    assert record_fields(source) == ["A.x", "A.y", "B.z"]
+    assert attributes_read(source) == {"NamedTuple", "x"}

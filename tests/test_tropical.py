@@ -14,6 +14,7 @@ from puiseux import (
     recenter,
     starting_data,
 )
+from puiseux import tropical
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus
 from oracle_pairs import brute_etas
@@ -203,11 +204,6 @@ SURFACE = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
 GRID = rational_grid(max_num=3, max_den=2)
 
 
-def _root(gens):
-    ny = gens[0].ny
-    return Branch(tuple(gens), 0, 1, ((),) * ny, frozenset(), (), None)
-
-
 # Value space and exponent space differ here: one W mixes the coordinates,
 # the other has more rows than columns.
 @pytest.mark.parametrize(
@@ -216,7 +212,7 @@ def _root(gens):
 @pytest.mark.parametrize("gens", [[SURFACE], coupled_pair(-1)], ids=["surface", "coupled"])
 def test_step_data_is_sound_under_general_weights(W, gens):
     opts = ExpandOptions()
-    root = _root(gens)
+    root = Branch(tuple(gens))
     root_steps, _ = starting_data(root, W, opts)
     assert root_steps
     branches = [(root, root_steps)]
@@ -304,3 +300,23 @@ def test_pruned_plane_candidates_match_brute_force(gens, positive_only, floor):
 )
 def test_pruned_system_candidates_match_brute_force(W, gens, lam, positive_only, data):
     _check_against_brute(gens, W, lam, positive_only, data.draw(_floors(2, W.d)))
+
+
+# Every pair of lower terms has distinct lam-degrees, so no pair of
+# candidate_etas is degenerate: two restricted terms with equal lam-degrees
+# differ in their x-exponents, and the lower one dominates the other.
+@pytest.mark.parametrize(
+    "W, ny",
+    [(W1, 1), (W2, 2), (WeightMatrix([[2, 3], [1, 1], [0, 5]]), 2)],
+    ids=["plane", "identity", "tall"],
+)
+@seed(20261018)
+@given(closed=st.booleans(), data=st.data())
+def test_lower_terms_have_distinct_lam_degrees(W, ny, closed, data):
+    (g,) = data.draw(_gens(W.n, ny, 1, 6))
+    lam = data.draw(st.sampled_from([(0,), (1,), (0, 1)][: 1 if ny == 1 else 3]))
+    floor = data.draw(_floors(ny, W.d))
+    low = None if floor is None else tuple(floor[i] for i in lam)
+    restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in range(ny) if i not in lam)]
+    degs = [d for _, _, d in tropical._lower_terms(restricted, W, lam, low, closed)]
+    assert len(set(degs)) == len(degs)

@@ -129,7 +129,7 @@ def assert_trace_monotone(trace):
     """Every finite weight strictly exceeds the previous step's scaled weight."""
     floor = None
     for t in trace:
-        for i, e in enumerate(t.data.eta):
+        for i, e in enumerate(t.eta):
             if e is not None and floor is not None:
                 assert e > floor[i], "weight failed to increase along a branch"
-        floor = tuple(vscale(e, t.dgamma) for e in t.data.eta)
+        floor = tuple(vscale(e, t.dgamma) for e in t.eta)
