@@ -43,7 +43,7 @@ from .lpoly import (
     substitute_y,
     weighted_order,
 )
-from .solver import torus_solutions
+from .solver import SOLVER_BUDGET, torus_solutions
 from .tropical import candidate_etas
 from .values import WeightMatrix, canonical, sort_key
 
@@ -158,7 +158,7 @@ class ExpandOptions:
     max_terms: int = 6
     max_branches: int = 64
     positive_only: bool = True
-    solver_budget: int = 20000
+    solver_budget: int = SOLVER_BUDGET
 
 
 @dataclass(frozen=True)

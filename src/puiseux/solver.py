@@ -26,6 +26,10 @@ from typing import Sequence
 from .lpoly import LPoly
 
 
+# Default cap on the Groebner S-pairs processed per basis computation.
+SOLVER_BUDGET = 20000
+
+
 class BudgetExceeded(RuntimeError):
     """The Groebner pair-processing cap was hit."""
 
@@ -160,7 +164,7 @@ def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
 
 
 def reduced_groebner(
-    system: Sequence[LPoly], variables: Sequence[int], max_pairs: int = 20000
+    system: Sequence[LPoly], variables: Sequence[int], max_pairs: int = SOLVER_BUDGET
 ) -> list[LPoly]:
     """Reduced lex Groebner basis of an x-free system in the given variables."""
     variables = tuple(sorted(set(variables)))
@@ -307,7 +311,7 @@ def _substitute_last(p: dict, r: Fraction) -> dict:
 
 
 def torus_solutions(
-    system: Sequence[LPoly], variables: Sequence[int], max_pairs: int = 20000
+    system: Sequence[LPoly], variables: Sequence[int], max_pairs: int = SOLVER_BUDGET
 ) -> TorusSolutionSet:
     """All rational solutions of the system with every coordinate nonzero.
 

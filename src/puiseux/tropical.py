@@ -11,29 +11,33 @@ surviving generator, one pair of terms with distinct restricted y-degrees
 and solving the linear system that makes the chosen pairs tie.  The system
 is solved for the exponent rows ``gamma_i`` of the next terms: two terms tie
 under ``eta_i = W.gamma_i`` exactly when their exponents tie, because ``W``
-is injective.  ``W`` only decides which terms are lowest: solutions are kept
-when the chosen pairs really attain the weighted minimum of their
-generators, and a weight is deduplicated only after some choice validates
-it.
+is injective.  The choices are walked depth first over the generators, in
+order, adding one tie row at a time to a reduced echelon form
+(``values.add_row``): an inconsistent prefix is pruned, and a prefix whose
+solution set is a point is not extended, since every extension either
+contradicts it or ties at the same point.  ``W`` only decides which terms
+are lowest: a point is kept when the chosen pairs really attain the
+weighted minima of their generators and every later generator attains its
+minimum at least twice, and it is deduplicated only after it is kept.  This
+finds exactly the points and counts of the full product of pair choices.
 
 Only terms on the floor-adjusted Newton staircase take part.  Weights are
 enumerated above a floor (the branch's scaled previous weights, or zero on
 the first step), and a term that another term dominates there, with
 componentwise smaller y-degrees and a smaller floor-adjusted value, never
-reaches a minimum, so no pair containing it can validate.  Pair systems
-with positive-dimensional solution sets among the remaining terms are
-counted and reported rather than enumerated.
+reaches a minimum, so no pair containing it can validate.  Full pair
+choices whose systems are consistent but positive-dimensional among the
+remaining terms are counted and reported rather than enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from .lpoly import LPoly
-from .values import WeightMatrix, canonical, solve_linear, sort_key
+from .values import WeightMatrix, add_row, canonical, sort_key
 
 
 @dataclass(frozen=True)
@@ -42,13 +46,14 @@ class EtaCandidate:
 
     ``eta`` holds value tuples, None where the weight is infinite, and
     ``gamma`` the exponent rows with ``W . gamma[i] = eta[i]`` (None exactly
-    there too).  ``initials`` follows the input generator order; an entry is
-    zero exactly when the generator is absorbed by the retired coordinates,
-    and every nonzero entry has at least two terms.
+    there too), both with canonical entries.  ``initials`` follows the input
+    generator order; an entry is zero exactly when the generator is absorbed
+    by the retired coordinates, and every nonzero entry has at least two
+    terms.
     """
 
     eta: tuple[tuple | None, ...]
-    gamma: tuple[tuple[Fraction, ...] | None, ...]
+    gamma: tuple[tuple | None, ...]
     initials: tuple[LPoly, ...]
 
 
@@ -178,51 +183,64 @@ def candidate_etas(
             return CandidateScan((), 0)
         pair_lists.append(pairs)
 
-    settled: set = set()  # gamma rows already found, or out of range
-    pending: dict = {}  # gamma rows -> (eta, per-generator minima), not yet validated
+    # The depth-first walk over the pair choices (see the module docstring),
+    # on a reduced echelon form of the tie rows in the gamma rows.
+    nl = len(lam)
+    points: dict = {}  # gamma rows -> (eta, lower terms at each minimum), or None out of range
+    found: dict = {}  # gamma rows -> validated candidate
     underdetermined = 0
-    found: list[EtaCandidate] = []
-    for choice in product(*pair_lists):
-        a_rows = []
-        b_rows = []
-        for (t1, _, d1), (t2, _, d2) in choice:
-            a_rows.append([p - q for p, q in zip(d1, d2)])
-            b_rows.append([e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)])
-        status, x = solve_linear(a_rows, b_rows)
-        if status == "none":
-            continue
-        if status == "many":
-            underdetermined += 1
-            continue
-        x = tuple(tuple(map(canonical, row)) for row in x)
-        if x in settled:
-            continue
-        if x not in pending:
+
+    def settle(choice, form):
+        x = tuple(tuple(map(canonical, r[nl:])) for _, r in sorted(form))
+        if x not in points:
             eta = tuple(tuple(map(canonical, W.value_of(row))) for row in x)
-            if (positive_only and any(e <= zero for e in eta)) or (
-                low is not None and any(e < f for e, f in zip(eta, low))
+            points[x] = None
+            if not (positive_only and any(e <= zero for e in eta)) and (
+                low is None or all(e >= f for e, f in zip(eta, low))
             ):
-                settled.add(x)
-                continue
-            pending[x] = (
-                eta,
-                tuple(min(_value(xv, d, eta) for _, xv, d in lower) for _, lower in survivors),
-            )
-        eta, minima = pending[x]
-        if any(_value(xv, d, eta) != m for ((_, xv, d), _), m in zip(choice, minima)):
-            continue
-        settled.add(x)
+                ties = []
+                for _, lower in survivors:
+                    vals = [_value(xv, d, eta) for _, xv, d in lower]
+                    m = min(vals)
+                    ties.append(tuple(e for e, v in zip(lower, vals) if v == m))
+                points[x] = (eta, ties)
+        if x in found or points[x] is None:
+            return
+        eta, ties = points[x]
+        # The chosen pairs tie at x, so they attain their minima when their
+        # first terms do; a later generator has a pair tying at its minimum
+        # when two of its terms attain it.
+        if any(a not in tie for (a, _), tie in zip(choice, ties)) or any(
+            len(tie) < 2 for tie in ties[len(choice):]
+        ):
+            return
         full_eta = [None] * ny
         gamma = [None] * ny
         for pos, i in enumerate(lam):
             full_eta[i] = eta[pos]
             gamma[i] = x[pos]
         initials = [LPoly.zero(g.nx, g.ny) for g in gens]
-        for (gi, lower), m in zip(survivors, minima):
-            keep = tuple(t for t, xv, d in lower if _value(xv, d, eta) == m)
-            initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, keep)
-        found.append(EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials)))
+        for (gi, _), tie in zip(survivors, ties):
+            initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, tuple(t for t, _, _ in tie))
+        found[x] = EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials))
 
-    found.sort(key=lambda c: tuple(map(sort_key, c.eta)))
-    return CandidateScan(tuple(found), underdetermined)
+    def walk(choice, form):
+        nonlocal underdetermined
+        if len(choice) == len(survivors):
+            underdetermined += 1
+            return
+        for pair in pair_lists[len(choice)]:
+            (t1, _, d1), (t2, _, d2) = pair
+            row = [p - q for p, q in zip(d1, d2)] + [e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)]
+            nxt = add_row(form, row, nl)
+            if nxt is None:
+                continue
+            if len(nxt) == nl:
+                settle(choice + (pair,), nxt)
+            else:
+                walk(choice + (pair,), nxt)
+
+    walk((), ())
+    ordered = sorted(found.values(), key=lambda c: tuple(map(sort_key, c.eta)))
+    return CandidateScan(tuple(ordered), underdetermined)
 

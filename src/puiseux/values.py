@@ -15,6 +15,10 @@ tests for it explicitly; ``sort_key`` places it after every finite value.
 Exponents and weight entries are created in canonical form, an ``int`` when
 integral and a ``Fraction`` only when not (see ``canonical``), so integral
 input never pays for ``Fraction`` arithmetic on exponents.
+
+The linear algebra over Q is one routine, ``add_row``, which inserts a row
+into a reduced row echelon form.  It checks the rank of a weight matrix, and
+candidate enumeration solves its tie systems with it one row at a time.
 """
 
 from __future__ import annotations
@@ -36,58 +40,31 @@ def sort_key(v: tuple | None) -> tuple:
     return (1,) if v is None else (0,) + v
 
 
-def _rats(entries: Iterable) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
+def add_row(form: tuple, row: Sequence, n: int) -> tuple | None:
+    """Insert one row into a reduced row echelon form over Q.
 
-
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form over Q, with the list of pivot columns."""
-    m = [list(_rats(r)) for r in rows]
-    if not m:
-        return (), ()
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m), tuple(pivots)
-
-
-def solve_linear(a_rows, b_rows):
-    """Solve ``A X = B`` over Q for the n x k matrix ``X``.
-
-    ``A`` must have at least one row.  Returns ``("unique", X)``,
-    ``("many", None)`` when the solution set is positive dimensional, or
-    ``("none", None)`` when the system is inconsistent.
+    ``form`` is a tuple of ``(pivot, row)`` pairs, each row with a 1 at its
+    own pivot and a 0 at every other pivot; the first ``n`` entries of a row
+    are coefficients, the rest a right-hand side.  Returns the form with
+    ``row`` reduced against it and added, the same form when ``row`` is
+    implied, or None when it contradicts the form (its coefficients reduce to
+    zero and its right-hand side does not).  The form is a point, the unique
+    solution in its right-hand sides, once it has ``n`` pivots.
     """
-    n = len(a_rows[0])
-    k = len(b_rows[0])
-    aug = [list(a) + list(b) for a, b in zip(a_rows, b_rows)]
-    reduced, pivots = rref(aug)
-    a_pivots = [p for p in pivots if p < n]
-    if len(a_pivots) < len(pivots):
-        return "none", None
-    if len(a_pivots) < n:
-        return "many", None
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for row, col in zip(reduced, pivots):
-        x[col] = list(row[n:])
-    return "unique", tuple(tuple(r) for r in x)
+    for p, r in form:
+        f = row[p]
+        if f:
+            row = [a - f * b for a, b in zip(row, r)]
+    pivot = next((j for j in range(n) if row[j]), None)
+    if pivot is None:
+        return None if any(row) else form
+    inv = row[pivot]
+    if inv != 1:
+        row = [canonical(Fraction(a) / inv) for a in row]
+    reduced = tuple(
+        (p, tuple(a - r[pivot] * b for a, b in zip(r, row)) if r[pivot] else r) for p, r in form
+    )
+    return reduced + ((pivot, tuple(row)),)
 
 
 class WeightMatrix:
@@ -110,8 +87,10 @@ class WeightMatrix:
             raise ValueError("weight matrix rows must have equal length")
         if len(rs) < n:
             raise ValueError("weight matrix needs at least as many rows as columns")
-        _, pivots = rref(rs)
-        if len(pivots) != n:
+        form = ()
+        for r in rs:
+            form = add_row(form, r, n)
+        if len(form) != n:
             raise ValueError("weight matrix must have full column rank")
         self.rows = rs
 

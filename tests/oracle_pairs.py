@@ -2,8 +2,9 @@
 
 Takes the full product of term pairs of every generator, solves every pair
 system for the exponent rows, and validates every choice before it is
-deduplicated.  Nothing is pruned and no floor or sign condition is applied,
-so callers restrict the result to the region they compare.  The linear
+deduplicated; a second function counts the full choices whose systems are
+positive-dimensional.  Nothing is pruned and no floor or sign condition is
+applied, so callers restrict the result to the region they compare.  The linear
 algebra and the weighted values are computed here on plain tuples, apart
 from the package's polynomial containers.
 """
@@ -14,16 +15,19 @@ from fractions import Fraction
 from itertools import combinations, product
 
 
-def _unique_solution(a_rows, b_rows):
-    """The unique X with A X = B over Q, or None (inconsistent or not unique)."""
-    n = len(a_rows[0])
+def _eliminate(a_rows, b_rows, n):
+    """Gauss-Jordan elimination of ``[A | B]`` over Q, A with ``n`` columns.
+
+    Returns the reduced rows and the pivot columns, or None when the system
+    is inconsistent.
+    """
     m = [[Fraction(v) for v in a] + [Fraction(v) for v in b] for a, b in zip(a_rows, b_rows)]
     row = 0
     pivots = []
     for col in range(n):
         piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
-            return None
+            continue
         m[row], m[piv] = m[piv], m[row]
         m[row] = [v / m[row][col] for v in m[row]]
         for r in range(len(m)):
@@ -34,7 +38,16 @@ def _unique_solution(a_rows, b_rows):
         row += 1
     if any(v != 0 for r in m[row:] for v in r):
         return None
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    return m, pivots
+
+
+def _unique_solution(a_rows, b_rows):
+    """The unique X with A X = B over Q, or None (inconsistent or not unique)."""
+    n = len(a_rows[0])
+    solved = _eliminate(a_rows, b_rows, n)
+    if solved is None or len(solved[1]) < n:
+        return None
+    return tuple(tuple(solved[0][i][n:]) for i in range(n))
 
 
 def _times(rows, vec):
@@ -86,3 +99,22 @@ def brute_etas(gens, w_rows, lam) -> set:
         ):
             out.add(tuple(eta.get(i) for i in range(ny)))
     return out
+
+
+def brute_underdetermined(lowers, nl) -> int:
+    """The number of full pair choices whose tie system is consistent and
+    positive-dimensional.
+
+    ``lowers`` holds one list of ``(term, W.xexp, lam-degrees)`` entries per
+    surviving generator, as ``tropical._lower_terms`` gives them, and ``nl``
+    is the number of unknown weights.  Every choice takes one pair of
+    entries from each list.
+    """
+    count = 0
+    for choice in product(*[list(combinations(lower, 2)) for lower in lowers]):
+        a_rows = [[p - q for p, q in zip(ds, dt)] for (_, _, ds), (_, _, dt) in choice]
+        b_rows = [[q - p for p, q in zip(s.xexp, t.xexp)] for (s, _, _), (t, _, _) in choice]
+        solved = _eliminate(a_rows, b_rows, nl)
+        if solved is not None and len(solved[1]) < nl:
+            count += 1
+    return count

@@ -1,7 +1,9 @@
-"""Every imported name in the program, tests and scripts is used, and every
-dataclass field of the program is read somewhere."""
+"""Every imported name in the program, tests and scripts is used, every
+dataclass field of the program is read somewhere, and every module-level
+function and class of the program is referenced somewhere."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,91 @@ def test_the_field_scan_sees_records_and_reads():
     )
     assert record_fields(source) == ["A.x", "A.y", "B.z"]
     assert attributes_read(source) == {"NamedTuple", "x"}
+
+
+def definitions(source: str) -> list[str]:
+    """The module-level functions and classes of a module."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def references(source: str) -> set[tuple[str, str | None]]:
+    """``(name, enclosing)`` for every name loaded, bare or as an attribute.
+
+    ``enclosing`` is the module-level function or class the reference sits
+    in, or None at module level.  Import statements and strings do not count.
+    """
+    out = set()
+    for top in ast.parse(source).body:
+        enclosing = (
+            top.name
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            else None
+        )
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add((node.id, enclosing))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add((node.attr, enclosing))
+    return out
+
+
+def orphans(modules: dict[str, str], exempt=frozenset()) -> list[str]:
+    """``path:name`` for every definition in ``modules`` (path -> source) that
+    no module references outside the definition itself."""
+    refs = {path: references(source) for path, source in modules.items()}
+    return [
+        "%s:%s" % (path, name)
+        for path, source in modules.items()
+        for name in definitions(source)
+        if (path, name) not in exempt
+        and not any(
+            ref == name and (other != path or enclosing != name)
+            for other, found in refs.items()
+            for ref, enclosing in found
+        )
+    ]
+
+
+def entry_points() -> set[tuple[str, str]]:
+    """``(path, function)`` of every ``[project.scripts]`` entry point."""
+    table = (ROOT / "pyproject.toml").read_text().split("[project.scripts]")[1].split("\n[")[0]
+    return {
+        ("src/" + module.replace(".", "/") + ".py", func)
+        for module, func in re.findall(r'^\S+\s*=\s*"([\w.]+):(\w+)"', table, re.M)
+    }
+
+
+def test_every_definition_is_referenced():
+    modules = {path: (ROOT / path).read_text() for path in READERS}
+    exempt = entry_points()
+    assert exempt and all(path in modules for path, _ in exempt)
+    found = [o for o in orphans(modules, exempt) if o.startswith("src/")]
+    assert found == []
+
+
+def test_the_definition_scan_sees_orphans_and_references():
+    modules = {
+        "a.py": (
+            "def used():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Main:\n"
+            "    pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "from a import recursive\n"
+            "import a\n"
+            "X = used()\n"
+            "Y = a.by_attribute\n"
+            "__all__ = ['recursive']\n"
+        ),
+    }
+    assert orphans(modules) == ["a.py:recursive", "a.py:Main"]
+    assert orphans(modules, {("a.py", "Main")}) == ["a.py:recursive"]

@@ -39,15 +39,23 @@ def test_generating_sets_of_one_ideal_give_the_same_solutions(first, second):
     assert a and a == b
 
 
+# spurious_retire emits one truncated solution at 8 terms, whose step 7
+# retires y3, and none at 10 terms: that branch dies at step 8 with no
+# rational torus solution.
 @pytest.mark.xfail(strict=True, reason="a retirement is accepted without the ideal's consent")
-def test_every_truncation_extends_two_terms_further():
-    short = _expand("false_truncation", 3)
-    longer = _expand("false_truncation", 5)
+@pytest.mark.parametrize(
+    "stem, short_terms, long_terms",
+    [("false_truncation", 3, 5), ("spurious_retire", 8, 10)],
+    ids=["false_truncation", "spurious_retire"],
+)
+def test_every_truncation_extends_two_terms_further(stem, short_terms, long_terms):
+    short = _expand(stem, short_terms)
+    longer = _expand(stem, long_terms)
     assert short.solutions
     for s in short.solutions:
         assert s.exact or any(
             t.trace[: len(s.trace)] == s.trace for t in longer.solutions
-        ), "truncation %s is no prefix of a 5-term solution" % (s.coords,)
+        ), "truncation %s is no prefix of a %d-term solution" % (s.coords, long_terms)
 
 
 @pytest.mark.xfail(strict=True, reason="I + <y3> has no branch, but step 0 retires y3")

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, seed
+from hypothesis import assume, given, seed, settings
 
 from puiseux import (
     Branch,
@@ -11,15 +12,20 @@ from puiseux import (
     WeightMatrix,
     candidate_etas,
     initial_form,
+    parse_problem,
     recenter,
     starting_data,
+    term_value,
 )
-from puiseux import tropical
+from puiseux import solver, tropical
+from puiseux.solver import SOLVER_BUDGET
+from puiseux.values import add_row
 from oracle_grid import first_term_candidates, rational_grid
 from oracle_newton import curve, edge_mus
-from oracle_pairs import brute_etas
+from oracle_pairs import brute_etas, brute_underdetermined
 from tutils import coupled_pair, is_prevariety_point, lp
 
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
 
@@ -302,6 +308,92 @@ def test_pruned_system_candidates_match_brute_force(W, gens, lam, positive_only,
     _check_against_brute(gens, W, lam, positive_only, data.draw(_floors(2, W.d)))
 
 
+def _brute_underdetermined(gens, W, lam, positive_only, floor):
+    """The oracle's count over the lower terms that candidate_etas pairs up."""
+    if floor is not None:
+        low, closed = tuple(floor[i] for i in lam), True
+    else:
+        low, closed = ((F(0),) * W.d,) * len(lam) if positive_only else None, False
+    off = [i for i in range(gens[0].ny) if i not in lam]
+    lowers = []
+    for g in gens:
+        restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in off)]
+        if restricted:
+            lowers.append(tropical._lower_terms(restricted, W, lam, low, closed))
+    return brute_underdetermined(lowers, len(lam))
+
+
+@st.composite
+def _gens_through_a_point(draw, W, ny, lam):
+    """Three to five generators, possibly coupled and possibly planted.
+
+    Coupled: the first two lam coordinates have equal degrees in every term,
+    so that no pair system determines both weights.  Planted: every
+    generator is given one or two terms that tie with its lowest restricted
+    term at one weight ``eta`` with positive exponent rows, so that this
+    weight is a candidate; coupled and planted, the tie rows of the planted
+    terms are implied by one another.  The full product of pair choices is
+    kept under 6^5.
+    """
+    gens = draw(_gens(W.n, ny, 5, 3).filter(lambda gs: len(gs) >= 3))
+    coupled = len(lam) >= 2 and draw(st.booleans())
+
+    def couple(ydeg):
+        if not coupled:
+            return ydeg
+        i, j = lam[:2]
+        return ydeg[:j] + (ydeg[i],) + ydeg[j + 1 :]
+
+    gens = [LPoly.from_terms(W.n, ny, [(t.coeff, t.xexp, couple(t.ydeg)) for t in g.terms]) for g in gens]
+    if draw(st.booleans()):
+        rows = st.tuples(*[st.fractions(0, 2, max_denominator=2).filter(bool)] * W.n)
+        gamma = [draw(rows) if i in lam else None for i in range(ny)]
+        eta = [None if g is None else W.value_of(g) for g in gamma]
+        ydegs = st.tuples(*[st.integers(0, 3) if i in lam else st.just(0) for i in range(ny)])
+        planted = []
+        for g in gens:
+            restricted = [t for t in g.terms if term_value(W, eta, t) is not None]
+            if restricted:
+                low = min(restricted, key=lambda t: term_value(W, eta, t))
+                for _ in range(draw(st.integers(1, 2))):
+                    ydeg = couple(draw(ydegs))
+                    xexp = tuple(
+                        e + sum((low.ydeg[i] - ydeg[i]) * gamma[i][k] for i in lam)
+                        for k, e in enumerate(low.xexp)
+                    )
+                    coeff = draw(st.integers(-3, 3).filter(bool))
+                    g = g + LPoly.from_terms(W.n, ny, [(coeff, xexp, ydeg)])
+            planted.append(g)
+        gens = planted
+    gens = [g for g in gens if len(g.terms) >= 2]
+    choices = 1
+    for g in gens:
+        choices *= len(g.terms) * (len(g.terms) - 1) // 2
+    assume(choices <= 6**5)
+    return gens
+
+
+# Three to five generators over two or three y's, so that the walk prunes,
+# stops at points and meets implied tie rows at every depth.
+@pytest.mark.parametrize(
+    "W",
+    [W2, WeightMatrix([[1, 1], [0, 1]]), WeightMatrix([[2, 3], [1, 1], [0, 5]])],
+    ids=["identity", "mixed", "tall"],
+)
+@seed(20261018)
+@settings(max_examples=40)
+@given(ny=st.sampled_from([2, 3]), positive_only=st.booleans(), data=st.data())
+def test_walked_candidates_and_counts_match_brute_force(W, ny, positive_only, data):
+    lam = data.draw(
+        st.lists(st.sampled_from(range(ny)), min_size=1, unique=True).map(lambda l: tuple(sorted(l)))
+    )
+    gens = data.draw(_gens_through_a_point(W, ny, lam))
+    floor = data.draw(_floors(ny, W.d))
+    _check_against_brute(gens, W, lam, positive_only, floor)
+    scan = candidate_etas(gens, W, lam, positive_only=positive_only, floor=floor)
+    assert scan.underdetermined == _brute_underdetermined(gens, W, lam, positive_only, floor)
+
+
 # Every pair of lower terms has distinct lam-degrees, so no pair of
 # candidate_etas is degenerate: two restricted terms with equal lam-degrees
 # differ in their x-exponents, and the lower one dominates the other.
@@ -320,3 +412,28 @@ def test_lower_terms_have_distinct_lam_degrees(W, ny, closed, data):
     restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in range(ny) if i not in lam)]
     degs = [d for _, _, d in tropical._lower_terms(restricted, W, lam, low, closed)]
     assert len(set(degs)) == len(degs)
+
+
+# The reduced lex basis of spurious_retire (y1 > y2 > y3 > x1) has 10
+# elements with 15, 6, 15, 6, 10, 10, 3, 6, 6 and 3 pairs at the first step,
+# about 2.6e8 full pair choices with the three generators; the walk adds one
+# tie row per pair tried and stops at the first point, so the work is bounded
+# by the branching of the first few independent generators.
+def test_tie_rows_do_not_multiply_across_generators(monkeypatch):
+    spec = parse_problem((PROBLEMS / "spurious_retire.txt").read_text())
+    dicts = [{t.ydeg + t.xexp: t.coeff for t in g.terms} for g in spec.gens]
+    basis = [
+        LPoly.from_terms(1, 3, [(c, key[3:], key[:3]) for key, c in p.items()])
+        for p in solver._buchberger(dicts, [SOLVER_BUDGET])
+    ]
+    assert len(basis) == 10
+    rows = []
+
+    def counting(form, row, n):
+        rows.append(row)
+        return add_row(form, row, n)
+
+    monkeypatch.setattr(tropical, "add_row", counting)
+    scan = candidate_etas(spec.gens + tuple(basis), spec.weights, (0, 1, 2))
+    assert scan.candidates
+    assert len(rows) < 1000
