@@ -11,6 +11,7 @@ Exit codes: 0 success with at least one solution, 2 no solutions
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -28,7 +29,13 @@ from .problem import (
 from .solver import BudgetExceeded
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves the parser unchanged and returns a fresh namespace,
+    so one parser serves every ``main`` call and no flag carries over.
+    """
     p = argparse.ArgumentParser(
         prog="puiseux",
         description="Compute Puiseux series solutions of polynomial systems, term by term.",

@@ -2,13 +2,21 @@
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
 fractional allowed) and nonnegative integer y-degrees.  Coefficients are
-``Fraction``s.  ``from_terms`` and the constructors built on it, products and
-``ramify`` store an x-exponent as ``int`` when it is integral and as
+``Fraction``s.  Every constructor, product, power, substitution and
+``ramify`` stores an x-exponent as ``int`` when it is integral and as
 ``Fraction`` only when not, so recentered generators keep canonical
 exponents for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
+
+Products, powers and the y-substitutions behind ``shift_y`` and
+``substitute_y`` run on integers.  Each operand is read as integer
+numerators over the lcm of its coefficient denominators, with its
+x-exponents scaled by their common denominator to ``int``s; the inner loops
+multiply and add ``int``s only, and the result is turned back into
+``Fraction``s at the boundary, one ``Fraction(numerator, denominator)`` and
+one canonical exponent tuple per nonzero output term.
 
 The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
 ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
@@ -18,7 +26,9 @@ the weight; the skip is explicit in ``term_value``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm, prod
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,7 +68,7 @@ class LPoly:
             if any(b < 0 for b in yd):
                 raise ValueError("y-degrees must be nonnegative")
             key = (xe, yd)
-            acc[key] = acc.get(key, Fraction(0)) + c
+            acc[key] = acc[key] + c if key in acc else c
         return cls._from_dict(nx, ny, acc)
 
     @classmethod
@@ -133,8 +143,10 @@ class LPoly:
         if not isinstance(other, LPoly):
             return NotImplemented
         self._check_compat(other)
-        acc = _product(_items(self), _items(other))
-        return LPoly.from_terms(self.nx, self.ny, ((c, xe, yd) for (xe, yd), c in acc.items()))
+        xden = _xden((self, other))
+        dp, p = _numerators(self, xden)
+        dq, q = _numerators(other, xden)
+        return _from_numerators(self.nx, self.ny, _product(p, q), dp * dq, xden)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -144,10 +156,12 @@ class LPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial powers are not supported")
-        out = LPoly.const(self.nx, self.ny, 1)
+        xden = _xden((self,))
+        d, base = _numerators(self, xden)
+        acc = {(0,) * (self.nx + self.ny): 1}
         for _ in range(k):
-            out = out * self
-        return out
+            acc = _product(acc.items(), base)
+        return _from_numerators(self.nx, self.ny, acc, d**k, xden)
 
     def scale(self, c) -> "LPoly":
         c = c if isinstance(c, Fraction) else Fraction(c)
@@ -174,18 +188,59 @@ class LPoly:
         return "LPoly(%s)" % " + ".join(parts)
 
 
-def _items(f: LPoly) -> list:
-    return [((t.xexp, t.ydeg), t.coeff) for t in f.terms]
+def _xden(polys: Iterable[LPoly]) -> int:
+    """The least common denominator of every x-exponent of ``polys``."""
+    dens = (e.denominator for f in polys for t in f.terms for e in t.xexp if type(e) is not int)
+    return lcm(*dens)
 
 
-def _product(p, q) -> dict:
-    """Product of two ``((xexp, ydeg), coeff)`` sequences, merged, unsorted."""
-    acc: dict = {}
-    for (pa, pb), pc in p:
-        for (qa, qb), qc in q:
-            key = (tuple(map(add, pa, qa)), tuple(map(add, pb, qb)))
-            acc[key] = acc.get(key, 0) + pc * qc
+def _key(xexp: tuple, xden: int) -> tuple[int, ...]:
+    """The x-exponents times ``xden``, as ``int``s."""
+    return tuple(
+        e * xden if type(e) is int else e.numerator * (xden // e.denominator) for e in xexp
+    )
+
+
+def _numerators(f: LPoly, xden: int) -> tuple[int, list]:
+    """``f`` as integer numerators over one denominator.
+
+    Returns ``(d, items)``: ``d`` is the lcm of the coefficient denominators
+    and ``items`` has one ``(key, coeff * d)`` pair per term, where ``key`` is
+    the term's x-exponents times ``xden`` followed by its y-degrees.
+    """
+    d = lcm(*(t.coeff.denominator for t in f.terms))
+    items = [
+        (_key(t.xexp, xden) + t.ydeg, t.coeff.numerator * (d // t.coeff.denominator))
+        for t in f.terms
+    ]
+    return d, items
+
+
+def _product(p: Iterable, q: Sequence) -> dict:
+    """Product of two ``(key, numerator)`` sequences, merged, unsorted."""
+    acc: dict = defaultdict(int)
+    for pk, pn in p:
+        for qk, qn in q:
+            acc[tuple(map(add, pk, qk))] += pn * qn
     return acc
+
+
+def _from_numerators(nx: int, ny: int, acc: dict, den: int, xden: int) -> LPoly:
+    """The polynomial with numerators ``acc`` over ``den``, keys as in ``_numerators``.
+
+    This is where ``Fraction``s are made: one per nonzero term.  The keys are
+    sorted as integers, which is the canonical order, and turned back into
+    canonical exponents once each.
+    """
+    terms = []
+    for key in sorted(acc):
+        n = acc[key]
+        if n:
+            xe = key[:nx]
+            if xden != 1:
+                xe = tuple(e // xden if e % xden == 0 else Fraction(e, xden) for e in xe)
+            terms.append(Term(Fraction(n, den), xe, key[nx:]))
+    return LPoly(nx, ny, tuple(terms))
 
 
 def active_set(eta: Sequence[tuple | None]) -> tuple[int, ...]:
@@ -244,33 +299,48 @@ def _check_x_monomial(nx: int, ny: int, m: LPoly, what: str):
 def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
     """Substitute ``y_i -> images[i]`` and expand exactly into one sum.
 
-    Each power ``images[i] ** b`` is built once, from ``images[i] ** (b - 1)``,
-    and each distinct y-monomial of ``f`` is expanded once; every term's
-    products then go straight into one accumulator, sorted once at the end.
+    The sum is kept as integer numerators over ``big``, the lcm of the
+    coefficient denominators of ``f`` times ``den_i ** maxdeg_i`` for every
+    image, where ``den_i`` is the common denominator of ``images[i]`` and
+    ``maxdeg_i`` the largest degree of ``y_i`` in ``f``; every term of ``f``
+    is scaled onto ``big`` by an exact integer.  Each power ``images[i] ** b``
+    is built once, from ``images[i] ** (b - 1)``, and each distinct
+    y-monomial of ``f`` is expanded once.
     """
-    one = [(((0,) * f.nx, (0,) * f.ny), Fraction(1))]
-    bases = [_items(g) for g in images]
-    powers: dict = {}  # (i, b) -> images[i] ** b
+    nx, ny = f.nx, f.ny
+    xden = _xden((f, *images))
+    bases = [_numerators(g, xden) for g in images]
+    maxdeg = [max((t.ydeg[i] for t in f.terms), default=0) for i in range(ny)]
+    big = lcm(*(t.coeff.denominator for t in f.terms)) * prod(
+        d**m for (d, _), m in zip(bases, maxdeg)
+    )
+    one = [((0,) * (nx + ny), 1)]
+    powers: dict = {}  # (i, b) -> numerators of images[i] ** b over den_i ** b
 
     def power(i: int, b: int) -> list:
         if (i, b) not in powers:
             prev = power(i, b - 1) if b > 1 else one
-            powers[(i, b)] = list(_product(prev, bases[i]).items())
+            powers[(i, b)] = list(_product(prev, bases[i][1]).items())
         return powers[(i, b)]
 
-    expanded: dict = {}  # y-degrees -> product of images[i] ** ydeg[i]
-    acc: dict = {}
+    expanded: dict = {}  # y-degrees -> (denominator, numerators) of the image monomial
+    acc: dict = defaultdict(int)
+    ypad = (0,) * ny
     for t in f.terms:
         if t.ydeg not in expanded:
-            m = one
+            den, m = 1, one
             for i, b in enumerate(t.ydeg):
                 if b:
+                    den *= bases[i][0] ** b
                     m = power(i, b) if m is one else list(_product(m, power(i, b)).items())
-            expanded[t.ydeg] = m
-        for (xe, yd), c in expanded[t.ydeg]:
-            key = (tuple(map(add, t.xexp, xe)), yd)
-            acc[key] = acc.get(key, 0) + t.coeff * c
-    return LPoly._from_dict(f.nx, f.ny, acc)
+            expanded[t.ydeg] = (den, m)
+        den, m = expanded[t.ydeg]
+        c = t.coeff
+        s = c.numerator * (big // (c.denominator * den))
+        xk = _key(t.xexp, xden) + ypad
+        for k, n in m:
+            acc[tuple(map(add, xk, k))] += s * n
+    return _from_numerators(nx, ny, acc, big, xden)
 
 
 def shift_y(f: LPoly, shifts: Sequence[LPoly]) -> LPoly:

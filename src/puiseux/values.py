@@ -31,7 +31,7 @@ def canonical(x) -> int | Fraction:
     """An exact rational in canonical form: ``int`` when integral, else ``Fraction``."""
     if type(x) is int:
         return x
-    q = Fraction(x)
+    q = x if type(x) is Fraction else Fraction(x)
     return q.numerator if q.denominator == 1 else q
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -203,3 +206,32 @@ class TestCheckCommand:
         bad.write_text("{not json")
         rc = main(["check", str(PROBLEMS / "cusp.txt"), str(bad)])
         assert rc == 1
+
+
+MAIN_ALONE = "import sys; from puiseux.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_successive_main_calls_match_separate_processes(tmp_path, capsys):
+    """One process reuses the parser; each call must still start from the defaults."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    problem = str(PROBLEMS / "nodal_cubic.txt")
+    sol_file = tmp_path / "sol.json"
+    calls = [
+        ["run", problem, "--json", "--max-terms", "2", "--no-positive-only"],
+        ["run", problem],
+        ["check", problem, str(sol_file)],
+    ]
+    for argv in calls:
+        rc = main(argv)
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            sol_file.write_text(out)
+        alone = subprocess.run(
+            [sys.executable, "-c", MAIN_ALONE, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (rc, out) == (alone.returncode, alone.stdout)

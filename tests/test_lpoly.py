@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 
 from puiseux import (
     LPoly,
@@ -17,7 +17,19 @@ from puiseux import (
     weighted_order,
 )
 from puiseux.values import sort_key
-from tutils import etas, lp, lpolys, small_rats, vadd, vscale
+from tutils import (
+    etas,
+    lp,
+    lpolys,
+    naive_power,
+    naive_product,
+    naive_substitute,
+    small_rats,
+    vadd,
+    vscale,
+    xexps,
+    ydegs,
+)
 
 W1 = WeightMatrix.identity(1)
 W2 = WeightMatrix.identity(2)
@@ -205,6 +217,109 @@ class TestSubstitutions:
         got = substitute_y(f, [s])
         assert got == LPoly.x_var(1, 1, 0, power=4).scale(F(1, 4))
         assert weighted_order(got, W1, (None,)) == (4,)
+
+
+def assert_canonical_exponents(f):
+    """Every integral x-exponent is an ``int``, every other one a ``Fraction``."""
+    for t in f.terms:
+        for e in t.xexp:
+            assert type(e) is (int if F(e).denominator == 1 else F)
+
+
+class TestCanonicalExponents:
+    half = F(1, 2)
+
+    def test_product(self):
+        r = LPoly.x_var(1, 1, 0, power=self.half)
+        got = r * r
+        assert got == LPoly.x_var(1, 1, 0)
+        assert type(got.terms[0].xexp[0]) is int
+
+    def test_power(self):
+        r = LPoly.x_var(1, 1, 0, power=F(1, 3)) + LPoly.y_var(1, 1, 0)
+        got = r**3
+        assert [t.xexp[0] for t in got.terms] == [0, F(1, 3), F(2, 3), 1]
+        assert_canonical_exponents(got)
+
+    def test_shift_y(self):
+        root = LPoly.x_var(1, 1, 0, power=self.half)
+        got = shift_y(LPoly.y_var(1, 1, 0, power=2), [root])
+        assert [t.xexp[0] for t in got.terms] == [0, self.half, 1]
+        assert_canonical_exponents(got)
+
+    def test_substitute_y(self):
+        root = LPoly.x_var(1, 1, 0, power=self.half)
+        got = substitute_y(LPoly.y_var(1, 1, 0, power=2), [root])
+        assert got == LPoly.x_var(1, 1, 0)
+        assert type(got.terms[0].xexp[0]) is int
+
+
+# Coefficients with pairwise coprime denominators, so the kernel's common
+# denominators are products, not one shared small number.
+coprime_rats = st.builds(
+    F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 7, 11])
+)
+
+
+def mixed_lpolys(nx, ny, max_terms=4, max_deg=2):
+    terms = st.tuples(coprime_rats, xexps(nx), ydegs(ny, max_deg))
+    return st.lists(terms, max_size=max_terms).map(lambda ts: LPoly.from_terms(nx, ny, ts))
+
+
+X_ONLY = mixed_lpolys(2, 2, max_terms=3, max_deg=0)
+
+
+def x_monomials_or_zero(nx, ny):
+    mono = st.builds(lambda c, e: LPoly.monomial(nx, ny, c, e), coprime_rats, xexps(nx))
+    return st.one_of(st.just(LPoly.zero(nx, ny)), mono)
+
+
+class TestKernelAgainstNaiveExpansion:
+    """Products, powers and substitutions against a plain ``Fraction`` expansion."""
+
+    @seed(20261018)
+    @given(f=mixed_lpolys(2, 3), g=mixed_lpolys(2, 3))
+    def test_product(self, f, g):
+        got = f * g
+        assert got == naive_product(f, g)
+        assert_canonical_exponents(got)
+
+    @seed(20261018)
+    @given(f=mixed_lpolys(2, 2, max_terms=3), k=st.integers(0, 3))
+    def test_power(self, f, k):
+        got = f**k
+        assert got == naive_power(f, k)
+        assert_canonical_exponents(got)
+
+    @seed(20261018)
+    @given(
+        f=mixed_lpolys(2, 3, max_deg=3), shifts=st.tuples(*[x_monomials_or_zero(2, 3)] * 3)
+    )
+    def test_shift_y(self, f, shifts):
+        images = [LPoly.y_var(2, 3, i) + m for i, m in enumerate(shifts)]
+        got = shift_y(f, shifts)
+        assert got == naive_substitute(f, images)
+        assert_canonical_exponents(got)
+
+    @seed(20261018)
+    @given(f=mixed_lpolys(2, 2, max_deg=3), series=st.tuples(*[X_ONLY] * 2))
+    def test_substitute_y(self, f, series):
+        got = substitute_y(f, series)
+        assert got == naive_substitute(f, series)
+        assert_canonical_exponents(got)
+
+    @seed(20261018)
+    @given(
+        h=mixed_lpolys(2, 2, max_terms=3),
+        k=mixed_lpolys(2, 2, max_terms=3),
+        series=st.tuples(*[X_ONLY] * 2),
+    )
+    def test_substitute_cancels_to_zero(self, h, k, series):
+        # f lies in the ideal of the point y = series, so the sum cancels exactly
+        y1, y2 = LPoly.y_var(2, 2, 0), LPoly.y_var(2, 2, 1)
+        f = naive_product(y1 - series[0], h) + naive_product(y2 - series[1], k)
+        assert naive_substitute(f, series).is_zero
+        assert substitute_y(f, series).is_zero
 
 
 ETAS2 = etas(2, 2)

@@ -88,6 +88,35 @@ def is_prevariety_point(gens, W, eta):
     return True
 
 
+def naive_product(f, g):
+    """``f * g`` by a plain ``Fraction`` dict expansion, the kernel's reference."""
+    acc = {}
+    for s in f.terms:
+        for t in g.terms:
+            xe = tuple(a + b for a, b in zip(s.xexp, t.xexp))
+            yd = tuple(a + b for a, b in zip(s.ydeg, t.ydeg))
+            acc[(xe, yd)] = acc.get((xe, yd), Fraction(0)) + s.coeff * t.coeff
+    return LPoly.from_terms(f.nx, f.ny, [(c, xe, yd) for (xe, yd), c in acc.items()])
+
+
+def naive_power(f, k):
+    out = LPoly.const(f.nx, f.ny, 1)
+    for _ in range(k):
+        out = naive_product(out, f)
+    return out
+
+
+def naive_substitute(f, images):
+    """``f`` with ``y_i -> images[i]``, one term and one power at a time."""
+    out = LPoly.zero(f.nx, f.ny)
+    for t in f.terms:
+        m = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
+        for g, b in zip(images, t.ydeg):
+            m = naive_product(m, naive_power(g, b))
+        out = out + m
+    return out
+
+
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 nonzero_rats = small_rats.filter(lambda q: q != 0)
 
