@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from .expansion import BranchBudgetExceeded, MonotonicityError, expand, verify_residual
 from .problem import (
@@ -61,6 +62,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document of dicts
+    with string keys, lists, strings, ints and bools.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder; this
+    writer does the same layout with strings escaped by the C escaper.  Any
+    other type raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write_json(doc, "\n", out)
+    return "".join(out)
+
+
+def _write_json(o, newline: str, out: list[str]) -> None:
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif isinstance(o, bool):
+        out.append("true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(o, list):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in o:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
 def _load_problem(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -93,7 +142,7 @@ def _cmd_run(args) -> int:
         return 1
     doc = run_document(spec, result, opts)
     if args.json:
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json_text(doc) + "\n")
     else:
         sys.stdout.write(format_plain(doc))
     return 0 if result.solutions else 2
@@ -115,14 +164,14 @@ def _cmd_check(args) -> int:
     except json.JSONDecodeError as e:
         print("puiseux: %s: invalid JSON: %s" % (args.solution_file, e), file=sys.stderr)
         return 1
-    sols = doc.get("solutions", [])
+    sols = doc.get("solutions", []) if isinstance(doc, dict) else None
     if not isinstance(sols, list):
         print("puiseux: %s: malformed solution document" % args.solution_file, file=sys.stderr)
         return 1
     for idx, obj in enumerate(sols, start=1):
         try:
             coords = coords_from_obj(obj, spec.nx, spec.ny)
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as e:
             print("puiseux: solution %d is malformed: %s" % (idx, e), file=sys.stderr)
             return 1
         residual = verify_residual(spec.gens, coords, spec.weights)

@@ -11,7 +11,12 @@ A problem file is line based:
 
 Generator expressions use + - * ^ and parentheses, with explicit '*'.
 Rational or negative x-exponents must be parenthesized, as in x1^(1/2) or
-x1^(-2); y-exponents are nonnegative integers.
+x1^(-2); y-exponents are nonnegative integers.  Each line is tokenized in
+one regular-expression pass, and a generator is evaluated straight into a
+dict of terms (exponent key to coefficient, ``int`` until a ``p/q`` number
+takes part): a single term is raised to a power by scaling its exponents,
+and only parenthesized sums are multiplied out.  The ``LPoly`` is built
+once per generator, from that dict.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
@@ -23,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .expansion import (
@@ -33,7 +39,7 @@ from .expansion import (
     StepData,
 )
 from .lpoly import LPoly
-from .values import WeightMatrix
+from .values import WeightMatrix, canonical
 
 
 class ProblemError(ValueError):
@@ -62,40 +68,55 @@ class ProblemSpec:
 
 
 _TOKEN = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
+# token kind by the group that matched; an operator is its own kind
+_KIND = (None, "num", "name", None)
 
 
 def _tokenize(text: str, line: int):
+    """``(kind, text, column)`` per token; kind is "num", "name" or the operator."""
     toks = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        num, name, op, bad = m.groups()
-        col = pos + 1
-        if bad is not None:
-            raise ProblemError(line, col, "unexpected character %r" % bad)
-        if num is not None:
-            toks.append(("num", num, col))
-        elif name is not None:
-            toks.append(("name", name, col))
-        else:
-            toks.append((op, op, col))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        tok = m.group(group)
+        if group == 4:
+            raise ProblemError(line, m.start() + 1, "unexpected character %r" % tok)
+        toks.append((_KIND[group] or tok, tok, m.start() + 1))
     return toks
 
 
-class _ExprParser:
-    """Recursive-descent parser building an LPoly from one expression."""
+def _rational(text: str) -> int | Fraction:
+    """The value of a number token, ``int`` unless it is a non-integral ``p/q``."""
+    if "/" not in text:
+        return int(text)
+    p, q = text.split("/")
+    return canonical(Fraction(int(p), int(q)))
 
-    def __init__(self, toks, line, nx, ny, var_index):
+
+def _times(p: dict, q: dict) -> dict:
+    """The product of two term dicts."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = tuple(map(add, k1, k2))
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    return out
+
+
+class _ExprParser:
+    """Recursive-descent evaluator of one generator expression.
+
+    Every value is a term dict mapping an exponent key (the x-exponents, then
+    the y-degrees) to its coefficient, an ``int`` until a ``p/q`` number
+    takes part.  Zero coefficients may stay in the dict; the caller builds
+    the ``LPoly`` once, which drops them.
+    """
+
+    def __init__(self, toks, line, atoms, one):
         self.toks = toks
         self.line = line
         self.pos = 0
-        self.nx = nx
-        self.ny = ny
-        self.var_index = var_index  # name -> ("x"|"y", index)
+        self.atoms = atoms  # name -> (exponent key, x index or None)
+        self.one = one  # the exponent key of a constant
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, -1)
@@ -108,80 +129,81 @@ class _ExprParser:
     def _fail(self, col, msg):
         raise ProblemError(self.line, col if col > 0 else 1, msg)
 
-    def parse(self) -> LPoly:
+    def parse(self) -> dict:
         p = self.expr()
         kind, text, col = self._peek()
         if kind is not None:
             self._fail(col, "unexpected %r" % text)
         return p
 
-    def expr(self) -> LPoly:
-        kind, _, _ = self._peek()
-        negate = False
-        if kind in ("-", "+"):
-            negate = kind == "-"
-            self._next()
+    def expr(self) -> dict:
+        kind = self._peek()[0]
+        if kind == "-" or kind == "+":
+            self.pos += 1
         p = self.term()
-        if negate:
-            p = -p
+        if kind == "-":
+            p = {k: -c for k, c in p.items()}
         while True:
-            kind, _, _ = self._peek()
-            if kind == "+":
-                self._next()
-                p = p + self.term()
-            elif kind == "-":
-                self._next()
-                p = p - self.term()
-            else:
+            kind = self._peek()[0]
+            if kind != "+" and kind != "-":
                 return p
+            self.pos += 1
+            for k, c in self.term().items():
+                if kind == "-":
+                    c = -c
+                p[k] = p[k] + c if k in p else c
 
-    def term(self) -> LPoly:
+    def term(self) -> dict:
         p = self.factor()
         while self._peek()[0] == "*":
-            self._next()
-            p = p * self.factor()
+            self.pos += 1
+            p = _times(p, self.factor())
         return p
 
-    def factor(self) -> LPoly:
+    def factor(self) -> dict:
         base, xvar = self.atom()
         if self._peek()[0] != "^":
             return base
-        _, _, caret_col = self._next()
+        self.pos += 1
         exp, col = self.exponent()
-        if exp.denominator == 1 and exp >= 0:
-            return base ** int(exp)
+        if type(exp) is int and exp >= 0:
+            if len(base) == 1:
+                ((key, c),) = base.items()
+                return {tuple(e * exp for e in key): c**exp}
+            p = {self.one: 1}
+            for _ in range(exp):
+                p = _times(p, base)
+            return p
         if xvar is None:
             self._fail(col, "rational or negative exponents need a bare x variable")
-        return LPoly.x_var(self.nx, self.ny, xvar, power=exp)
+        return {tuple(exp if j == xvar else 0 for j in range(len(self.one))): 1}
 
-    def exponent(self) -> tuple[Fraction, int]:
+    def exponent(self) -> tuple[int | Fraction, int]:
         kind, text, col = self._next()
         if kind == "num":
-            return Fraction(text), col
+            return _rational(text), col
         if kind == "(":
-            sign = 1
             kind2, text2, col2 = self._next()
-            if kind2 == "-":
-                sign = -1
+            negative = kind2 == "-"
+            if negative:
                 kind2, text2, col2 = self._next()
             if kind2 != "num":
                 self._fail(col2, "expected a number in the exponent")
             if self._next()[0] != ")":
                 self._fail(col2, "unclosed exponent parenthesis")
-            return sign * Fraction(text2), col
+            exp = _rational(text2)
+            return (-exp if negative else exp), col
         self._fail(col, "expected an exponent")
 
-    def atom(self) -> tuple[LPoly, int | None]:
+    def atom(self) -> tuple[dict, int | None]:
         kind, text, col = self._next()
         if kind == "num":
-            return LPoly.const(self.nx, self.ny, Fraction(text)), None
+            return {self.one: _rational(text)}, None
         if kind == "name":
-            if text not in self.var_index:
+            if text not in self.atoms:
                 self._fail(col, "unknown variable %r" % text)
-            block, idx = self.var_index[text]
-            if block == "x":
-                return LPoly.x_var(self.nx, self.ny, idx), idx
-            return LPoly.y_var(self.nx, self.ny, idx), None
+            key, xvar = self.atoms[text]
+            return {key: 1}, xvar
         if kind == "(":
             p = self.expr()
             k2, _, c2 = self._next()
@@ -195,7 +217,7 @@ def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem file; raises ProblemError with line and column."""
     x_names: list[str] = []
     y_names: list[str] = []
-    weight_rows: list[tuple[Fraction, ...]] = []
+    weight_rows: list[tuple[int | Fraction, ...]] = []
     gen_lines: list[tuple[int, list]] = []
     opts = ExpandOptions()
     first_weight_line = 0
@@ -234,9 +256,9 @@ def parse_problem(text: str) -> ProblemSpec:
                     i += 1
                     if i == len(rest) or rest[i][0] != "num":
                         raise ProblemError(lineno, c, "expected a number after the sign")
-                    row.append(-Fraction(rest[i][1]))
+                    row.append(-_rational(rest[i][1]))
                 elif k == "num":
-                    row.append(Fraction(t))
+                    row.append(_rational(t))
                 else:
                     raise ProblemError(lineno, c, "expected a rational entry")
                 i += 1
@@ -281,14 +303,19 @@ def parse_problem(text: str) -> ProblemSpec:
     except ValueError as e:
         raise ProblemError(first_weight_line, 1, str(e)) from None
 
-    var_index = {name: ("x", i) for i, name in enumerate(x_names)}
-    var_index.update({name: ("y", i) for i, name in enumerate(y_names)})
     nx, ny = len(x_names), len(y_names)
+    n = nx + ny
+    atoms = {
+        name: (tuple(int(j == i) for j in range(n)), i if i < nx else None)
+        for i, name in enumerate(x_names + y_names)
+    }
+    one = (0,) * n
     gens = []
     for lineno, toks in gen_lines:
         if not toks:
             raise ProblemError(lineno, 1, "empty generator")
-        poly = _ExprParser(toks, lineno, nx, ny, var_index).parse()
+        terms = _ExprParser(toks, lineno, atoms, one).parse()
+        poly = LPoly.from_terms(nx, ny, ((c, k[:nx], k[nx:]) for k, c in terms.items()))
         if poly.is_zero:
             raise ProblemError(lineno, 1, "generator is identically zero")
         gens.append(poly)

@@ -6,7 +6,9 @@ roots of the univariate eliminant at each level are found by
 isolate-round-verify, and roots are back-substituted: the real roots are
 isolated exactly by Sturm bisection, each is rounded to the nearest multiple
 of 1/a_n (a_n the integer leading coefficient; every rational root is one),
-and that candidate is verified exactly.  Only rational points are produced;
+and that candidate is verified exactly.  The univariate work runs on integer
+polynomials: pseudo-remainders for the Sturm chain, integer evaluation, and
+exact division for the squarefree part and for deflating a root.  Only rational points are produced;
 levels whose eliminant keeps a factor without rational roots set a flag, as
 do levels with no univariate eliminant at all (positive-dimensional solution
 sets).
@@ -176,55 +178,77 @@ def reduced_groebner(
     return [_from_dict(g, variables, nx, ny) for g in G]
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list]:
-    """Quotient and remainder of a by b (ascending coefficients, b[-1] != 0)."""
-    a = [Fraction(c) for c in a]
-    quo = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        q = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        quo[shift] = q
-        for k, c in enumerate(b):
-            a[shift + k] -= q * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return quo, a
-
-
-def _primitive(poly: Sequence[Fraction]) -> list[int]:
+def _primitive(poly: Sequence[int | Fraction]) -> list[int]:
     """The primitive integer multiple of poly by a positive rational."""
     den = lcm(*[c.denominator for c in poly])
-    ints = [int(c * den) for c in poly]
+    ints = [c.numerator * (den // c.denominator) for c in poly]
     g = gcd(*ints)
     return [a // g for a in ints]
 
 
-def _sturm_chain(poly: list[int]) -> list[list[int]]:
-    """Sturm sequence of poly, entries scaled to primitive integer polynomials.
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a on division by b.
 
-    The scale factors are positive, so signs are kept, and signs are all
-    that is read.  The last entry is gcd(poly, poly') up to a constant.
+    Integer polynomials, ascending coefficients, b[-1] != 0.  Each step
+    scales the dividend by a positive integer before cancelling its leading
+    term, so the remainder keeps its sign.
     """
-    chain = [[Fraction(c) for c in poly]]
-    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    lead = b[-1]
+    while len(a) >= len(b):
+        g = gcd(a[-1], lead)
+        m, q = lead // g, a[-1] // g
+        if m < 0:
+            m, q = -m, -q
+        shift = len(a) - len(b)
+        a = [m * c for c in a]
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials (ascending) when b divides a in Z[x]."""
+    a = list(a)
+    lead = b[-1]
+    quo = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        q = a[shift + len(b) - 1] // lead
+        quo[shift] = q
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+    return quo
+
+
+def _scaled_value(poly: list[int], num: int, den: int) -> int:
+    """den**deg(poly) * poly(num/den), which has the sign of poly(num/den)."""
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _sturm_chain(poly: list[int]) -> list[list[int]]:
+    """Sturm sequence of a primitive integer poly, entries scaled to
+    primitive integer polynomials.
+
+    The entries are built by integer pseudo-remainders.  The scale factors
+    are positive, so signs are kept, and signs are all that is read.  The
+    last entry is gcd(poly, poly') up to a constant.
+    """
+    chain = [poly, _primitive([k * c for k, c in enumerate(poly)][1:])]
     while True:
-        rem = _divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
-            return [_primitive(p) for p in chain]
-        chain.append([-c for c in rem])
+            return chain
+        chain.append(_primitive([-c for c in rem]))
 
 
 def _sturm_at(chain: list[list[int]], x: Fraction) -> tuple[int, bool]:
     """Sign changes of the chain at x (zeros dropped); is x a root of chain[0]?"""
-    num, den = x.numerator, x.denominator
-    values = []
-    for p in chain:
-        acc, scale = 0, 1
-        for c in reversed(p):  # den**deg(p) * p(x), which has the sign of p(x)
-            acc = acc * num + c * scale
-            scale *= den
-        values.append(acc)
+    values = [_scaled_value(p, x.numerator, x.denominator) for p in chain]
     signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:])), values[0] == 0
 
@@ -241,7 +265,7 @@ def _root_candidates(poly: list[int]) -> list[Fraction]:
     """
     chain = _sturm_chain(poly)
     if len(chain[-1]) > 1:  # repeated roots: work on the squarefree part
-        poly = _primitive(_divmod(poly, chain[-1])[0])
+        poly = _exact_quotient(poly, chain[-1])
         chain = _sturm_chain(poly)
     if len(poly) == 2:
         return [Fraction(-poly[0], poly[1])]
@@ -292,12 +316,10 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
         return tuple(sorted(roots)), 0
     work = _primitive(cs)
     for r in _root_candidates(work):
-        while len(work) > 1:
-            quo, rem = _divmod(work, [-r, 1])
-            if rem:
-                break
+        p, q = r.numerator, r.denominator
+        while len(work) > 1 and _scaled_value(work, p, q) == 0:
             roots.add(r)
-            work = quo
+            work = _exact_quotient(work, [-p, q])
     return tuple(sorted(roots)), len(work) - 1
 
 

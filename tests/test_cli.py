@@ -5,10 +5,13 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, seed
 
-from puiseux import ProblemError, parse_problem, render_poly
-from puiseux.cli import main
+from puiseux import ProblemError, expand, parse_problem, render_poly
+from puiseux.cli import json_text, main
+from puiseux.problem import run_document
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -206,6 +209,46 @@ class TestCheckCommand:
         bad.write_text("{not json")
         rc = main(["check", str(PROBLEMS / "cusp.txt"), str(bad)])
         assert rc == 1
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"solutions": [5]}'])
+    def test_malformed_solution_document(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        rc = main(["check", str(PROBLEMS / "cusp.txt"), str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("puiseux: ") and "malformed" in err
+
+
+# strings with quotes, backslashes, control characters and non-ASCII
+_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\U0001f600'), st.characters()))
+_documents = st.recursive(
+    st.one_of(_strings, st.integers(), st.integers(-(2**80), 2**80), st.booleans()),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.dictionaries(_strings, kids, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    def test_corpus_documents_match_json_dumps(self):
+        for path in sorted(PROBLEMS.glob("*.txt")):
+            spec = parse_problem(path.read_text())
+            doc = run_document(spec, expand(spec.gens, spec.weights, spec.options), spec.options)
+            assert json_text(doc) == json.dumps(doc, indent=2), path.name
+
+    @seed(20261018)
+    @given(doc=_documents)
+    def test_nested_documents_match_json_dumps(self, doc):
+        assert json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc", [F(1, 2), {"a": [1, F(3)]}, [0.5], {"x": None}, {1: "a"}], ids=repr
+    )
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            json_text(doc)
 
 
 MAIN_ALONE = "import sys; from puiseux.cli import main; sys.exit(main(sys.argv[1:]))"

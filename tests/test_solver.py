@@ -11,6 +11,7 @@ from puiseux import (
     reduced_groebner,
     torus_solutions,
 )
+from puiseux.solver import _primitive, _sturm_chain
 from oracle_grid import grid_torus_solutions, rational_grid
 from tutils import lp
 
@@ -143,6 +144,46 @@ def test_roots_of_products_of_factors_with_large_coefficients(linear, close, roo
     for a, b in rootless:
         poly = _times(poly, [F(b), F(0), F(a)])
     assert rational_roots(poly) == (tuple(sorted(want)), 2 * len(rootless))
+
+
+def _reference_sturm_chain(poly):
+    """Sturm sequence by division with Fraction coefficients, each entry
+    then scaled to a primitive integer polynomial."""
+
+    def remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for k, c in enumerate(b):
+                a[shift + k] -= q * c
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    chain = [[F(c) for c in poly]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while True:
+        rem = remainder(chain[-2], chain[-1])
+        if not rem:
+            return [_primitive(p) for p in chain]
+        chain.append([-c for c in rem])
+
+
+@seed(20261018)
+@given(
+    # zeros make degree gaps, where a remainder drops by more than one degree
+    coeffs=st.lists(st.one_of(st.just(0), st.integers(-60, 60)), min_size=2, max_size=7).filter(
+        lambda cs: cs[-1]
+    ),
+    squared=st.booleans(),
+)
+def test_integer_sturm_chain_matches_fraction_division(coeffs, squared):
+    poly = _primitive(coeffs)
+    if squared:  # repeated roots: the chain ends in a nonconstant gcd
+        poly = _primitive(_times(poly, poly))
+    assert _sturm_chain(poly) == _reference_sturm_chain(poly)
 
 
 class TestTorusSolutions:
