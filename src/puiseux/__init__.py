@@ -22,7 +22,6 @@ from .expansion import (
 from .lpoly import (
     LPoly,
     at_x_one,
-    initial_form,
     ramify,
     set_y_zero,
     shift_y,
@@ -51,7 +50,6 @@ __all__ = [
     "candidate_etas",
     "denominator_lcm",
     "expand",
-    "initial_form",
     "parse_problem",
     "ramify",
     "rational_roots",

@@ -264,7 +264,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
-    nx, ny = branch.gens[0].nx, branch.gens[0].ny
+    ny = branch.gens[0].ny
     act = data.active
     retired = branch.retired
     if any(i in retired for i in act):
@@ -278,14 +278,10 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
                 )
     k = data.dgamma
     # gamma_i * k is integral by the choice of k: int exponents in the shift
-    shifts = []
-    for i in range(ny):
-        if data.gamma[i] is None:
-            shifts.append(LPoly.zero(nx, ny))
-        else:
-            shifts.append(
-                LPoly.monomial(nx, ny, data.c[i], tuple(e * k for e in data.gamma[i]))
-            )
+    shifts = [
+        None if row is None else (c, tuple(canonical(e * k) for e in row))
+        for c, row in zip(data.c, data.gamma)
+    ]
     newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:

@@ -1,22 +1,23 @@
-"""Sparse Laurent-Puiseux polynomials with weighted orders and initial forms.
+"""Sparse Laurent-Puiseux polynomials: a canonical term store and the substitution kernel.
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
 fractional allowed) and nonnegative integer y-degrees.  Coefficients are
-``Fraction``s.  Every constructor, product, power, substitution and
-``ramify`` stores an x-exponent as ``int`` when it is integral and as
-``Fraction`` only when not, so recentered generators keep canonical
-exponents for any input.
+``Fraction``s.  Every constructor, substitution and ``ramify`` stores an
+x-exponent as ``int`` when it is integral and as ``Fraction`` only when not,
+so recentered generators keep canonical exponents for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
 
-Products, powers and the y-substitutions behind ``shift_y`` and
-``substitute_y`` run on integers.  Each operand is read as integer
-numerators over the lcm of its coefficient denominators, with its
-x-exponents scaled by their common denominator to ``int``s; the inner loops
-multiply and add ``int``s only, and the result is turned back into
-``Fraction``s at the boundary, one ``Fraction(numerator, denominator)`` and
-one canonical exponent tuple per nonzero output term.
+The only polynomial arithmetic is the y-substitution kernel and its product
+routine.  Recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i``), the
+residual (``substitute_y``) and the problem parser's products use it.  The
+substitution runs on integers: each operand is read as integer numerators
+over the lcm of its coefficient denominators, with its x-exponents scaled by
+their common denominator to ``int``s; the inner loops multiply and add
+``int``s only, and the result is turned back into ``Fraction``s at the
+boundary, one ``Fraction(numerator, denominator)`` and one canonical
+exponent tuple per nonzero output term.
 
 The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
 ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
@@ -44,8 +45,8 @@ class Term(NamedTuple):
 class LPoly:
     """A finite sum of terms in canonical sorted form.
 
-    Use ``from_terms`` (or the arithmetic operators) to build instances; the
-    constructor trusts its input to already be canonical.
+    Use ``from_terms`` to build instances; the constructor trusts its input
+    to already be canonical.
     """
 
     __slots__ = ("nx", "ny", "terms")
@@ -80,33 +81,9 @@ class LPoly:
     def zero(cls, nx: int, ny: int) -> "LPoly":
         return cls(nx, ny, ())
 
-    @classmethod
-    def const(cls, nx: int, ny: int, c) -> "LPoly":
-        return cls.from_terms(nx, ny, [(c, (0,) * nx, (0,) * ny)])
-
-    @classmethod
-    def monomial(cls, nx: int, ny: int, coeff, xexp=None, ydeg=None) -> "LPoly":
-        xe = (0,) * nx if xexp is None else xexp
-        yd = (0,) * ny if ydeg is None else ydeg
-        return cls.from_terms(nx, ny, [(coeff, xe, yd)])
-
-    @classmethod
-    def x_var(cls, nx: int, ny: int, i: int, power=1) -> "LPoly":
-        xe = tuple(power if j == i else 0 for j in range(nx))
-        return cls.from_terms(nx, ny, [(1, xe, (0,) * ny)])
-
-    @classmethod
-    def y_var(cls, nx: int, ny: int, i: int, power: int = 1) -> "LPoly":
-        yd = tuple(int(power) if j == i else 0 for j in range(ny))
-        return cls.from_terms(nx, ny, [(1, (0,) * nx, yd)])
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _check_compat(self, other: "LPoly"):
-        if self.nx != other.nx or self.ny != other.ny:
-            raise ValueError("polynomials live in different rings")
 
     def __bool__(self):
         return bool(self.terms)
@@ -118,56 +95,6 @@ class LPoly:
 
     def __hash__(self):
         return hash((self.nx, self.ny, self.terms))
-
-    def __neg__(self):
-        return LPoly(self.nx, self.ny, tuple(Term(-t.coeff, t.xexp, t.ydeg) for t in self.terms))
-
-    def __add__(self, other):
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        self._check_compat(other)
-        acc: dict = {}
-        for t in self.terms:
-            acc[(t.xexp, t.ydeg)] = t.coeff
-        for t in other.terms:
-            key = (t.xexp, t.ydeg)
-            acc[key] = acc.get(key, Fraction(0)) + t.coeff
-        return LPoly._from_dict(self.nx, self.ny, acc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        self._check_compat(other)
-        xden = _xden((self, other))
-        dp, p = _numerators(self, xden)
-        dq, q = _numerators(other, xden)
-        return _from_numerators(self.nx, self.ny, _product(p, q), dp * dq, xden)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial powers are not supported")
-        xden = _xden((self,))
-        d, base = _numerators(self, xden)
-        acc = {(0,) * (self.nx + self.ny): 1}
-        for _ in range(k):
-            acc = _product(acc.items(), base)
-        return _from_numerators(self.nx, self.ny, acc, d**k, xden)
-
-    def scale(self, c) -> "LPoly":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if c == 0:
-            return LPoly.zero(self.nx, self.ny)
-        return LPoly(self.nx, self.ny, tuple(Term(t.coeff * c, t.xexp, t.ydeg) for t in self.terms))
 
     def is_x_only(self) -> bool:
         return all(all(b == 0 for b in t.ydeg) for t in self.terms)
@@ -217,7 +144,7 @@ def _numerators(f: LPoly, xden: int) -> tuple[int, list]:
 
 
 def _product(p: Iterable, q: Sequence) -> dict:
-    """Product of two ``(key, numerator)`` sequences, merged, unsorted."""
+    """Product of two ``(key, coefficient)`` sequences, merged, unsorted."""
     acc: dict = defaultdict(int)
     for pk, pn in p:
         for qk, qn in q:
@@ -269,15 +196,6 @@ def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tu
     return min((v for v in values if v is not None), default=None)
 
 
-def initial_form(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> LPoly:
-    """The sum of minimum-value terms; zero when the order is infinite."""
-    best = weighted_order(f, W, eta)
-    if best is None:
-        return LPoly.zero(f.nx, f.ny)
-    keep = tuple(t for t in f.terms if term_value(W, eta, t) == best)
-    return LPoly(f.nx, f.ny, keep)
-
-
 def ramify(f: LPoly, k: int) -> LPoly:
     """Substitute every x variable by its k-th power: x-exponents scale by k."""
     if k < 1:
@@ -287,13 +205,6 @@ def ramify(f: LPoly, k: int) -> LPoly:
         f.ny,
         tuple(Term(t.coeff, tuple(canonical(e * k) for e in t.xexp), t.ydeg) for t in f.terms),
     )
-
-
-def _check_x_monomial(nx: int, ny: int, m: LPoly, what: str):
-    if m.nx != nx or m.ny != ny:
-        raise ValueError("%s lives in a different ring" % what)
-    if len(m.terms) > 1 or (m.terms and any(b != 0 for b in m.terms[0].ydeg)):
-        raise ValueError("%s must be zero or a single x-monomial" % what)
 
 
 def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
@@ -343,16 +254,21 @@ def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
     return _from_numerators(nx, ny, acc, big, xden)
 
 
-def shift_y(f: LPoly, shifts: Sequence[LPoly]) -> LPoly:
-    """Substitute ``y_i -> y_i + shifts[i]`` and expand exactly.
+def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
+    """Substitute ``y_i -> y_i + c_i * x^xexp_i`` and expand exactly.
 
-    Each shift must be zero or a single monomial in the x variables.
+    ``shifts[i]`` is the pair ``(c_i, xexp_i)``, or None to leave ``y_i`` as
+    it is.
     """
-    if len(shifts) != f.ny:
+    nx, ny = f.nx, f.ny
+    if len(shifts) != ny:
         raise ValueError("need one shift per y coordinate")
-    for m in shifts:
-        _check_x_monomial(f.nx, f.ny, m, "shift")
-    return _substitute(f, [LPoly.y_var(f.nx, f.ny, i) + m for i, m in enumerate(shifts)])
+    zx, zy = (0,) * nx, (0,) * ny
+    images = []
+    for i, s in enumerate(shifts):
+        y = (1, zx, zy[:i] + (1,) + zy[i + 1 :])
+        images.append(LPoly.from_terms(nx, ny, [y] if s is None else [y, (s[0], s[1], zy)]))
+    return _substitute(f, images)
 
 
 def set_y_zero(f: LPoly, indices) -> LPoly:

@@ -15,8 +15,9 @@ x1^(-2); y-exponents are nonnegative integers.  Each line is tokenized in
 one regular-expression pass, and a generator is evaluated straight into a
 dict of terms (exponent key to coefficient, ``int`` until a ``p/q`` number
 takes part): a single term is raised to a power by scaling its exponents,
-and only parenthesized sums are multiplied out.  The ``LPoly`` is built
-once per generator, from that dict.
+and products are multiplied out by the substitution kernel's product
+routine (``lpoly._product``).  The ``LPoly`` is built once per generator,
+from that dict.  A number ``p/q`` with ``q = 0`` is rejected at its token.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
@@ -28,7 +29,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import add
 from typing import Sequence
 
 from .expansion import (
@@ -38,7 +38,7 @@ from .expansion import (
     SeriesSolution,
     StepData,
 )
-from .lpoly import LPoly
+from .lpoly import LPoly, _product
 from .values import WeightMatrix, canonical
 
 
@@ -80,6 +80,8 @@ def _tokenize(text: str, line: int):
         tok = m.group(group)
         if group == 4:
             raise ProblemError(line, m.start() + 1, "unexpected character %r" % tok)
+        if group == 1 and "/" in tok and int(tok.partition("/")[2]) == 0:
+            raise ProblemError(line, m.start() + 1, "zero denominator in %r" % tok)
         toks.append((_KIND[group] or tok, tok, m.start() + 1))
     return toks
 
@@ -90,16 +92,6 @@ def _rational(text: str) -> int | Fraction:
         return int(text)
     p, q = text.split("/")
     return canonical(Fraction(int(p), int(q)))
-
-
-def _times(p: dict, q: dict) -> dict:
-    """The product of two term dicts."""
-    out: dict = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            k = tuple(map(add, k1, k2))
-            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
-    return out
 
 
 class _ExprParser:
@@ -157,7 +149,7 @@ class _ExprParser:
         p = self.factor()
         while self._peek()[0] == "*":
             self.pos += 1
-            p = _times(p, self.factor())
+            p = _product(p.items(), self.factor().items())
         return p
 
     def factor(self) -> dict:
@@ -172,7 +164,7 @@ class _ExprParser:
                 return {tuple(e * exp for e in key): c**exp}
             p = {self.one: 1}
             for _ in range(exp):
-                p = _times(p, base)
+                p = _product(p.items(), base.items())
             return p
         if xvar is None:
             self._fail(col, "rational or negative exponents need a bare x variable")
@@ -361,20 +353,16 @@ def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str
     """Canonical, re-parseable text form of a polynomial."""
     return _sum_str(
         (
-            rat_str(t.coeff),
-            [_exp_str(x_names[i], rat_str(e)) for i, e in enumerate(t.xexp) if e != 0]
+            str(t.coeff),
+            [_exp_str(x_names[i], str(e)) for i, e in enumerate(t.xexp) if e != 0]
             + [_exp_str(y_names[i], str(b)) for i, b in enumerate(t.ydeg) if b != 0],
         )
         for t in f.terms
     )
 
 
-def rat_str(q: int | Fraction) -> str:
-    return str(q)
-
-
 def val_obj(v: tuple | None):
-    return "inf" if v is None else [rat_str(c) for c in v]
+    return "inf" if v is None else [str(c) for c in v]
 
 
 def _trace_obj(trace: tuple[StepData, ...]):
@@ -382,7 +370,7 @@ def _trace_obj(trace: tuple[StepData, ...]):
         {
             "eta": [val_obj(v) for v in t.eta],
             "gamma": [val_obj(r) for r in t.gamma],
-            "c": [rat_str(c) for c in t.c],
+            "c": [str(c) for c in t.c],
             "dgamma": t.dgamma,
         }
         for t in trace
@@ -398,7 +386,7 @@ def solution_obj(sol: SeriesSolution, y_names: Sequence[str]) -> dict:
             {
                 "name": y_names[i],
                 "terms": [
-                    {"coefficient": rat_str(c), "exponent": [rat_str(e) for e in exp]}
+                    {"coefficient": str(c), "exponent": [str(e) for e in exp]}
                     for c, exp in sol.coords[i]
                 ],
             }
@@ -442,7 +430,7 @@ def run_document(spec: ProblemSpec, result: ExpandResult, opts: ExpandOptions) -
         "problem": {
             "x_vars": list(spec.x_names),
             "y_vars": list(spec.y_names),
-            "weights": [[rat_str(e) for e in row] for row in spec.weights.rows],
+            "weights": [[str(e) for e in row] for row in spec.weights.rows],
             "generators": [render_poly(g, spec.x_names, spec.y_names) for g in spec.gens],
         },
         "options": {

@@ -62,10 +62,6 @@ class CandidateScan:
     candidates: tuple[EtaCandidate, ...]
     underdetermined: int
 
-    @property
-    def etas(self) -> tuple[tuple[tuple | None, ...], ...]:
-        return tuple(c.eta for c in self.candidates)
-
 
 def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
     """The restricted terms that can reach a minimum, in term order.

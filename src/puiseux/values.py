@@ -102,10 +102,6 @@ class WeightMatrix:
     def d(self) -> int:
         return len(self.rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "WeightMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
     def value_of(self, exp: Sequence) -> tuple:
         """The weighted value ``W.exp`` of an exponent vector."""
         if len(exp) != self.n:

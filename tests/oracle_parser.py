@@ -1,8 +1,10 @@
-"""Reference evaluator of generator expressions, built on ``LPoly`` arithmetic.
+"""Reference evaluator of generator expressions, built on plain ``Fraction`` arithmetic.
 
 Every number and variable becomes an ``LPoly`` and they are combined with
-``LPoly`` ``+``, ``-``, ``*`` and ``**``; tokens come from a scan that
-matches one token at a time.  ``parse_generator`` is the oracle for the
+the ``Fraction`` references of ``tutils`` (``naive_sum``, ``naive_scale``,
+``naive_product`` and ``naive_power``), which share no code with the
+program's product routine; tokens come from a scan that matches one token
+at a time.  ``parse_generator`` is the oracle for the
 expression parser of ``puiseux.problem``: on every input it must give the
 same polynomial, or raise ``ProblemError`` at the same line and column with
 the same message.
@@ -14,6 +16,7 @@ import re
 from fractions import Fraction
 
 from puiseux import LPoly, ProblemError
+from tutils import const, naive_power, naive_product, naive_scale, naive_sum, x_var, y_var
 
 _TOKEN = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
 
@@ -31,6 +34,8 @@ def tokenize(text: str, line: int):
         if bad is not None:
             raise ProblemError(line, col, "unexpected character %r" % bad)
         if num is not None:
+            if "/" in num and not num.partition("/")[2].strip("0"):
+                raise ProblemError(line, col, "zero denominator in %r" % num)
             toks.append(("num", num, col))
         elif name is not None:
             toks.append(("name", name, col))
@@ -77,15 +82,15 @@ class ExprParser:
             self._next()
         p = self.term()
         if negate:
-            p = -p
+            p = naive_scale(p, -1)
         while True:
             kind, _, _ = self._peek()
             if kind == "+":
                 self._next()
-                p = p + self.term()
+                p = naive_sum(p, self.term())
             elif kind == "-":
                 self._next()
-                p = p - self.term()
+                p = naive_sum(p, naive_scale(self.term(), -1))
             else:
                 return p
 
@@ -93,7 +98,7 @@ class ExprParser:
         p = self.factor()
         while self._peek()[0] == "*":
             self._next()
-            p = p * self.factor()
+            p = naive_product(p, self.factor())
         return p
 
     def factor(self) -> LPoly:
@@ -103,10 +108,10 @@ class ExprParser:
         self._next()
         exp, col = self.exponent()
         if exp.denominator == 1 and exp >= 0:
-            return base ** int(exp)
+            return naive_power(base, int(exp))
         if xvar is None:
             self._fail(col, "rational or negative exponents need a bare x variable")
-        return LPoly.x_var(self.nx, self.ny, xvar, power=exp)
+        return x_var(self.nx, self.ny, xvar, power=exp)
 
     def exponent(self) -> tuple[Fraction, int]:
         kind, text, col = self._next()
@@ -128,14 +133,14 @@ class ExprParser:
     def atom(self) -> tuple[LPoly, int | None]:
         kind, text, col = self._next()
         if kind == "num":
-            return LPoly.const(self.nx, self.ny, Fraction(text)), None
+            return const(self.nx, self.ny, Fraction(text)), None
         if kind == "name":
             if text not in self.var_index:
                 self._fail(col, "unknown variable %r" % text)
             block, idx = self.var_index[text]
             if block == "x":
-                return LPoly.x_var(self.nx, self.ny, idx), idx
-            return LPoly.y_var(self.nx, self.ny, idx), None
+                return x_var(self.nx, self.ny, idx), idx
+            return y_var(self.nx, self.ny, idx), None
         if kind == "(":
             p = self.expr()
             k2, _, c2 = self._next()

@@ -31,14 +31,16 @@ from tutils import (
     assert_trace_monotone,
     coupled_pair,
     defining_data,
+    identity,
     lp,
     monomials_of,
     vscale,
     xm,
+    y_var,
 )
 
-W1 = WeightMatrix.identity(1)
-W2 = WeightMatrix.identity(2)
+W1 = identity(1)
+W2 = identity(2)
 
 NODAL = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(2),), (0,)), (-1, (F(3),), (0,)))
 SURFACE = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
@@ -176,7 +178,7 @@ class TestRecenter:
         assert nb.coords(1) == (((F(1), (F(1, 2), F(1, 2))),),)
 
     def test_retirement_substitutes_zero(self):
-        g1 = LPoly.y_var(2, 2, 0)  # y1, absorbed on retirement
+        g1 = y_var(2, 2, 0)  # y1, absorbed on retirement
         g2 = lp(2, 2, (1, (F(0), F(0)), (0, 1)), (1, (F(1), F(0)), (0, 0)))
         b = Branch((g1, g2))
         d = StepData(
@@ -186,7 +188,7 @@ class TestRecenter:
         )
         nb = recenter(b, d, W2)
         assert nb.retired == frozenset({0})
-        assert nb.gens == (LPoly.y_var(2, 2, 1),)
+        assert nb.gens == (y_var(2, 2, 1),)
         assert nb.coords(2) == ((), ((F(-1), (F(1), F(0))),))
 
     def test_monotonicity_violation_raises(self):
@@ -259,7 +261,7 @@ class TestExpand:
         assert res.irrational_roots_detected
 
     def test_no_candidates_reported(self):
-        f = LPoly.x_var(2, 1, 0) - LPoly.x_var(2, 1, 1)
+        f = lp(2, 1, (1, (1, 0), (0,)), (-1, (0, 1), (0,)))  # x1 - x2
         res = expand([f], W2, ExpandOptions(max_terms=2))
         assert res.solutions == ()
         assert res.dead_branches[0].reason == "no_prevariety_candidate"
@@ -344,9 +346,9 @@ class TestSubstituteConsistency:
         b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
-        t = LPoly.x_var(1, 1, 0, power=2).scale(F(1, 2))
+        t = xm(1, 1, F(1, 2), 2)
         via_child = substitute_y(nb.gens[0], [t])
-        s_plus_t = LPoly.x_var(1, 1, 0) + t
+        s_plus_t = lp(1, 1, (1, (1,), (0,)), (F(1, 2), (2,), (0,)))
         via_parent = substitute_y(NODAL, [s_plus_t])
         assert via_child == via_parent
 

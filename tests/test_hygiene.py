@@ -1,6 +1,6 @@
 """Every imported name in the program, tests and scripts is used, every
-dataclass field of the program is read somewhere, and every module-level
-function and class of the program is referenced somewhere."""
+dataclass field of the program is read somewhere, and every function, class
+and method of the program is referenced by the program itself."""
 
 import ast
 import re
@@ -20,17 +20,26 @@ READERS = FILES + sorted(
 )
 
 
+def exported_names(source: str) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    return {
+        name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that the module never references.
 
     Names listed in the module's ``__all__`` and ``from __future__``
     imports are exempt.
     """
-    tree = ast.parse(source)
     imported = {}
-    exported = set()
     used = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -40,10 +49,7 @@ def unused_imports(source: str) -> list[str]:
                     imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
+    exported = exported_names(source)
     return sorted(
         "line %d: %s" % (line, name)
         for name, line in imported.items()
@@ -131,51 +137,57 @@ def test_the_field_scan_sees_records_and_reads():
     assert attributes_read(source) == {"NamedTuple", "x"}
 
 
-def definitions(source: str) -> list[str]:
-    """The module-level functions and classes of a module."""
-    return [
-        node.name
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def references(source: str) -> set[tuple[str, str | None]]:
-    """``(name, enclosing)`` for every name loaded, bare or as an attribute.
+def definitions_and_references(source: str):
+    """The definitions of a module and the names it loads.
 
-    ``enclosing`` is the module-level function or class the reference sits
-    in, or None at module level.  Import statements and strings do not count.
+    The definitions are the qualified names, as tuples, of every function,
+    class and method, nested ones included.  The references are ``(name,
+    enclosing)`` for every name loaded, bare or as an attribute, where
+    ``enclosing`` is the qualified name of the innermost definition the
+    reference sits in, ``()`` at module level.  Import statements and strings
+    do not count.
     """
-    out = set()
-    for top in ast.parse(source).body:
-        enclosing = (
-            top.name
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            else None
-        )
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add((node.id, enclosing))
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                out.add((node.attr, enclosing))
-    return out
+    defs, refs = [], set()
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                defs.append(qual + (child.name,))
+                visit(child, qual + (child.name,))
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                refs.add((child.id, qual))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                refs.add((child.attr, qual))
+            visit(child, qual)
+
+    visit(ast.parse(source), ())
+    return defs, refs
 
 
 def orphans(modules: dict[str, str], exempt=frozenset()) -> list[str]:
-    """``path:name`` for every definition in ``modules`` (path -> source) that
-    no module references outside the definition itself."""
-    refs = {path: references(source) for path, source in modules.items()}
-    return [
-        "%s:%s" % (path, name)
-        for path, source in modules.items()
-        for name in definitions(source)
-        if (path, name) not in exempt
-        and not any(
-            ref == name and (other != path or enclosing != name)
-            for other, found in refs.items()
-            for ref, enclosing in found
-        )
-    ]
+    """``path:qualified.name`` for every definition in ``modules`` (path ->
+    source) that no module references outside the definition itself.
+
+    Dunder names and the names in ``exempt`` are not reported.
+    """
+    scans = {path: definitions_and_references(source) for path, source in modules.items()}
+    out = []
+    for path, (defs, _) in scans.items():
+        for qual in defs:
+            name = qual[-1]
+            if name in exempt or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(
+                ref == name and (other != path or enclosing[: len(qual)] != qual)
+                for other, (_, refs) in scans.items()
+                for ref, enclosing in refs
+            ):
+                out.append("%s:%s" % (path, ".".join(qual)))
+    return out
 
 
 def entry_points() -> set[tuple[str, str]]:
@@ -188,11 +200,14 @@ def entry_points() -> set[tuple[str, str]]:
 
 
 def test_every_definition_is_referenced():
-    modules = {path: (ROOT / path).read_text() for path in READERS}
-    exempt = entry_points()
-    assert exempt and all(path in modules for path, _ in exempt)
-    found = [o for o in orphans(modules, exempt) if o.startswith("src/")]
-    assert found == []
+    """Every function, class and method of the program is used by the program:
+    the package's ``__all__`` and the entry points are its only roots."""
+    modules = {path: (ROOT / path).read_text() for path in FILES if path.startswith("src/")}
+    entry = entry_points()
+    assert entry and all(path in modules for path, _ in entry)
+    exempt = exported_names(modules["src/puiseux/__init__.py"]) | {func for _, func in entry}
+    assert "expand" in exempt
+    assert orphans(modules, exempt) == []
 
 
 def test_the_definition_scan_sees_orphans_and_references():
@@ -203,7 +218,16 @@ def test_the_definition_scan_sees_orphans_and_references():
             "def recursive(n):\n"
             "    return recursive(n - 1)\n"
             "class Main:\n"
-            "    pass\n"
+            "    def __init__(self):\n"
+            "        self.helper()\n"
+            "    def helper(self):\n"
+            "        pass\n"
+            "    def unused(self):\n"
+            "        def inner():\n"
+            "            return 1\n"
+            "        return inner()\n"
+            "    def again(self):\n"
+            "        return self.again()\n"
             "def by_attribute():\n"
             "    pass\n"
         ),
@@ -215,5 +239,6 @@ def test_the_definition_scan_sees_orphans_and_references():
             "__all__ = ['recursive']\n"
         ),
     }
-    assert orphans(modules) == ["a.py:recursive", "a.py:Main"]
-    assert orphans(modules, {("a.py", "Main")}) == ["a.py:recursive"]
+    everything = ["a.py:recursive", "a.py:Main", "a.py:Main.unused", "a.py:Main.again"]
+    assert orphans(modules) == everything
+    assert orphans(modules, exported_names(modules["b.py"]) | {"Main"}) == everything[2:]

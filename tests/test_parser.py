@@ -1,4 +1,4 @@
-"""The generator parser against the LPoly-arithmetic oracle, and its errors."""
+"""The generator parser against the plain-``Fraction`` oracle, and its errors."""
 
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ def test_generators_parse_to_the_oracle_polynomial(case):
 
 
 # every token kind, a stray character now and then
-_SOUP = ["x1", "y1", "z1", "2", "1/2", "0", "+", "-", "*", "^", "(", ")"] * 3 + ["$", "."]
+_SOUP = ["x1", "y1", "z1", "2", "1/2", "0", "+", "-", "*", "^", "(", ")"] * 3 + ["$", ".", "1/0"]
 
 
 @st.composite
@@ -128,8 +128,7 @@ def test_arbitrary_token_strings_fail_or_parse_like_the_oracle(expr):
 
 HEAD = "vars x1 x2 y1 y2\nweight 1 0\nweight 0 1\n"
 
-# (lines after HEAD, line, column, message), as the LPoly-arithmetic parser
-# reported them
+# (lines after HEAD, line, column, message)
 ERRORS = [
     ("gen y1 $ x1", 4, 8, "unexpected character '$'"),
     ("gen y1 + 2.5*x1", 4, 11, "unexpected character '.'"),
@@ -169,6 +168,9 @@ ERRORS = [
     ("gen", 4, 1, "empty generator"),
     ("gen (y1 - y1)^2 + 0*x2", 4, 1, "generator is identically zero"),
     ("gen 0^0 - 1", 4, 1, "generator is identically zero"),
+    ("gen y1 - 1/0*x1", 4, 10, "zero denominator in '1/0'"),
+    ("gen y1 - x1^(1/0)", 4, 14, "zero denominator in '1/0'"),
+    ("weight 1/0", 4, 8, "zero denominator in '1/0'"),
     ("weight 1.5 0", 4, 9, "unexpected character '.'"),
     ("vars x3 $", 4, 9, "unexpected character '$'"),
 ]

@@ -4,9 +4,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from puiseux import LPoly, WeightMatrix, term_value
+from puiseux import WeightMatrix, term_value
 from puiseux.values import sort_key
-from tutils import small_rats
+from tutils import identity, lp, small_rats
 
 
 class TestValOrder:
@@ -14,7 +14,7 @@ class TestValOrder:
 
     def test_equal(self):
         # canonical ints and their Fraction forms are one value
-        assert WeightMatrix.identity(2).value_of((1, 0)) == (F(1), F(0))
+        assert identity(2).value_of((1, 0)) == (F(1), F(0))
         assert sort_key((1, 0)) == sort_key((F(1), F(0)))
 
     def test_lex_on_second_coordinate(self):
@@ -26,18 +26,18 @@ class TestValOrder:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            WeightMatrix.identity(2).value_of((1,))
+            identity(2).value_of((1,))
 
     def test_addition_absorbs_inf(self):
-        W = WeightMatrix.identity(2)
-        t = LPoly.monomial(2, 2, 1, (1, 2), (1, 0)).terms[0]
+        W = identity(2)
+        t = lp(2, 2, (1, (1, 2), (1, 0))).terms[0]
         assert term_value(W, (None, (5, 5)), t) is None
         assert term_value(W, ((1, -1), None), t) == (2, 1)
 
 
 class TestWeightMatrix:
     def test_identity_value(self):
-        W = WeightMatrix.identity(2)
+        W = identity(2)
         assert W.value_of((0, 0)) == (0, 0)
         assert W.value_of((2, 1)) == (2, 1)
 
@@ -60,7 +60,7 @@ class TestWeightMatrix:
 
 
 WS = [
-    WeightMatrix.identity(2),
+    identity(2),
     WeightMatrix([[1, 1], [0, 1]]),
     WeightMatrix([[2, 3], [1, 1], [0, 5]]),
 ]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from puiseux import LPoly, StepData, initial_form
+from puiseux import LPoly, StepData, WeightMatrix, term_value, weighted_order
 
 
 def lp(nx, ny, *terms):
@@ -14,9 +14,33 @@ def lp(nx, ny, *terms):
     return LPoly.from_terms(nx, ny, terms)
 
 
+def const(nx, ny, c):
+    return lp(nx, ny, (c, (0,) * nx, (0,) * ny))
+
+
+def x_var(nx, ny, i, power=1):
+    """``x_i^power``."""
+    return lp(nx, ny, (1, tuple(power if j == i else 0 for j in range(nx)), (0,) * ny))
+
+
+def y_var(nx, ny, i, power=1):
+    """``y_i^power``."""
+    return lp(nx, ny, (1, (0,) * nx, tuple(power if j == i else 0 for j in range(ny))))
+
+
 def xm(nx, ny, coeff, *exp):
     """Single x-monomial."""
-    return LPoly.monomial(nx, ny, coeff, tuple(Fraction(e) for e in exp))
+    return lp(nx, ny, (coeff, tuple(Fraction(e) for e in exp), (0,) * ny))
+
+
+def identity(n):
+    """The n-by-n identity weight matrix."""
+    return WeightMatrix(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def scan_etas(scan):
+    """The weights of a candidate scan's candidates, in order."""
+    return tuple(c.eta for c in scan.candidates)
 
 
 def coupled_pair(sign: int):
@@ -38,7 +62,7 @@ def coupled_pair(sign: int):
         (sign, (Fraction(0), Fraction(0)), (0, 1, 0)),
         (2, (Fraction(0), Fraction(0)), (1, 1, 0)),
     )
-    g3 = LPoly.y_var(2, 3, 2)
+    g3 = y_var(2, 3, 2)
     return [g1, g2, g3]
 
 
@@ -68,8 +92,16 @@ def monomials_of(data, nx):
         if data.gamma[i] is None:
             out.append(LPoly.zero(nx, ny))
         else:
-            out.append(LPoly.monomial(nx, ny, data.c[i], data.gamma[i]))
+            out.append(lp(nx, ny, (data.c[i], data.gamma[i], (0,) * ny)))
     return tuple(out)
+
+
+def initial_form(f, W, eta):
+    """The sum of minimum-value terms; zero when the order is infinite."""
+    best = weighted_order(f, W, eta)
+    if best is None:
+        return LPoly.zero(f.nx, f.ny)
+    return LPoly(f.nx, f.ny, tuple(t for t in f.terms if term_value(W, eta, t) == best))
 
 
 def is_prevariety_point(gens, W, eta):
@@ -88,8 +120,23 @@ def is_prevariety_point(gens, W, eta):
     return True
 
 
+# Plain ``Fraction`` references for the arithmetic of the program: the
+# substitution kernel (``shift_y``, ``substitute_y``) and the parser's
+# products are checked against these.
+
+
+def naive_sum(*polys):
+    """The sum of polynomials of one ring."""
+    return lp(polys[0].nx, polys[0].ny, *(t for f in polys for t in f.terms))
+
+
+def naive_scale(f, c):
+    """``c * f`` for a rational ``c``."""
+    return lp(f.nx, f.ny, *((c * t.coeff, t.xexp, t.ydeg) for t in f.terms))
+
+
 def naive_product(f, g):
-    """``f * g`` by a plain ``Fraction`` dict expansion, the kernel's reference."""
+    """``f * g`` by a plain ``Fraction`` dict expansion."""
     acc = {}
     for s in f.terms:
         for t in g.terms:
@@ -100,7 +147,7 @@ def naive_product(f, g):
 
 
 def naive_power(f, k):
-    out = LPoly.const(f.nx, f.ny, 1)
+    out = const(f.nx, f.ny, 1)
     for _ in range(k):
         out = naive_product(out, f)
     return out
@@ -108,13 +155,13 @@ def naive_power(f, k):
 
 def naive_substitute(f, images):
     """``f`` with ``y_i -> images[i]``, one term and one power at a time."""
-    out = LPoly.zero(f.nx, f.ny)
+    parts = []
     for t in f.terms:
-        m = LPoly.monomial(f.nx, f.ny, t.coeff, t.xexp)
+        m = lp(f.nx, f.ny, (t.coeff, t.xexp, (0,) * f.ny))
         for g, b in zip(images, t.ydeg):
             m = naive_product(m, naive_power(g, b))
-        out = out + m
-    return out
+        parts.append(m)
+    return naive_sum(LPoly.zero(f.nx, f.ny), *parts)
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
