@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -44,7 +45,7 @@ from .lpoly import (
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
-from .tropical import candidate_etas
+from .tropical import candidate_etas, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
@@ -89,7 +90,7 @@ class StepData:
     def active(self) -> tuple[int, ...]:
         return active_set(self.eta)
 
-    @property
+    @cached_property
     def dgamma(self) -> int:
         """The ramification this step adds: the denominator lcm of its rows."""
         return denominator_lcm(self.gamma)
@@ -214,8 +215,9 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     """All valid next steps of a branch, with scan diagnostics.
 
     Enumerates candidate weights over every nonempty subset of the active
-    coordinates, passing the branch floor down so that the enumeration can
-    skip terms that never reach a minimum above it.  Candidates that tie at
+    coordinates.  The generators' staircases above the branch floor, the
+    terms that can reach a minimum there, are computed once and passed to
+    every subset's scan, which restricts them to its subset.  Candidates that tie at
     the floor without exceeding it are counted as ``rejected_increase``.
     Emits one StepData per rational torus solution of each candidate's
     initial coefficient system.  The all-retired continuation is not
@@ -227,15 +229,13 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     ny = branch.gens[0].ny
     active = sorted(set(range(ny)) - branch.retired)
     floor = branch.floor
+    positive_only = opts.positive_only and floor is None
+    stairs = staircases(branch.gens, W, positive_only, floor)
     out: list[StepData] = []
     for size in range(1, len(active) + 1):
         for lam in combinations(active, size):
             scan = candidate_etas(
-                branch.gens,
-                W,
-                lam,
-                positive_only=opts.positive_only and floor is None,
-                floor=floor,
+                branch.gens, W, lam, positive_only=positive_only, floor=floor, stairs=stairs
             )
             info.underdetermined += scan.underdetermined
             for cand in scan.candidates:

@@ -15,7 +15,15 @@ sets).
 
 Variables are ordered by ascending index, the lowest index being the most
 significant for the lex order.  Internally polynomials are dicts mapping
-degree tuples to coefficients; the public boundary speaks LPoly.
+degree tuples to integer coefficients, and Buchberger's algorithm runs
+fraction-free: each basis element is kept primitive with a positive
+leading coefficient, S-polynomials and reduction steps scale by the
+cofactors of leading coefficients, and a root ``p/q`` is substituted by
+scaling with ``q`` to the degree of its variable.  Every element is then a
+positive multiple of the monic element of the textbook algorithm, so the
+pairs chosen and the budget spent are the same.  ``Fraction``s appear only
+at the boundary: the public side speaks LPoly (``reduced_groebner``
+returns the monic basis) and the roots are rationals.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .lpoly import LPoly
@@ -44,6 +53,7 @@ class TorusSolutionSet:
 
 
 def _to_dict(f: LPoly, variables: Sequence[int]) -> dict:
+    """The primitive integer dict of an x-free polynomial in the given variables."""
     pos = {v: j for j, v in enumerate(variables)}
     out: dict = {}
     for t in f.terms:
@@ -52,63 +62,69 @@ def _to_dict(f: LPoly, variables: Sequence[int]) -> dict:
         for i, b in enumerate(t.ydeg):
             if b and i not in pos:
                 raise ValueError("polynomial involves a variable outside the solve set")
-        key = tuple(t.ydeg[v] for v in variables)
-        out[key] = out.get(key, Fraction(0)) + t.coeff
-    return {k: c for k, c in out.items() if c != 0}
+        out[tuple(t.ydeg[v] for v in variables)] = t.coeff
+    if not out:
+        return out
+    den = lcm(*(c.denominator for c in out.values()))
+    return _normal({k: c.numerator * (den // c.denominator) for k, c in out.items()})
 
 
 def _from_dict(p: dict, variables: Sequence[int], nx: int, ny: int) -> LPoly:
+    """The monic LPoly of an integer dict."""
+    lc = p[max(p)]
     items = []
     for key, c in p.items():
         yd = [0] * ny
         for v, b in zip(variables, key):
             yd[v] = b
-        items.append((c, (0,) * nx, tuple(yd)))
+        items.append((Fraction(c, lc), (0,) * nx, tuple(yd)))
     return LPoly.from_terms(nx, ny, items)
 
 
-def _lm(p: dict) -> tuple:
-    return max(p)
+def _normal(p: dict) -> dict:
+    """The primitive multiple of a nonzero integer dict with a positive leading coefficient.
 
-
-def _monic(p: dict) -> dict:
-    lc = p[_lm(p)]
-    if lc == 1:
-        return p
-    return {k: c / lc for k, c in p.items()}
-
-
-def _divides(m1: tuple, m2: tuple) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
-
-
-def _mul_term(p: dict, coeff: Fraction, mono: tuple) -> dict:
-    return {tuple(a + b for a, b in zip(k, mono)): c * coeff for k, c in p.items()}
-
-
-def _sub(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        nc = out.get(k, Fraction(0)) - c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
+    It stands for the line of rational multiples of ``p``: two dicts are
+    proportional exactly when their normal forms are equal.
+    """
+    g = gcd(*p.values())
+    if p[max(p)] < 0:
+        g = -g
+    return p if g == 1 else {k: c // g for k, c in p.items()}
 
 
 def _reduce(p: dict, basis: Sequence[dict]) -> dict:
-    """Full remainder of p on division by the basis, first-found reducer."""
+    """A positive multiple of the full remainder of p on division by the
+    basis, first-found reducer.
+
+    Every basis element has a positive leading coefficient.  A reduction
+    step scales what is left of ``p``, and the remainder collected so far,
+    by the positive cofactor of the reducer's leading coefficient, then
+    cancels the leading term, so the coefficients stay integers.
+    """
+    leads = [(max(g), g) for g in basis]
     rem: dict = {}
     work = dict(p)
     while work:
-        m = _lm(work)
+        m = max(work)
         c = work[m]
-        for g in basis:
-            gm = _lm(g)
-            if _divides(gm, m):
+        for gm, g in leads:
+            if all(a <= b for a, b in zip(gm, m)):
+                lc = g[gm]
+                d = gcd(lc, c)
+                if lc != d:
+                    scale = lc // d
+                    work = {k: v * scale for k, v in work.items()}
+                    rem = {k: v * scale for k, v in rem.items()}
+                c //= d
                 quot = tuple(a - b for a, b in zip(m, gm))
-                work = _sub(work, _mul_term(g, c / g[gm], quot))
+                for k, v in g.items():
+                    k = tuple(map(add, k, quot))
+                    nv = work.get(k, 0) - c * v
+                    if nv:
+                        work[k] = nv
+                    else:
+                        del work[k]
                 break
         else:
             rem[m] = c
@@ -117,37 +133,48 @@ def _reduce(p: dict, basis: Sequence[dict]) -> dict:
 
 
 def _spoly(f: dict, g: dict) -> dict:
-    fm, gm = _lm(f), _lm(g)
-    l = tuple(max(a, b) for a, b in zip(fm, gm))
-    left = _mul_term(f, Fraction(1) / f[fm], tuple(a - b for a, b in zip(l, fm)))
-    right = _mul_term(g, Fraction(1) / g[gm], tuple(a - b for a, b in zip(l, gm)))
-    return _sub(left, right)
+    """A positive multiple of the S-polynomial of the monic multiples of f and g."""
+    fm, gm = max(f), max(g)
+    l = tuple(map(max, fm, gm))
+    a, b = f[fm], g[gm]
+    d = gcd(a, b)
+    fs, gs = b // d, a // d
+    fq = tuple(x - y for x, y in zip(l, fm))
+    gq = tuple(x - y for x, y in zip(l, gm))
+    out = {tuple(map(add, k, fq)): c * fs for k, c in f.items()}
+    for k, c in g.items():
+        k = tuple(map(add, k, gq))
+        nc = out.get(k, 0) - c * gs
+        if nc:
+            out[k] = nc
+        else:
+            del out[k]
+    return out
 
 
 def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
-    """Reduced lex Groebner basis of the given dict polynomials."""
-    G = [_monic(dict(p)) for p in polys if p]
+    """Reduced lex Groebner basis of nonzero integer dicts, as normal forms.
+
+    Fraction-free: every element is kept in its ``_normal`` form, and the
+    S-polynomials and remainders are positive multiples of those of the
+    monic elements, so the elements, their leading monomials, the pairs
+    chosen and the budget spent are those of the monic computation.
+    """
+    G = [_normal(p) for p in polys]
     pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
     while pending:
-        key = min(
-            pending,
-            key=lambda ij: (
-                tuple(max(a, b) for a, b in zip(_lm(G[ij[0]]), _lm(G[ij[1]]))),
-                ij,
-            ),
-        )
+        key = min(pending, key=lambda ij: (tuple(map(max, max(G[ij[0]]), max(G[ij[1]]))), ij))
         pending.discard(key)
         i, j = key
-        fm, gm = _lm(G[i]), _lm(G[j])
-        l = tuple(max(a, b) for a, b in zip(fm, gm))
-        if l == tuple(a + b for a, b in zip(fm, gm)):
+        fm, gm = max(G[i]), max(G[j])
+        if tuple(map(max, fm, gm)) == tuple(map(add, fm, gm)):
             continue  # coprime leading monomials never yield new elements
         budget[0] -= 1
         if budget[0] < 0:
             raise BudgetExceeded("Groebner pair budget exceeded")
         r = _reduce(_spoly(G[i], G[j]), G)
         if r:
-            G.append(_monic(r))
+            G.append(_normal(r))
             pending.update((k, len(G) - 1) for k in range(len(G) - 1))
     # interreduce to the canonical reduced basis
     changed = True
@@ -156,19 +183,19 @@ def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
         for i in range(len(G)):
             others = G[:i] + G[i + 1 :]
             r = _reduce(G[i], [g for g in others if g]) if others else G[i]
-            r = _monic(r) if r else r
+            r = _normal(r) if r else r
             if r != G[i]:
                 G[i] = r
                 changed = True
         G = [g for g in G if g]
-    G.sort(key=_lm)
+    G.sort(key=max)
     return G
 
 
 def reduced_groebner(
     system: Sequence[LPoly], variables: Sequence[int], max_pairs: int = SOLVER_BUDGET
 ) -> list[LPoly]:
-    """Reduced lex Groebner basis of an x-free system in the given variables."""
+    """Reduced lex Groebner basis of an x-free system in the given variables, monic."""
     variables = tuple(sorted(set(variables)))
     if not system:
         return []
@@ -323,13 +350,37 @@ def rational_roots(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], in
     return tuple(sorted(roots)), len(work) - 1
 
 
-def _substitute_last(p: dict, r: Fraction) -> dict:
+def _substitute_last(p: dict, num: int, den: int) -> dict:
+    """``den**deg * p`` with its last variable set to ``num/den``, ``deg`` its
+    degree in that variable: an integer dict, zero exactly when the
+    substitution is."""
+    deg = max(key[-1] for key in p)
+    nums = [1]
+    dens = [1]
+    for _ in range(deg):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
     out: dict = {}
     for key, c in p.items():
-        nc = c * r ** key[-1]
+        e = key[-1]
         nk = key[:-1]
-        out[nk] = out.get(nk, Fraction(0)) + nc
-    return {k: c for k, c in out.items() if c != 0}
+        out[nk] = out.get(nk, 0) + c * nums[e] * dens[deg - e]
+    return {k: c for k, c in out.items() if c}
+
+
+def _vanishes(p: dict, c: tuple[Fraction, ...]) -> bool:
+    """Whether an integer dict vanishes at a rational point.
+
+    Each variable's denominator is raised to that variable's degree in
+    ``p``, which clears every denominator and leaves an integer sum.
+    """
+    degs = [max(key[i] for key in p) for i in range(len(c))]
+    total = 0
+    for key, coeff in p.items():
+        for b, d, x in zip(key, degs, c):
+            coeff *= x.numerator**b * x.denominator ** (d - b)
+        total += coeff
+    return total == 0
 
 
 def torus_solutions(
@@ -357,7 +408,7 @@ def torus_solutions(
         if not G:
             flags["dim"] = True
             return []
-        if any(_lm(g) == (0,) * m for g in G):
+        if any(max(g) == (0,) * m for g in G):
             return []  # the ideal is the whole ring
         uni = next(
             (g for g in G if all(all(e == 0 for e in key[:-1]) for key in g)), None
@@ -366,7 +417,7 @@ def torus_solutions(
             flags["dim"] = True
             return []
         deg = max(key[-1] for key in uni)
-        coeffs = [Fraction(0)] * (deg + 1)
+        coeffs = [0] * (deg + 1)
         for key, c in uni.items():
             coeffs[key[-1]] = c
         roots, leftover = rational_roots(coeffs)
@@ -374,7 +425,7 @@ def torus_solutions(
             flags["irr"] = True
         out = []
         for r in roots:
-            sub = [q for q in (_substitute_last(g, r) for g in G) if q]
+            sub = [q for q in (_substitute_last(g, r.numerator, r.denominator) for g in G) if q]
             for partial in walk(sub, m - 1):
                 out.append(partial + (r,))
         return out
@@ -382,19 +433,9 @@ def torus_solutions(
     raw = walk(dicts, k)
     torus = sorted(c for c in raw if all(v != 0 for v in c))
 
-    def _value(p: dict, c: tuple) -> Fraction:
-        total = Fraction(0)
-        for key, coeff in p.items():
-            v = coeff
-            for b, x in zip(key, c):
-                v *= x**b
-            total += v
-        return total
-
     for c in torus:
-        for p in dicts:
-            if _value(p, c) != 0:
-                raise AssertionError("solver produced a non-root; this is a bug")
+        if not all(_vanishes(p, c) for p in dicts):
+            raise AssertionError("solver produced a non-root; this is a bug")
 
     return TorusSolutionSet(
         solutions=tuple(torus),

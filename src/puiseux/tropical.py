@@ -21,19 +21,32 @@ weighted minima of their generators and every later generator attains its
 minimum at least twice, and it is deduplicated only after it is kept.  This
 finds exactly the points and counts of the full product of pair choices.
 
+The walk visits each state, a generator index and an echelon form, once.
+What lies below a state does not depend on the pairs that reached it: the
+points settled below it by choices that attain their minima there (the
+check on later generators depends only on the level where a point
+settles), and the number of positive-dimensional full choices below it.  A
+pair whose tie row is implied leaves the form unchanged, so without this
+the walk would repeat the whole subtree below such a pair.  A parent keeps
+a point from below when its own pair's first term attains its generator's
+minimum there.
+
 Only terms on the floor-adjusted Newton staircase take part.  Weights are
 enumerated above a floor (the branch's scaled previous weights, or zero on
 the first step), and a term that another term dominates there, with
 componentwise smaller y-degrees and a smaller floor-adjusted value, never
-reaches a minimum, so no pair containing it can validate.  Full pair
-choices whose systems are consistent but positive-dimensional among the
-remaining terms are counted and reported rather than enumerated.
+reaches a minimum, so no pair containing it can validate.  A branch's
+staircases are computed once (``staircases``) and cut down to each set of
+finite coordinates (``restrict``).  Full pair choices whose systems are
+consistent but positive-dimensional among the remaining terms are counted
+and reported rather than enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter, le, mul
 from typing import Sequence
 
 from .lpoly import LPoly
@@ -63,54 +76,95 @@ class CandidateScan:
     underdetermined: int
 
 
-def _lower_terms(restricted, W: WeightMatrix, lam, floor, closed: bool):
-    """The restricted terms that can reach a minimum, in term order.
+def staircases(
+    gens: Sequence[LPoly],
+    W: WeightMatrix,
+    positive_only: bool = True,
+    floor: Sequence[tuple | None] | None = None,
+) -> tuple[tuple, ...]:
+    """Each generator's floor-adjusted Newton staircase, for every ``lam`` at once.
 
-    Each entry is ``(term, W.xexp, lam-degrees)``.  A term ``t`` is dropped
-    when another term ``s`` has lam-degrees componentwise at most those of
-    ``t`` and a floor-adjusted value ``W.xexp + sum(ydeg[i] * floor[i])``
-    below that of ``t``: strictly below when the weights range over the
-    closed region ``eta_i >= floor_i``, at most equal when they range over
-    the open region ``eta_i > floor_i``.  Either way ``t`` lies strictly
-    above ``s`` at every weight of the region.  Without a floor only terms
-    of equal lam-degrees are compared.
+    The region of weights (see ``candidate_etas``) bounds a set of columns:
+    the coordinates where the floor is finite, or all of them.  For each
+    generator the result holds ``(term, W.xexp, y-support)`` for its terms of
+    zero degree outside the columns that can reach a minimum, in term order;
+    the y-support has bit ``i`` set when ``y_i`` occurs.  A term ``t`` is
+    dropped when another term ``s`` has y-degrees componentwise
+    at most those of ``t`` and a floor-adjusted value ``W.xexp + sum(ydeg[i]
+    * floor[i])`` below that of ``t``: strictly below when the weights range
+    over the closed region ``eta_i >= floor_i``, at most equal when they
+    range over the open region ``eta_i > floor_i``.  Either way ``t`` lies
+    strictly above ``s`` at every weight of the region.  Without a floor only
+    terms of equal y-degrees are compared.
 
-    The lam-degrees in the output are pairwise distinct: two restricted
-    terms with equal lam-degrees have equal y-degrees, so distinct
-    x-exponents, and since ``W`` is injective distinct values.  The lower
-    one dominates the other in every mode.
+    ``restrict`` cuts this down to one ``lam`` exactly: a term that dominates
+    a term of zero degree outside ``lam`` has zero degree there too, and the
+    floor-adjusted values of such terms do not depend on ``lam``.
     """
-    entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
-    for t in restricted:
-        xval = W.value_of(t.xexp)
-        degs = tuple(t.ydeg[i] for i in lam)
-        adj = xval if floor is None else _value(xval, degs, floor)
-        entries.append((t, xval, degs, adj))
+    low, closed = _region(gens[0].ny, W.d, positive_only, floor)
+    if low is None:
+        off, bounds = 0, None
+    else:
+        off = sum(1 << i for i, f in enumerate(low) if f is None)
+        # per value coordinate, the bound of every y (zero where infinite: no
+        # term of the staircase has such a y)
+        bounds = tuple(zip(*((0,) * W.d if f is None else f for f in low)))
+    out = []
+    for g in gens:
+        entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
+        for j, t in enumerate(g.terms):
+            support = sum(1 << i for i, b in enumerate(t.ydeg) if b)
+            if support & off:
+                continue
+            xval = tuple(sum(map(mul, r, t.xexp)) for r in W.rows)
+            adj = xval
+            if bounds is not None:
+                adj = tuple(v + sum(map(mul, t.ydeg, c)) for v, c in zip(xval, bounds))
+            entries.append((adj, sum(t.ydeg), j, t, xval, support))
+        # In this order a term comes after every term that dominates it: their
+        # values are at most its own, and smaller in total degree when equal.
+        # Dominance is transitive, so testing against the terms kept so far
+        # is enough; over the open region their values always qualify.
+        entries.sort(key=lambda e: e[:3])
+        kept: list = []
+        for e in entries:
+            adj, yd = e[0], e[3].ydeg
+            if low is None:
+                dominated = any(k[3].ydeg == yd for k in kept)
+            else:
+                dominated = any(
+                    (k[0] < adj or not closed) and all(map(le, k[3].ydeg, yd)) for k in kept
+                )
+            if not dominated:
+                kept.append(e)
+        kept.sort(key=itemgetter(2))
+        out.append(tuple(e[3:] for e in kept))
+    return tuple(out)
 
-    def dominates(s, t) -> bool:
-        _, _, s_degs, s_adj = s
-        _, _, t_degs, t_adj = t
-        if floor is None:
-            return s_degs == t_degs and s_adj < t_adj
-        if not all(p <= q for p, q in zip(s_degs, t_degs)):
-            return False
-        return s_adj < t_adj if closed else s_adj <= t_adj
 
-    # A dominating term sorts first, and dominance is transitive, so testing
-    # against the terms kept so far is enough.
-    order = sorted(range(len(entries)), key=lambda j: (entries[j][3], sum(entries[j][2])))
-    kept: list[int] = []
-    for j in order:
-        if not any(dominates(entries[k], entries[j]) for k in kept):
-            kept.append(j)
-    return [entries[j][:3] for j in sorted(kept)]
+def restrict(stair, lam: Sequence[int]) -> list:
+    """A staircase's terms of zero degree outside ``lam``, as ``(term, W.xexp, lam-degrees)``.
+
+    The lam-degrees are pairwise distinct: two such terms with equal
+    lam-degrees have equal y-degrees, so distinct x-exponents, and since
+    ``W`` is injective distinct values.  The lower one dominates the other
+    in every mode.
+    """
+    off = ~sum(1 << i for i in lam)
+    return [(t, xval, tuple(t.ydeg[i] for i in lam)) for t, xval, support in stair if not support & off]
 
 
-def _value(xval, degs, eta) -> tuple:
-    """Weighted value of a restricted term under lam-weights ``eta``."""
-    return tuple(
-        v + sum(b * e[k] for b, e in zip(degs, eta) if b) for k, v in enumerate(xval)
-    )
+def _region(ny: int, d: int, positive_only: bool, floor) -> tuple:
+    """The lower bound of the enumerated weights per coordinate, and whether it is attained.
+
+    ``eta >= floor`` (closed), or ``eta > 0`` under ``positive_only`` alone
+    (open), or no bound (None).
+    """
+    if floor is not None:
+        return tuple(floor), True
+    if positive_only:
+        return ((0,) * d,) * ny, False
+    return None, False
 
 
 def candidate_etas(
@@ -119,6 +173,7 @@ def candidate_etas(
     lam: Sequence[int],
     positive_only: bool = True,
     floor: Sequence[tuple | None] | None = None,
+    stairs: tuple | None = None,
 ) -> CandidateScan:
     """All determined candidate weights whose finite support is ``lam``.
 
@@ -130,7 +185,10 @@ def candidate_etas(
     increase.  The zero vector is the floor under ``positive_only``.  Terms that cannot
     reach a minimum above the floor are dropped before pairs are built, and
     the count of underdetermined pair systems among the rest is reported in
-    the result instead of being expanded.
+    the result instead of being expanded.  ``stairs`` is
+    ``staircases(gens, W, positive_only, floor)``; a caller that scans
+    several ``lam`` passes it to every scan, and it is computed here when
+    not given.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -138,16 +196,17 @@ def candidate_etas(
     lam = tuple(sorted(set(lam)))
     if any(i < 0 or i >= ny for i in lam):
         raise ValueError("lambda indices out of range")
-    off = [i for i in range(ny) if i not in lam]
+    if any(g.is_zero for g in gens):
+        raise ValueError("generators must be nonzero")
+    region, _ = _region(ny, W.d, positive_only, floor)
+    if region is not None and any(region[i] is None for i in lam):
+        raise ValueError("the floor must be finite on lambda")
+    if stairs is None:
+        stairs = staircases(gens, W, positive_only, floor)
 
-    survivors = []  # (generator index, lower restricted terms)
-    for gi, g in enumerate(gens):
-        if g.is_zero:
-            raise ValueError("generators must be nonzero")
-        restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in off)]
-        if restricted:
-            survivors.append((gi, restricted))
-
+    # (generator index, lower restricted terms) of every generator with a
+    # term of zero degree outside lam
+    survivors = [(gi, lower) for gi, lower in enumerate(restrict(s, lam) for s in stairs) if lower]
     if not survivors:
         if lam:
             # No equations constrain the |lam| unknown weights.
@@ -158,23 +217,14 @@ def candidate_etas(
         # A surviving x-only generator always has a one-term initial form.
         return CandidateScan((), 0)
 
-    # The region of weights enumerated: eta >= floor, or eta > 0 under
-    # positive_only alone, or everything.
-    zero = (0,) * W.d
-    closed = True
-    if floor is not None:
-        if any(floor[i] is None for i in lam):
-            raise ValueError("the floor must be finite on lambda")
-        low = tuple(floor[i] for i in lam)
-    elif positive_only:
-        low, closed = (zero,) * len(lam), False
-    else:
-        low = None
-    survivors = [(gi, _lower_terms(r, W, lam, low, closed)) for gi, r in survivors]
-
+    # Per level (surviving generator), its pairs of lower terms as (index of
+    # the first term, tie row in the gamma rows).
     pair_lists = []
     for _, lower in survivors:
-        pairs = list(combinations(lower, 2))
+        pairs = [
+            (j, [p - q for p, q in zip(d1, d2)] + [e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)])
+            for (j, (t1, _, d1)), (_, (t2, _, d2)) in combinations(enumerate(lower), 2)
+        ]
         if not pairs:
             return CandidateScan((), 0)
         pair_lists.append(pairs)
@@ -182,61 +232,75 @@ def candidate_etas(
     # The depth-first walk over the pair choices (see the module docstring),
     # on a reduced echelon form of the tie rows in the gamma rows.
     nl = len(lam)
-    points: dict = {}  # gamma rows -> (eta, lower terms at each minimum), or None out of range
-    found: dict = {}  # gamma rows -> validated candidate
-    underdetermined = 0
+    nlev = len(survivors)
+    zero = (0,) * W.d
+    low = None if region is None else tuple(region[i] for i in lam)
+    points: dict = {}  # gamma rows -> (eta, per level the indices of the lower terms at its minimum), or None
+    states: dict = {}  # (level, sorted form) -> (points below, positive-dimensional full choices below)
 
-    def settle(choice, form):
+    def point(form):
+        """The point a full-rank form solves, with its entry in ``points``."""
         x = tuple(tuple(map(canonical, r[nl:])) for _, r in sorted(form))
         if x not in points:
-            eta = tuple(tuple(map(canonical, W.value_of(row))) for row in x)
+            eta = tuple(tuple(canonical(sum(map(mul, r, row))) for r in W.rows) for row in x)
             points[x] = None
             if not (positive_only and any(e <= zero for e in eta)) and (
                 low is None or all(e >= f for e, f in zip(eta, low))
             ):
                 ties = []
+                cols = tuple(zip(*eta))  # per value coordinate, the lam-weights
                 for _, lower in survivors:
-                    vals = [_value(xv, d, eta) for _, xv, d in lower]
+                    vals = [
+                        tuple(v + sum(map(mul, d, col)) for v, col in zip(xv, cols))
+                        for _, xv, d in lower
+                    ]
                     m = min(vals)
-                    ties.append(tuple(e for e, v in zip(lower, vals) if v == m))
+                    ties.append(frozenset(j for j, v in enumerate(vals) if v == m))
                 points[x] = (eta, ties)
-        if x in found or points[x] is None:
-            return
+        return x, points[x]
+
+    def walk(level, form):
+        """The points settled below a state, kept by the choices that attain
+        their minima there, and the count of positive-dimensional full
+        choices below it; both depend only on the state."""
+        key = (level, tuple(sorted(form)))
+        if key in states:
+            return states[key]
+        below: set = set()
+        count = 0
+        for first, row in pair_lists[level]:
+            nxt = add_row(form, row, nl)
+            if nxt is None:
+                continue
+            if len(nxt) == nl:
+                # Every later generator must have a pair tying at its minimum,
+                # that is, two terms attaining it.
+                x, entry = point(nxt)
+                sub = (x,) if entry and all(len(t) >= 2 for t in entry[1][level + 1 :]) else ()
+            elif level + 1 == nlev:
+                count += 1
+                continue
+            else:
+                sub, c = walk(level + 1, nxt)
+                count += c
+            # The chosen pair ties at x, so it attains the minimum when its
+            # first term does.
+            below.update(x for x in sub if first in points[x][1][level])
+        states[key] = (below, count)
+        return below, count
+
+    found, underdetermined = walk(0, ())
+    ordered = []
+    for x in found:
         eta, ties = points[x]
-        # The chosen pairs tie at x, so they attain their minima when their
-        # first terms do; a later generator has a pair tying at its minimum
-        # when two of its terms attain it.
-        if any(a not in tie for (a, _), tie in zip(choice, ties)) or any(
-            len(tie) < 2 for tie in ties[len(choice):]
-        ):
-            return
         full_eta = [None] * ny
         gamma = [None] * ny
         for pos, i in enumerate(lam):
             full_eta[i] = eta[pos]
             gamma[i] = x[pos]
         initials = [LPoly.zero(g.nx, g.ny) for g in gens]
-        for (gi, _), tie in zip(survivors, ties):
-            initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, tuple(t for t, _, _ in tie))
-        found[x] = EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials))
-
-    def walk(choice, form):
-        nonlocal underdetermined
-        if len(choice) == len(survivors):
-            underdetermined += 1
-            return
-        for pair in pair_lists[len(choice)]:
-            (t1, _, d1), (t2, _, d2) = pair
-            row = [p - q for p, q in zip(d1, d2)] + [e2 - e1 for e1, e2 in zip(t1.xexp, t2.xexp)]
-            nxt = add_row(form, row, nl)
-            if nxt is None:
-                continue
-            if len(nxt) == nl:
-                settle(choice + (pair,), nxt)
-            else:
-                walk(choice + (pair,), nxt)
-
-    walk((), ())
-    ordered = sorted(found.values(), key=lambda c: tuple(map(sort_key, c.eta)))
+        for (gi, lower), tie in zip(survivors, ties):
+            initials[gi] = LPoly(gens[gi].nx, gens[gi].ny, tuple(lower[j][0] for j in sorted(tie)))
+        ordered.append(EtaCandidate(tuple(full_eta), tuple(gamma), tuple(initials)))
+    ordered.sort(key=lambda c: tuple(map(sort_key, c.eta)))
     return CandidateScan(tuple(ordered), underdetermined)
-

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, seed
+from hypothesis import assume, given, seed, settings
 
 from puiseux import (
     BudgetExceeded,
@@ -11,8 +11,10 @@ from puiseux import (
     reduced_groebner,
     torus_solutions,
 )
+from puiseux import solver
 from puiseux.solver import _primitive, _sturm_chain
 from oracle_grid import grid_torus_solutions, rational_grid
+from oracle_groebner import buchberger
 from tutils import lp
 
 
@@ -184,6 +186,46 @@ def test_integer_sturm_chain_matches_fraction_division(coeffs, squared):
     if squared:  # repeated roots: the chain ends in a nonconstant gcd
         poly = _primitive(_times(poly, poly))
     assert _sturm_chain(poly) == _reference_sturm_chain(poly)
+
+
+# Random systems in two and three variables, against the textbook Buchberger
+# on Fraction dicts.  The solver's fraction-free elements are positive
+# multiples of the monic ones, so it chooses the same pairs: with any budget
+# it raises exactly when the reference does, after the same number of pairs.
+@st.composite
+def _systems(draw):
+    ny = draw(st.sampled_from([2, 3]))
+    term = st.tuples(st.fractions(-3, 3, max_denominator=3).filter(bool), st.tuples(*[st.integers(0, 2)] * ny))
+    polys = st.lists(term, min_size=1, max_size=4).map(lambda ts: yp(ny, *ts)).filter(bool)
+    return draw(st.lists(polys, min_size=1, max_size=3))
+
+
+REFERENCE_CAP = 200
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(system=_systems())
+def test_fraction_free_basis_matches_the_fraction_reference(system):
+    variables = tuple(range(system[0].ny))
+    dicts = [{t.ydeg: t.coeff for t in f.terms} for f in system]
+    budget = [REFERENCE_CAP]
+    try:
+        want = buchberger(dicts, budget)
+    except BudgetExceeded:
+        assume(False)
+    pairs = REFERENCE_CAP - budget[0]
+    got = reduced_groebner(system, variables)
+    assert [{t.ydeg: t.coeff for t in g.terms} for g in got] == want
+    ints = [solver._to_dict(f, variables) for f in system]
+    for b in range(pairs + 1):
+        left = [b]
+        if b < pairs:
+            with pytest.raises(BudgetExceeded):
+                solver._buchberger(ints, left)
+        else:
+            solver._buchberger(ints, left)
+            assert left == [b - pairs]
 
 
 class TestTorusSolutions:

@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -11,15 +13,17 @@ from puiseux import (
     LPoly,
     WeightMatrix,
     candidate_etas,
+    expand,
     parse_problem,
     recenter,
     starting_data,
     term_value,
 )
-from puiseux import solver, tropical
+from puiseux import tropical
 from puiseux.solver import SOLVER_BUDGET
 from puiseux.values import add_row
 from oracle_grid import first_term_candidates, rational_grid
+from oracle_groebner import buchberger
 from oracle_newton import curve, edge_mus
 from oracle_pairs import brute_etas, brute_underdetermined
 from tutils import (
@@ -27,6 +31,7 @@ from tutils import (
     identity,
     initial_form,
     is_prevariety_point,
+    lower_terms,
     lp,
     naive_sum,
     scan_etas,
@@ -327,7 +332,7 @@ def _brute_underdetermined(gens, W, lam, positive_only, floor):
     for g in gens:
         restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in off)]
         if restricted:
-            lowers.append(tropical._lower_terms(restricted, W, lam, low, closed))
+            lowers.append(lower_terms(restricted, W, lam, low, closed))
     return brute_underdetermined(lowers, len(lam))
 
 
@@ -411,30 +416,68 @@ def test_walked_candidates_and_counts_match_brute_force(W, ny, positive_only, da
     ids=["plane", "identity", "tall"],
 )
 @seed(20261018)
-@given(closed=st.booleans(), data=st.data())
-def test_lower_terms_have_distinct_lam_degrees(W, ny, closed, data):
+@given(positive_only=st.booleans(), data=st.data())
+def test_lower_terms_have_distinct_lam_degrees(W, ny, positive_only, data):
     (g,) = data.draw(_gens(W.n, ny, 1, 6))
     lam = data.draw(st.sampled_from([(0,), (1,), (0, 1)][: 1 if ny == 1 else 3]))
     floor = data.draw(_floors(ny, W.d))
-    low = None if floor is None else tuple(floor[i] for i in lam)
-    restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in range(ny) if i not in lam)]
-    degs = [d for _, _, d in tropical._lower_terms(restricted, W, lam, low, closed)]
+    (stair,) = tropical.staircases([g], W, positive_only, floor)
+    degs = [d for _, _, d in tropical.restrict(stair, lam)]
     assert len(set(degs)) == len(degs)
 
 
-# The reduced lex basis of spurious_retire (y1 > y2 > y3 > x1) has 10
-# elements with 15, 6, 15, 6, 10, 10, 3, 6, 6 and 3 pairs at the first step,
-# about 2.6e8 full pair choices with the three generators; the walk adds one
-# tie row per pair tried and stops at the first point, so the work is bounded
-# by the branching of the first few independent generators.
-def test_tie_rows_do_not_multiply_across_generators(monkeypatch):
+def _branch_floors(ny, d):
+    """No floor, or one per coordinate that is infinite (retired) on some."""
+    val = st.tuples(*[st.fractions(-2, 3, max_denominator=3)] * d)
+    floors = st.tuples(*[st.one_of(st.none(), val)] * ny)
+    return st.one_of(st.none(), floors.filter(lambda f: any(e is not None for e in f)))
+
+
+# One staircase per branch, restricted to each lam, is the staircase of that
+# lam on its own, in the three modes: a closed floor, the open zero floor of
+# positive_only, and no floor.
+@pytest.mark.parametrize(
+    "W, ny",
+    [(W1, 1), (W2, 2), (W2, 3), (WeightMatrix([[2, 3], [1, 1], [0, 5]]), 3)],
+    ids=["plane", "identity-2", "identity-3", "tall-3"],
+)
+@seed(20261019)
+@settings(max_examples=60)
+@given(positive_only=st.booleans(), data=st.data())
+def test_branch_staircase_restricts_to_each_lam(W, ny, positive_only, data):
+    gens = data.draw(_gens(W.n, ny, 3, 6))
+    floor = data.draw(_branch_floors(ny, W.d))
+    stairs = tropical.staircases(gens, W, positive_only, floor)
+    assert len(stairs) == len(gens)
+    if floor is not None:
+        low, closed = floor, True
+    elif positive_only:
+        low, closed = ((F(0),) * W.d,) * ny, False
+    else:
+        low, closed = None, False
+    cols = [i for i in range(ny) if low is None or low[i] is not None]
+    for size in range(1, len(cols) + 1):
+        for lam in combinations(cols, size):
+            lam_low = None if low is None else tuple(low[i] for i in lam)
+            for g, stair in zip(gens, stairs):
+                restricted = [t for t in g.terms if all(t.ydeg[i] == 0 for i in range(ny) if i not in lam)]
+                want = lower_terms(restricted, W, lam, lam_low, closed)
+                assert tropical.restrict(stair, lam) == want
+
+
+def _spurious_retire_with_lex_basis():
+    """spurious_retire and its generators plus their reduced lex basis (y1 > y2 > y3 > x1)."""
     spec = parse_problem((PROBLEMS / "spurious_retire.txt").read_text())
     dicts = [{t.ydeg + t.xexp: t.coeff for t in g.terms} for g in spec.gens]
     basis = [
         LPoly.from_terms(1, 3, [(c, key[3:], key[:3]) for key, c in p.items()])
-        for p in solver._buchberger(dicts, [SOLVER_BUDGET])
+        for p in buchberger(dicts, [SOLVER_BUDGET])
     ]
     assert len(basis) == 10
+    return spec, spec.gens + tuple(basis)
+
+
+def _count_rows(monkeypatch):
     rows = []
 
     def counting(form, row, n):
@@ -442,6 +485,29 @@ def test_tie_rows_do_not_multiply_across_generators(monkeypatch):
         return add_row(form, row, n)
 
     monkeypatch.setattr(tropical, "add_row", counting)
-    scan = candidate_etas(spec.gens + tuple(basis), spec.weights, (0, 1, 2))
+    return rows
+
+
+# The basis has 10 elements with 15, 6, 15, 6, 10, 10, 3, 6, 6 and 3 pairs
+# at the first step, about 2.6e8 full pair choices with the three
+# generators; the walk adds one tie row per pair tried and stops at the
+# first point, so the work is bounded by the branching of the first few
+# independent generators.
+def test_tie_rows_do_not_multiply_across_generators(monkeypatch):
+    spec, gens = _spurious_retire_with_lex_basis()
+    rows = _count_rows(monkeypatch)
+    scan = candidate_etas(gens, spec.weights, (0, 1, 2))
     assert scan.candidates
     assert len(rows) < 1000
+
+
+# A pair whose tie row is implied leaves the echelon form unchanged; the
+# points and counts below a (generator index, form) state do not depend on
+# the pairs that reached it, so the walk visits each state once.  Walking
+# every path instead made 1,836,890 add_row calls here.
+def test_each_walk_state_is_visited_once(monkeypatch):
+    spec, gens = _spurious_retire_with_lex_basis()
+    rows = _count_rows(monkeypatch)
+    result = expand(gens, spec.weights, replace(spec.options, max_terms=2))
+    assert len(result.solutions) == 2
+    assert len(rows) < 20000

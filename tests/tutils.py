@@ -120,6 +120,40 @@ def is_prevariety_point(gens, W, eta):
     return True
 
 
+def lower_terms(restricted, W, lam, floor, closed):
+    """Reference for one ``lam``: the restricted terms that can reach a minimum, in term order.
+
+    Each entry is ``(term, W.xexp, lam-degrees)``.  A term ``t`` is dropped
+    when another term ``s`` has lam-degrees componentwise at most those of
+    ``t`` and a floor-adjusted value ``W.xexp + sum(ydeg[i] * floor[i])``
+    below that of ``t``: strictly below over the closed region ``eta_i >=
+    floor_i``, at most equal over the open region ``eta_i > floor_i``.
+    Without a floor only terms of equal lam-degrees are compared.  This is
+    the staircase that ``tropical`` computed for each ``lam`` on its own.
+    """
+    entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
+    for t in restricted:
+        xval = W.value_of(t.xexp)
+        degs = tuple(t.ydeg[i] for i in lam)
+        adj = xval
+        if floor is not None:
+            adj = tuple(
+                v + sum(b * e[k] for b, e in zip(degs, floor) if b) for k, v in enumerate(xval)
+            )
+        entries.append((t, xval, degs, adj))
+
+    def dominates(s, t) -> bool:
+        _, _, s_degs, s_adj = s
+        _, _, t_degs, t_adj = t
+        if floor is None:
+            return s_degs == t_degs and s_adj < t_adj
+        if not all(p <= q for p, q in zip(s_degs, t_degs)):
+            return False
+        return s_adj < t_adj if closed else s_adj <= t_adj
+
+    return [e[:3] for e in entries if not any(dominates(s, e) for s in entries if s is not e)]
+
+
 # Plain ``Fraction`` references for the arithmetic of the program: the
 # substitution kernel (``shift_y``, ``substitute_y``) and the parser's
 # products are checked against these.
