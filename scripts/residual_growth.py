@@ -10,6 +10,7 @@ strictly increasing column is the term-by-term convergence certificate.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from puiseux import expand, parse_problem, verify_residual
@@ -25,9 +26,10 @@ def main() -> int:
     spec = parse_problem(args.file.read_text())
     opts = spec.options
     if args.max_terms is not None:
-        from dataclasses import replace
-
-        opts = replace(opts, max_terms=args.max_terms)
+        try:
+            opts = replace(opts, max_terms=args.max_terms)
+        except ValueError as e:
+            ap.error("--max-terms: %s" % e)
     result = expand(spec.gens, spec.weights, opts)
     if not result.solutions:
         print("no solutions (see `puiseux run` diagnostics)")

@@ -12,17 +12,25 @@ Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
 per solution: ramify so the new exponent rows become integral, shift each
 active y by its new monomial, and retire coordinates whose weight went
-infinite.  After recentering, the y-free part of each generator is the
-original generator evaluated at the accumulated truncation, in the ramified
-frame.  So ``expand`` (and with it ``puiseux run``) reads the residual order
-off the recentered generators (``residual_order``) and never substitutes
-the series back.  A branch terminates when every y-free part is zero (the
-accumulated sum is then an exact solution), or when the step budget runs
-out (the truncation is emitted with its residual order as a certificate).
-``verify_residual`` substitutes a series into the original generators
-independently; ``puiseux check`` runs it.  Branches with no continuation
-are reported, not silently dropped: over Q a candidate can genuinely die,
-for instance when its coefficient system has only irrational roots.
+infinite.  ``expand`` first replaces each generator by its primitive integer
+multiple (``lpoly.primitive``), and ``shift_y`` returns the primitive integer
+multiple of each shifted generator, so a branch's generators are primitive
+integer polynomials, each a positive constant times the exact recentered
+generator.  Nothing read off them depends on that constant: supports and
+staircases, weighted orders, and the initial systems, which the solver
+brings to one normal form.  After recentering, the y-free part of each
+generator is (that constant times) the original generator evaluated at the
+accumulated truncation, in the ramified frame.  So ``expand`` (and with it
+``puiseux run``) reads the residual order off the recentered generators
+(``residual_order``) and never substitutes the series back.  A branch
+terminates when every y-free part is zero (the accumulated sum is then an
+exact solution), or when the step budget runs out (the truncation is
+emitted with its residual order as a certificate).  ``verify_residual``
+substitutes a series into the original generators independently, with the
+exact finisher of the substitution kernel (``substitute_y``); ``puiseux
+check`` runs it.  Branches with no continuation are reported, not silently
+dropped: over Q a candidate can genuinely die, for instance when its
+coefficient system has only irrational roots.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ from typing import Sequence
 from .lpoly import (
     LPoly,
     active_set,
+    primitive,
     ramify,
     set_y_zero,
     shift_y,
@@ -155,10 +164,17 @@ class Branch:
 
 @dataclass(frozen=True)
 class ExpandOptions:
+    """The budgets of one expansion; each must be at least 1."""
+
     max_terms: int = 6
     max_branches: int = 64
     positive_only: bool = True
     solver_budget: int = SOLVER_BUDGET
+
+    def __post_init__(self):
+        for name in ("max_terms", "max_branches", "solver_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r" % (name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +274,8 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     """Apply one step: ramify, shift the active y coordinates, retire the rest.
 
     The generators are ramified by the step's dgamma, so that its exponent
-    rows become integral, and the step is appended to the trace.
+    rows become integral, and the step is appended to the trace.  Each new
+    generator is the primitive integer multiple that ``shift_y`` returns.
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
@@ -283,7 +300,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:
-        h = shift_y(ramify(g, k), shifts)
+        h = shift_y(ramify(g, k) if k > 1 else g, shifts)
         if newly_retired:
             h = set_y_zero(h, newly_retired)
         if not h.is_zero:
@@ -295,9 +312,11 @@ def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
     """Order of the worst generator residual at the branch's truncation.
 
     The least order of the y-free parts of the recentered generators, scaled
-    back by ``cum_ram``; None (infinity) exactly when they all vanish.
+    back by ``cum_ram``; None (infinity) exactly when they all vanish.  With
+    every weight infinite, ``weighted_order`` skips the terms that contain a
+    y, so it reads each generator's y-free part in the same pass.
     """
-    orders = [weighted_order(g.y_free_part(), W, (None,) * g.ny) for g in branch.gens]
+    orders = [weighted_order(g, W, (None,) * g.ny) for g in branch.gens]
     best = min((o for o in orders if o is not None), default=None)
     return None if best is None else tuple(canonical(Fraction(q, branch.cum_ram)) for q in best)
 
@@ -340,7 +359,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     if nx != W.n:
         raise ValueError("weight matrix size does not match the x variables")
 
-    frontier = deque([Branch(gens)])
+    frontier = deque([Branch(tuple(map(primitive, gens)))])
     spawned = 1
     solutions: list[SeriesSolution] = []
     dead: list[DeadBranch] = []

@@ -2,9 +2,9 @@
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
 fractional allowed) and nonnegative integer y-degrees.  Coefficients are
-``Fraction``s.  Every constructor, substitution and ``ramify`` stores an
-x-exponent as ``int`` when it is integral and as ``Fraction`` only when not,
-so recentered generators keep canonical exponents for any input.
+``int`` or ``Fraction``.  Every constructor, substitution and ``ramify``
+stores an x-exponent as ``int`` when it is integral and as ``Fraction`` only
+when not, so recentered generators keep canonical exponents for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
@@ -14,30 +14,35 @@ routine.  Recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i``), the
 residual (``substitute_y``) and the problem parser's products use it.  The
 substitution runs on integers: each operand is read as integer numerators
 over the lcm of its coefficient denominators, with its x-exponents scaled by
-their common denominator to ``int``s; the inner loops multiply and add
-``int``s only, and the result is turned back into ``Fraction``s at the
-boundary, one ``Fraction(numerator, denominator)`` and one canonical
-exponent tuple per nonzero output term.
+their common denominator to ``int``s, and the inner loops multiply and add
+``int``s only.  The kernel has two finishers.  ``substitute_y`` turns the
+sum back into the exact polynomial, one ``Fraction(numerator, denominator)``
+per nonzero term: it is the residual oracle.  ``shift_y`` divides the
+numerators by their gcd and returns the primitive integer multiple of the
+shifted polynomial, which differs from it by a positive constant.  A
+branch's generators (``expansion``) are kept in that form: everything read
+off them, supports, weighted orders and initial systems up to scale, is
+unchanged by a positive constant factor.
 
 The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
 ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
 containing it infinite, while zero degrees contribute nothing regardless of
-the weight; the skip is explicit in ``term_value``.
+the weight; the skip is explicit in ``term_value`` and ``weighted_order``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm, prod
-from operator import add
+from math import gcd, lcm, prod
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .values import WeightMatrix, canonical
 
 
 class Term(NamedTuple):
-    coeff: Fraction
+    coeff: int | Fraction
     xexp: tuple[int | Fraction, ...]
     ydeg: tuple[int, ...]
 
@@ -99,10 +104,6 @@ class LPoly:
     def is_x_only(self) -> bool:
         return all(all(b == 0 for b in t.ydeg) for t in self.terms)
 
-    def y_free_part(self) -> "LPoly":
-        """The sum of terms containing no y variable."""
-        return LPoly(self.nx, self.ny, tuple(t for t in self.terms if all(b == 0 for b in t.ydeg)))
-
     def __repr__(self):
         if not self.terms:
             return "LPoly(0)"
@@ -133,11 +134,15 @@ def _numerators(f: LPoly, xden: int) -> tuple[int, list]:
 
     Returns ``(d, items)``: ``d`` is the lcm of the coefficient denominators
     and ``items`` has one ``(key, coeff * d)`` pair per term, where ``key`` is
-    the term's x-exponents times ``xden`` followed by its y-degrees.
+    the term's x-exponents times ``xden`` followed by its y-degrees.  With
+    ``xden`` 1 the exponents are ``int``s already and are used as they are.
     """
     d = lcm(*(t.coeff.denominator for t in f.terms))
     items = [
-        (_key(t.xexp, xden) + t.ydeg, t.coeff.numerator * (d // t.coeff.denominator))
+        (
+            (t.xexp if xden == 1 else _key(t.xexp, xden)) + t.ydeg,
+            t.coeff.numerator * (d // t.coeff.denominator),
+        )
         for t in f.terms
     ]
     return d, items
@@ -152,12 +157,11 @@ def _product(p: Iterable, q: Sequence) -> dict:
     return acc
 
 
-def _from_numerators(nx: int, ny: int, acc: dict, den: int, xden: int) -> LPoly:
-    """The polynomial with numerators ``acc`` over ``den``, keys as in ``_numerators``.
+def _from_numerators(nx: int, ny: int, acc: dict, xden: int, coeff) -> LPoly:
+    """The polynomial with coefficient ``coeff(n)`` at each key of ``acc`` with a nonzero ``n``.
 
-    This is where ``Fraction``s are made: one per nonzero term.  The keys are
-    sorted as integers, which is the canonical order, and turned back into
-    canonical exponents once each.
+    Keys are as in ``_numerators``.  They are sorted as integers, which is
+    the canonical order, and turned back into canonical exponents once each.
     """
     terms = []
     for key in sorted(acc):
@@ -166,8 +170,20 @@ def _from_numerators(nx: int, ny: int, acc: dict, den: int, xden: int) -> LPoly:
             xe = key[:nx]
             if xden != 1:
                 xe = tuple(e // xden if e % xden == 0 else Fraction(e, xden) for e in xe)
-            terms.append(Term(Fraction(n, den), xe, key[nx:]))
+            terms.append(Term(coeff(n), xe, key[nx:]))
     return LPoly(nx, ny, tuple(terms))
+
+
+def primitive(f: LPoly) -> LPoly:
+    """The primitive integer multiple of ``f`` by a positive rational.
+
+    The coefficient denominators are cleared and the content, the gcd of the
+    numerators, is divided out.  The zero polynomial stays zero.
+    """
+    d = lcm(*(t.coeff.denominator for t in f.terms))
+    nums = [t.coeff.numerator * (d // t.coeff.denominator) for t in f.terms]
+    g = gcd(*nums)
+    return LPoly(f.nx, f.ny, tuple(Term(n // g, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
 def active_set(eta: Sequence[tuple | None]) -> tuple[int, ...]:
@@ -191,15 +207,34 @@ def term_value(W: WeightMatrix, eta: Sequence[tuple | None], term: Term) -> tupl
 
 
 def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tuple | None:
-    """Minimum weighted value over the support; None for the zero polynomial."""
-    values = (term_value(W, eta, t) for t in f.terms)
-    return min((v for v in values if v is not None), default=None)
+    """Minimum weighted value over the support; None for the zero polynomial.
+
+    One pass over the terms, with the values of ``term_value``: a term with
+    a nonzero degree in a coordinate of infinite weight is skipped before
+    its value is computed.
+    """
+    rows = W.rows
+    best = None
+    for t in f.terms:
+        for b, e in zip(t.ydeg, eta):
+            if b and e is None:
+                break
+        else:
+            v = tuple(sum(map(mul, r, t.xexp)) for r in rows)
+            for b, e in zip(t.ydeg, eta):
+                if b:
+                    v = tuple(p + b * q for p, q in zip(v, e))
+            if best is None or v < best:
+                best = v
+    return best
 
 
 def ramify(f: LPoly, k: int) -> LPoly:
     """Substitute every x variable by its k-th power: x-exponents scale by k."""
     if k < 1:
         raise ValueError("ramification index must be a positive integer")
+    if k == 1:
+        return f
     return LPoly(
         f.nx,
         f.ny,
@@ -207,26 +242,26 @@ def ramify(f: LPoly, k: int) -> LPoly:
     )
 
 
-def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
-    """Substitute ``y_i -> images[i]`` and expand exactly into one sum.
+def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> tuple[dict, int]:
+    """Substitute ``y_i`` by the image ``bases[i]`` and expand exactly into one sum.
 
-    The sum is kept as integer numerators over ``big``, the lcm of the
-    coefficient denominators of ``f`` times ``den_i ** maxdeg_i`` for every
-    image, where ``den_i`` is the common denominator of ``images[i]`` and
-    ``maxdeg_i`` the largest degree of ``y_i`` in ``f``; every term of ``f``
-    is scaled onto ``big`` by an exact integer.  Each power ``images[i] ** b``
-    is built once, from ``images[i] ** (b - 1)``, and each distinct
-    y-monomial of ``f`` is expanded once.
+    An image is given as ``_numerators`` returns it, ``(den_i, items_i)``,
+    and ``xden`` covers the x-exponents of ``f`` and of every image.  Returns
+    ``(acc, big)``: the sum as integer numerators over ``big``, keyed as in
+    ``_numerators``.  ``big`` is the lcm of the coefficient denominators of
+    ``f`` times ``den_i ** maxdeg_i`` for every image, where ``maxdeg_i`` is
+    the largest degree of ``y_i`` in ``f``; every term of ``f`` is scaled
+    onto ``big`` by an exact integer.  Each power ``b`` of image ``i`` is
+    built once, from power ``b - 1``, and each distinct y-monomial of ``f``
+    is expanded once.
     """
     nx, ny = f.nx, f.ny
-    xden = _xden((f, *images))
-    bases = [_numerators(g, xden) for g in images]
-    maxdeg = [max((t.ydeg[i] for t in f.terms), default=0) for i in range(ny)]
+    maxdeg = map(max, zip(*(t.ydeg for t in f.terms)))
     big = lcm(*(t.coeff.denominator for t in f.terms)) * prod(
         d**m for (d, _), m in zip(bases, maxdeg)
     )
     one = [((0,) * (nx + ny), 1)]
-    powers: dict = {}  # (i, b) -> numerators of images[i] ** b over den_i ** b
+    powers: dict = {}  # (i, b) -> numerators of image i to the b over den_i ** b
 
     def power(i: int, b: int) -> list:
         if (i, b) not in powers:
@@ -248,27 +283,37 @@ def _substitute(f: LPoly, images: Sequence[LPoly]) -> LPoly:
         den, m = expanded[t.ydeg]
         c = t.coeff
         s = c.numerator * (big // (c.denominator * den))
-        xk = _key(t.xexp, xden) + ypad
+        xk = (t.xexp if xden == 1 else _key(t.xexp, xden)) + ypad
         for k, n in m:
             acc[tuple(map(add, xk, k))] += s * n
-    return _from_numerators(nx, ny, acc, big, xden)
+    return acc, big
 
 
 def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
-    """Substitute ``y_i -> y_i + c_i * x^xexp_i`` and expand exactly.
+    """The primitive integer multiple of ``f`` with ``y_i -> y_i + c_i * x^xexp_i``.
 
     ``shifts[i]`` is the pair ``(c_i, xexp_i)``, or None to leave ``y_i`` as
-    it is.
+    it is.  The exact substitution's numerators are divided by their gcd, so
+    the result is the exact polynomial times a positive constant (see the
+    module docstring); the zero polynomial stays zero.
     """
     nx, ny = f.nx, f.ny
     if len(shifts) != ny:
         raise ValueError("need one shift per y coordinate")
-    zx, zy = (0,) * nx, (0,) * ny
-    images = []
+    xden = lcm(_xden((f,)), *(e.denominator for s in shifts if s is not None for e in s[1]))
+    zero = (0,) * (nx + ny)
+    bases = []
     for i, s in enumerate(shifts):
-        y = (1, zx, zy[:i] + (1,) + zy[i + 1 :])
-        images.append(LPoly.from_terms(nx, ny, [y] if s is None else [y, (s[0], s[1], zy)]))
-    return _substitute(f, images)
+        y = zero[: nx + i] + (1,) + zero[nx + i + 1 :]
+        if s is None or not s[0]:
+            bases.append((1, [(y, 1)]))
+        else:
+            c = s[0]
+            x = _key(s[1], xden) + zero[nx:]
+            bases.append((c.denominator, [(y, c.denominator), (x, c.numerator)]))
+    acc, _ = _substitute(f, bases, xden)
+    g = gcd(*acc.values())
+    return _from_numerators(nx, ny, acc, xden, lambda n: n // g)
 
 
 def set_y_zero(f: LPoly, indices) -> LPoly:
@@ -281,7 +326,8 @@ def set_y_zero(f: LPoly, indices) -> LPoly:
 def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
     """Substitute ``y_i -> series[i]`` for x-only polynomials ``series``.
 
-    Returns the exact residual polynomial in the x variables.
+    Returns the exact residual polynomial in the x variables, with
+    ``Fraction`` coefficients.
     """
     if len(series) != f.ny:
         raise ValueError("need one substitute per y coordinate")
@@ -290,4 +336,6 @@ def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
             raise ValueError("substitute lives in a different ring")
         if not s.is_x_only():
             raise ValueError("substituted series must not contain y variables")
-    return _substitute(f, series)
+    xden = _xden((f, *series))
+    acc, big = _substitute(f, [_numerators(s, xden) for s in series], xden)
+    return _from_numerators(f.nx, f.ny, acc, xden, lambda n: Fraction(n, big))

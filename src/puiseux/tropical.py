@@ -100,6 +100,12 @@ def staircases(
     strictly above ``s`` at every weight of the region.  Without a floor only
     terms of equal y-degrees are compared.
 
+    Of two terms with equal y-degrees the lower one by ``W.xexp`` dominates
+    the other in every mode (see ``restrict``), and dominance is transitive.
+    So each generator is first cut down, in one pass, to the lowest term of
+    each distinct y-degree vector, and the support test, the floor
+    adjustment, the sort and the dominance test run on those few terms only.
+
     ``restrict`` cuts this down to one ``lam`` exactly: a term that dominates
     a term of zero degree outside ``lam`` has zero degree there too, and the
     floor-adjusted values of such terms do not depend on ``lam``.
@@ -112,34 +118,39 @@ def staircases(
         # per value coordinate, the bound of every y (zero where infinite: no
         # term of the staircase has such a y)
         bounds = tuple(zip(*((0,) * W.d if f is None else f for f in low)))
+    rows = W.rows
     out = []
     for g in gens:
-        entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
+        lowest: dict = {}  # y-degrees -> (W.xexp, term index, term) of its lowest term
         for j, t in enumerate(g.terms):
+            xval = tuple(sum(map(mul, r, t.xexp)) for r in rows)
+            prev = lowest.get(t.ydeg)
+            if prev is None or xval < prev[0]:
+                lowest[t.ydeg] = (xval, j, t)
+        entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
+        for xval, j, t in lowest.values():
             support = sum(1 << i for i, b in enumerate(t.ydeg) if b)
             if support & off:
                 continue
-            xval = tuple(sum(map(mul, r, t.xexp)) for r in W.rows)
             adj = xval
             if bounds is not None:
                 adj = tuple(v + sum(map(mul, t.ydeg, c)) for v, c in zip(xval, bounds))
             entries.append((adj, sum(t.ydeg), j, t, xval, support))
-        # In this order a term comes after every term that dominates it: their
-        # values are at most its own, and smaller in total degree when equal.
-        # Dominance is transitive, so testing against the terms kept so far
-        # is enough; over the open region their values always qualify.
-        entries.sort(key=lambda e: e[:3])
-        kept: list = []
-        for e in entries:
-            adj, yd = e[0], e[3].ydeg
-            if low is None:
-                dominated = any(k[3].ydeg == yd for k in kept)
-            else:
-                dominated = any(
+        kept = entries  # without a floor, the lowest terms are the staircase
+        if low is not None:
+            # In this order a term comes after every term that dominates it:
+            # their values are at most its own, and smaller in total degree
+            # when equal.  Dominance is transitive, so testing against the
+            # terms kept so far is enough; over the open region their values
+            # always qualify.
+            entries.sort(key=lambda e: e[:3])
+            kept = []
+            for e in entries:
+                adj, yd = e[0], e[3].ydeg
+                if not any(
                     (k[0] < adj or not closed) and all(map(le, k[3].ydeg, yd)) for k in kept
-                )
-            if not dominated:
-                kept.append(e)
+                ):
+                    kept.append(e)
         kept.sort(key=itemgetter(2))
         out.append(tuple(e[3:] for e in kept))
     return tuple(out)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -34,6 +35,8 @@ from tutils import (
     identity,
     lp,
     monomials_of,
+    naive_scale,
+    residual_order_reference,
     vscale,
     xm,
     y_var,
@@ -499,6 +502,16 @@ def test_integral_input_keeps_int_exponents(system):
 
 @seed(20261018)
 @given(system=_systems(integral=False))
+def test_residual_order_reads_the_y_free_parts(system):
+    gens, W, _ = system
+    root = Branch(tuple(gens))
+    assert expansion.residual_order(root, W) == residual_order_reference(root, W)
+    for _, child in _recentered(system):
+        assert expansion.residual_order(child, W) == residual_order_reference(child, W)
+
+
+@seed(20261018)
+@given(system=_systems(integral=False))
 def test_fractional_input_keeps_canonical_exponents(system):
     for sd, child in _recentered(system):
         assert all(_is_canonical(q) for v in sd.eta if v is not None for q in v)
@@ -584,3 +597,48 @@ def test_corpus_residual_orders_without_substitution(monkeypatch, max_terms):
             m.setattr(expansion, "substitute_y", _raise)
             res = expand(spec.gens, spec.weights, opts)
         _assert_residuals_match(spec.gens, spec.weights, res)
+
+
+# Branch generators are kept up to a positive constant, and everything the
+# driver reads off them ignores any nonzero constant factor.
+SCALES = (F(-3, 7), F(5, 2), F(-1), F(11, 13))
+
+
+@pytest.mark.parametrize("max_terms", [3, 6])
+def test_corpus_expansion_is_scale_invariant(max_terms):
+    for path in PROBLEMS:
+        spec = parse_problem(path.read_text())
+        opts = replace(spec.options, max_terms=max_terms)
+        want = expand(spec.gens, spec.weights, opts)
+        for r in range(len(SCALES)):
+            scaled = [naive_scale(g, SCALES[(i + r) % len(SCALES)]) for i, g in enumerate(spec.gens)]
+            assert expand(scaled, spec.weights, opts) == want, (path.name, r)
+
+
+def test_branch_generators_are_primitive_integer_polynomials(monkeypatch):
+    """Every branch ``expand`` visits, the root included, holds primitive integer generators."""
+    seen = []
+    real = expansion.residual_order
+
+    def recording(branch, W):
+        seen.extend(branch.gens)
+        return real(branch, W)
+
+    monkeypatch.setattr(expansion, "residual_order", recording)
+    for path in PROBLEMS:
+        spec = parse_problem(path.read_text())
+        expand(spec.gens, spec.weights, replace(spec.options, max_terms=3))
+    assert seen
+    for g in seen:
+        assert all(type(t.coeff) is int for t in g.terms)
+        assert gcd(*(t.coeff for t in g.terms)) == 1
+
+
+@pytest.mark.parametrize("field", ["max_terms", "max_branches", "solver_budget"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_nonpositive_budget_rejected(field, value):
+    with pytest.raises(ValueError, match="%s must be at least 1" % field):
+        ExpandOptions(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        replace(ExpandOptions(), **{field: value})
+    assert getattr(ExpandOptions(**{field: 1}), field) == 1

@@ -6,6 +6,7 @@ from hypothesis import given, seed
 
 from puiseux import (
     LPoly,
+    WeightMatrix,
     parse_problem,
     ramify,
     render_poly,
@@ -28,6 +29,7 @@ from tutils import (
     naive_scale,
     naive_substitute,
     naive_sum,
+    primitive,
     small_rats,
     vadd,
     vscale,
@@ -140,6 +142,10 @@ class TestSubstitutions:
         want = lp(2, 1, (1, (F(3), F(3)), (0,)), (1, (F(0), F(0)), (1,)))
         assert ramify(f, 3) == want
 
+    def test_ramify_by_one_is_the_polynomial_itself(self):
+        f = lp(1, 1, (F(1, 2), (F(1, 3),), (1,)))
+        assert ramify(f, 1) is f
+
     def test_ramify_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ramify(x_var(1, 1, 0), 0)
@@ -226,6 +232,7 @@ class TestCanonicalExponents:
     def test_shift_y(self):
         got = shift_y(y_var(1, 1, 0, power=2), [(1, (self.half,))])
         assert [t.xexp[0] for t in got.terms] == [0, self.half, 1]
+        assert [t.coeff for t in got.terms] == [1, 2, 1]
         assert_canonical_exponents(got)
 
     def test_substitute_y(self):
@@ -283,12 +290,18 @@ class TestKernelAgainstNaiveExpansion:
     @seed(20261018)
     @given(f=mixed_lpolys(2, 3, max_deg=3), shift=shifts(2, 3))
     def test_shift_y(self, f, shift):
+        """``shift_y`` is the primitive integer multiple of the exact shift, by a positive constant."""
         images = [
             lp(2, 3, (1, (0, 0), ydeg), *([] if s is None else [(s[0], s[1], (0, 0, 0))]))
             for s, ydeg in zip(shift, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         ]
         got = shift_y(f, shift)
-        assert got == naive_substitute(f, images)
+        naive = naive_substitute(f, images)
+        assert got == primitive(naive)
+        assert all(type(t.coeff) is int for t in got.terms)
+        ratios = {n.coeff / t.coeff for n, t in zip(naive.terms, got.terms)}
+        assert len(ratios) == (1 if naive else 0)
+        assert all(r > 0 for r in ratios)
         assert_canonical_exponents(got)
 
     @seed(20261018)
@@ -333,6 +346,13 @@ def test_order_and_initial_of_product_multiply(f, g, eta):
     assert initial_form(fg, W2, eta) == naive_product(
         initial_form(f, W2, eta), initial_form(g, W2, eta)
     )
+
+
+@given(f=lpolys(2, 2), eta=etas(2, 3))
+def test_weighted_order_is_the_least_term_value(f, eta):
+    W = WeightMatrix([[2, 3], [1, 1], [0, 5]])
+    values = [v for v in (term_value(W, eta, t) for t in f.terms) if v is not None]
+    assert weighted_order(f, W, eta) == min(values, default=None)
 
 
 @given(f=lpolys(2, 2), eta=ETAS2)

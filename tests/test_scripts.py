@@ -1,0 +1,59 @@
+"""The command-line scripts under scripts/, run as a user runs them."""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        cwd=ROOT,
+        timeout=120,
+    )
+
+
+def test_residual_growth_rejects_a_nonpositive_max_terms():
+    for value in ("0", "-2"):
+        done = _script("residual_growth.py", "problems/cusp.txt", "--max-terms", value)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "--max-terms: max_terms must be at least 1" in done.stderr
+
+
+def test_residual_growth_prints_the_table():
+    done = _script("residual_growth.py", "problems/cusp.txt", "--max-terms", "2")
+    assert done.returncode == 0
+    assert done.stdout.startswith("branch 1 (")
+    assert "1 term(s): residual order" in done.stdout
+
+
+def test_compare_outputs_of_a_checkout_with_itself():
+    done = _script("compare_outputs.py", ROOT, ROOT, "--problem", ROOT / "problems" / "cusp.txt")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["parent", "change", "identical"]
+    digests = [line.split("sha256 ")[1].split()[0] for line in lines[:2]]
+    assert digests[0] == digests[1] and len(digests[0]) == 64
+    # 4 depths x 2 formats, and one check per JSON document
+    assert "(12 runs)" in lines[0]
+
+
+def test_compare_outputs_names_the_first_differing_run():
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPTS / "compare_outputs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    a = [[["run", "p", "--json"], 0, "x", ""], [["check", "p", "<solution>"], 0, "ok", ""]]
+    b = [a[0], [["check", "p", "<solution>"], 1, "ok", "bad"]]
+    assert mod.first_difference(a, a) is None
+    assert mod.first_difference(a, b) == "puiseux check p <solution>: exit code, stderr differs"
+    assert mod.first_difference(a, a[:1]) == "run counts differ: 2 and 1"

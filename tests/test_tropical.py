@@ -460,6 +460,54 @@ def test_branch_staircase_restricts_to_each_lam(W, ny, positive_only, data):
                 assert tropical.restrict(stair, lam) == want
 
 
+@st.composite
+def _gens_repeating_degrees(draw, nx, ny):
+    """One to three generators, each with two or three y-degree vectors of
+    two to four terms each."""
+    xexp = st.tuples(*[st.fractions(-2, 4, max_denominator=2)] * nx)
+    coeff = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degs = draw(st.lists(st.tuples(*[st.integers(0, 2)] * ny), min_size=2, max_size=3, unique=True))
+        terms = [
+            (draw(coeff), e, d)
+            for d in degs
+            for e in draw(st.lists(xexp, min_size=2, max_size=4, unique=True))
+        ]
+        gens.append(LPoly.from_terms(nx, ny, terms))
+    return gens
+
+
+# The staircases keep the lowest term of each y-degree vector first; with
+# every coordinate in lam the restriction is the whole staircase, which must
+# be the reference's in the closed-floor, open-zero-floor and no-floor modes.
+@pytest.mark.parametrize(
+    "W, ny",
+    [(W1, 1), (W2, 2), (WeightMatrix([[2, 3], [1, 1], [0, 5]]), 2)],
+    ids=["plane", "identity", "tall"],
+)
+@seed(20261020)
+@settings(max_examples=60)
+@given(mode=st.sampled_from(["closed", "open-zero", "no-floor"]), data=st.data())
+def test_staircase_from_lowest_term_per_degree(W, ny, mode, data):
+    gens = data.draw(_gens_repeating_degrees(W.n, ny))
+    assert all(len(g.terms) > len({t.ydeg for t in g.terms}) for g in gens)
+    floor = None
+    if mode == "closed":
+        floor = data.draw(st.tuples(*[st.tuples(*[st.fractions(-2, 3, max_denominator=3)] * W.d)] * ny))
+        low = floor
+    elif mode == "open-zero":
+        low = ((F(0),) * W.d,) * ny
+    else:
+        low = None
+    lam = tuple(range(ny))
+    stairs = tropical.staircases(gens, W, mode == "open-zero", floor)
+    for g, stair in zip(gens, stairs):
+        assert tropical.restrict(stair, lam) == lower_terms(g.terms, W, lam, low, mode == "closed")
+        degs = [t.ydeg for t, _, _ in stair]
+        assert len(set(degs)) == len(degs)
+
+
 def _spurious_retire_with_lex_basis():
     """spurious_retire and its generators plus their reduced lex basis (y1 > y2 > y3 > x1)."""
     spec = parse_problem((PROBLEMS / "spurious_retire.txt").read_text())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import hypothesis.strategies as st
 
 from puiseux import LPoly, StepData, WeightMatrix, term_value, weighted_order
+from puiseux.values import canonical
 
 
 def lp(nx, ny, *terms):
@@ -125,6 +127,19 @@ def initial_system(gens, W, eta):
     return tuple(out)
 
 
+def y_free_part(f):
+    """The sum of the terms of ``f`` that contain no y variable."""
+    return LPoly(f.nx, f.ny, tuple(t for t in f.terms if not any(t.ydeg)))
+
+
+def residual_order_reference(branch, W):
+    """Reference for ``expansion.residual_order``: the least weighted order of
+    the y-free parts of the branch's generators, scaled back by ``cum_ram``."""
+    orders = [weighted_order(y_free_part(g), W, (None,) * g.ny) for g in branch.gens]
+    best = min((o for o in orders if o is not None), default=None)
+    return None if best is None else tuple(canonical(Fraction(q, branch.cum_ram)) for q in best)
+
+
 def is_prevariety_point(gens, W, eta):
     """Generator-level membership test: no initial form may be a monomial.
 
@@ -206,6 +221,15 @@ def naive_power(f, k):
     for _ in range(k):
         out = naive_product(out, f)
     return out
+
+
+def primitive(f):
+    """``f`` times the positive rational that makes its coefficients coprime integers."""
+    if f.is_zero:
+        return f
+    den = lcm(*(Fraction(t.coeff).denominator for t in f.terms))
+    content = gcd(*(int(t.coeff * den) for t in f.terms))
+    return naive_scale(f, Fraction(den, content))
 
 
 def naive_substitute(f, images):
