@@ -26,11 +26,13 @@ accumulated truncation, in the ramified frame.  So ``expand`` (and with it
 terminates when every y-free part is zero (the accumulated sum is then an
 exact solution), or when the step budget runs out (the truncation is
 emitted with its residual order as a certificate).  ``verify_residual``
-substitutes a series into the original generators independently, with the
-exact finisher of the substitution kernel (``substitute_y``); ``puiseux
-check`` runs it.  Branches with no continuation are reported, not silently
-dropped: over Q a candidate can genuinely die, for instance when its
-coefficient system has only irrational roots.
+substitutes a series into the original generators independently
+(``substitute_y``, a positive multiple of each residual, whose order is the
+residual's); ``puiseux check`` runs it.  Branches with no continuation are
+reported, not silently dropped: over Q a candidate can genuinely die, for
+instance when its coefficient system has only irrational roots.  A dead
+branch carries the ``ScanInfo`` of its last scan, and its step is the
+length of its trace.
 """
 from __future__ import annotations
 
@@ -197,16 +199,26 @@ class SeriesSolution:
         return self.residual_order is None
 
 
+@dataclass
+class ScanInfo:
+    candidates: int = 0
+    rejected_increase: int = 0
+    underdetermined: int = 0
+    irrational: bool = False
+    nonzero_dimensional: bool = False
+
+
 @dataclass(frozen=True)
 class DeadBranch:
-    step: int
+    """A branch with no valid continuation: why, its scan's diagnostics, and its trace."""
+
     reason: str
-    candidates: int
-    rejected_increase: int
-    underdetermined: int
-    irrational_roots_detected: bool
-    nonzero_dimensional: bool
+    info: ScanInfo
     trace: tuple[StepData, ...]
+
+    @property
+    def step(self) -> int:
+        return len(self.trace)
 
 
 @dataclass(frozen=True)
@@ -215,15 +227,6 @@ class ExpandResult:
     dead_branches: tuple[DeadBranch, ...]
     irrational_roots_detected: bool
     underdetermined_seen: bool
-
-
-@dataclass
-class ScanInfo:
-    candidates: int = 0
-    rejected_increase: int = 0
-    underdetermined: int = 0
-    irrational: bool = False
-    nonzero_dimensional: bool = False
 
 
 def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
@@ -300,7 +303,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:
-        h = shift_y(ramify(g, k) if k > 1 else g, shifts)
+        h = shift_y(ramify(g, k), shifts)
         if newly_retired:
             h = set_y_zero(h, newly_retired)
         if not h.is_zero:
@@ -385,18 +388,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
                 reason = "strict_increase_violated"
             else:
                 reason = "no_rational_torus_solution"
-            dead.append(
-                DeadBranch(
-                    step=branch.step,
-                    reason=reason,
-                    candidates=info.candidates,
-                    rejected_increase=info.rejected_increase,
-                    underdetermined=info.underdetermined,
-                    irrational_roots_detected=info.irrational,
-                    nonzero_dimensional=info.nonzero_dimensional,
-                    trace=branch.trace,
-                )
-            )
+            dead.append(DeadBranch(reason, info, branch.trace))
             continue
         for sd in steps:
             spawned += 1

@@ -1,10 +1,10 @@
 """Sparse Laurent-Puiseux polynomials: a canonical term store and the substitution kernel.
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
-fractional allowed) and nonnegative integer y-degrees.  Coefficients are
-``int`` or ``Fraction``.  Every constructor, substitution and ``ramify``
-stores an x-exponent as ``int`` when it is integral and as ``Fraction`` only
-when not, so recentered generators keep canonical exponents for any input.
+fractional allowed) and nonnegative integer y-degrees.  Every constructor,
+substitution and ``ramify`` stores a coefficient or an x-exponent as ``int``
+when it is integral and as ``Fraction`` only when not (``values.canonical``),
+so recentered generators keep canonical exponents for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
@@ -15,14 +15,13 @@ residual (``substitute_y``) and the problem parser's products use it.  The
 substitution runs on integers: each operand is read as integer numerators
 over the lcm of its coefficient denominators, with its x-exponents scaled by
 their common denominator to ``int``s, and the inner loops multiply and add
-``int``s only.  The kernel has two finishers.  ``substitute_y`` turns the
-sum back into the exact polynomial, one ``Fraction(numerator, denominator)``
-per nonzero term: it is the residual oracle.  ``shift_y`` divides the
-numerators by their gcd and returns the primitive integer multiple of the
-shifted polynomial, which differs from it by a positive constant.  A
-branch's generators (``expansion``) are kept in that form: everything read
-off them, supports, weighted orders and initial systems up to scale, is
-unchanged by a positive constant factor.
+``int``s only.  The kernel has one finisher: it divides the numerators of
+the sum by their gcd, so both substitutions return the primitive integer
+multiple of the exact polynomial, which differs from it by a positive
+constant.  Everything read off a branch's generators (``expansion``) and
+off a residual is unchanged by that constant: supports, weighted orders and
+initial systems up to scale.  ``primitive`` brings any polynomial to the
+same form, with the integer normal form of ``values.primitive_ints``.
 
 The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
 ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
@@ -33,12 +32,13 @@ the weight; the skip is explicit in ``term_value`` and ``weighted_order``.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .values import WeightMatrix, canonical
+from .values import WeightMatrix, canonical, primitive_ints
 
 
 class Term(NamedTuple):
@@ -47,26 +47,26 @@ class Term(NamedTuple):
     ydeg: tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LPoly:
     """A finite sum of terms in canonical sorted form.
 
     Use ``from_terms`` to build instances; the constructor trusts its input
-    to already be canonical.
+    to already be canonical.  ``LPoly(nx, ny)`` is the zero polynomial.
     """
 
-    __slots__ = ("nx", "ny", "terms")
-
-    def __init__(self, nx: int, ny: int, terms: tuple[Term, ...] = ()):
-        self.nx = nx
-        self.ny = ny
-        self.terms = terms
+    nx: int
+    ny: int
+    terms: tuple[Term, ...] = ()
 
     @classmethod
     def from_terms(cls, nx: int, ny: int, items: Iterable) -> "LPoly":
-        """Canonicalize ``(coeff, xexp, ydeg)`` triples: merge, drop zeros, sort."""
+        """Canonicalize ``(coeff, xexp, ydeg)`` triples: merge, drop zeros, sort.
+
+        Coefficients are ``int`` or ``Fraction`` and are stored canonical.
+        """
         acc: dict = {}
         for coeff, xexp, ydeg in items:
-            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             xe = tuple(canonical(e) for e in xexp)
             yd = tuple(int(b) for b in ydeg)
             if len(xe) != nx or len(yd) != ny:
@@ -74,32 +74,12 @@ class LPoly:
             if any(b < 0 for b in yd):
                 raise ValueError("y-degrees must be nonnegative")
             key = (xe, yd)
-            acc[key] = acc[key] + c if key in acc else c
-        return cls._from_dict(nx, ny, acc)
-
-    @classmethod
-    def _from_dict(cls, nx: int, ny: int, acc: dict) -> "LPoly":
-        terms = tuple(Term(c, k[0], k[1]) for k, c in sorted(acc.items()) if c != 0)
-        return cls(nx, ny, terms)
-
-    @classmethod
-    def zero(cls, nx: int, ny: int) -> "LPoly":
-        return cls(nx, ny, ())
+            acc[key] = acc.get(key, 0) + coeff
+        return cls(nx, ny, tuple(Term(canonical(c), *key) for key, c in sorted(acc.items()) if c))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LPoly):
-            return NotImplemented
-        return (self.nx, self.ny, self.terms) == (other.nx, other.ny, other.terms)
-
-    def __hash__(self):
-        return hash((self.nx, self.ny, self.terms))
 
     def is_x_only(self) -> bool:
         return all(all(b == 0 for b in t.ydeg) for t in self.terms)
@@ -157,12 +137,15 @@ def _product(p: Iterable, q: Sequence) -> dict:
     return acc
 
 
-def _from_numerators(nx: int, ny: int, acc: dict, xden: int, coeff) -> LPoly:
-    """The polynomial with coefficient ``coeff(n)`` at each key of ``acc`` with a nonzero ``n``.
+def _from_numerators(nx: int, ny: int, acc: dict, xden: int) -> LPoly:
+    """The kernel's finisher: the primitive integer polynomial with the numerators ``acc``.
 
-    Keys are as in ``_numerators``.  They are sorted as integers, which is
-    the canonical order, and turned back into canonical exponents once each.
+    The nonzero numerators are divided by their gcd, so the result is a
+    positive multiple of the sum.  Keys are as in ``_numerators``.  They are
+    sorted as integers, which is the canonical order, and turned back into
+    canonical exponents once each.
     """
+    g = gcd(*acc.values())
     terms = []
     for key in sorted(acc):
         n = acc[key]
@@ -170,20 +153,18 @@ def _from_numerators(nx: int, ny: int, acc: dict, xden: int, coeff) -> LPoly:
             xe = key[:nx]
             if xden != 1:
                 xe = tuple(e // xden if e % xden == 0 else Fraction(e, xden) for e in xe)
-            terms.append(Term(coeff(n), xe, key[nx:]))
+            terms.append(Term(n // g, xe, key[nx:]))
     return LPoly(nx, ny, tuple(terms))
 
 
 def primitive(f: LPoly) -> LPoly:
     """The primitive integer multiple of ``f`` by a positive rational.
 
-    The coefficient denominators are cleared and the content, the gcd of the
-    numerators, is divided out.  The zero polynomial stays zero.
+    Its coefficients are brought to ``values.primitive_ints``.  The zero
+    polynomial stays zero.
     """
-    d = lcm(*(t.coeff.denominator for t in f.terms))
-    nums = [t.coeff.numerator * (d // t.coeff.denominator) for t in f.terms]
-    g = gcd(*nums)
-    return LPoly(f.nx, f.ny, tuple(Term(n // g, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
+    nums = primitive_ints([t.coeff for t in f.terms])
+    return LPoly(f.nx, f.ny, tuple(Term(n, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
 def active_set(eta: Sequence[tuple | None]) -> tuple[int, ...]:
@@ -242,16 +223,16 @@ def ramify(f: LPoly, k: int) -> LPoly:
     )
 
 
-def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> tuple[dict, int]:
+def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> dict:
     """Substitute ``y_i`` by the image ``bases[i]`` and expand exactly into one sum.
 
     An image is given as ``_numerators`` returns it, ``(den_i, items_i)``,
     and ``xden`` covers the x-exponents of ``f`` and of every image.  Returns
-    ``(acc, big)``: the sum as integer numerators over ``big``, keyed as in
-    ``_numerators``.  ``big`` is the lcm of the coefficient denominators of
-    ``f`` times ``den_i ** maxdeg_i`` for every image, where ``maxdeg_i`` is
-    the largest degree of ``y_i`` in ``f``; every term of ``f`` is scaled
-    onto ``big`` by an exact integer.  Each power ``b`` of image ``i`` is
+    the sum as integer numerators over ``big``, keyed as in ``_numerators``.
+    ``big`` is the lcm of the coefficient denominators of ``f`` times
+    ``den_i ** maxdeg_i`` for every image, where ``maxdeg_i`` is the largest
+    degree of ``y_i`` in ``f``; every term of ``f`` is scaled onto ``big`` by
+    an exact integer.  Each power ``b`` of image ``i`` is
     built once, from power ``b - 1``, and each distinct y-monomial of ``f``
     is expanded once.
     """
@@ -286,7 +267,7 @@ def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> tuple
         xk = (t.xexp if xden == 1 else _key(t.xexp, xden)) + ypad
         for k, n in m:
             acc[tuple(map(add, xk, k))] += s * n
-    return acc, big
+    return acc
 
 
 def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
@@ -311,9 +292,7 @@ def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
             c = s[0]
             x = _key(s[1], xden) + zero[nx:]
             bases.append((c.denominator, [(y, c.denominator), (x, c.numerator)]))
-    acc, _ = _substitute(f, bases, xden)
-    g = gcd(*acc.values())
-    return _from_numerators(nx, ny, acc, xden, lambda n: n // g)
+    return _from_numerators(nx, ny, _substitute(f, bases, xden), xden)
 
 
 def set_y_zero(f: LPoly, indices) -> LPoly:
@@ -326,8 +305,9 @@ def set_y_zero(f: LPoly, indices) -> LPoly:
 def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
     """Substitute ``y_i -> series[i]`` for x-only polynomials ``series``.
 
-    Returns the exact residual polynomial in the x variables, with
-    ``Fraction`` coefficients.
+    Returns the primitive integer multiple of the residual polynomial in the
+    x variables: the exact residual times a positive constant, with the same
+    support and weighted orders.
     """
     if len(series) != f.ny:
         raise ValueError("need one substitute per y coordinate")
@@ -337,5 +317,5 @@ def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
         if not s.is_x_only():
             raise ValueError("substituted series must not contain y variables")
     xden = _xden((f, *series))
-    acc, big = _substitute(f, [_numerators(s, xden) for s in series], xden)
-    return _from_numerators(f.nx, f.ny, acc, xden, lambda n: Fraction(n, big))
+    acc = _substitute(f, [_numerators(s, xden) for s in series], xden)
+    return _from_numerators(f.nx, f.ny, acc, xden)

@@ -416,11 +416,11 @@ def _dead_obj(d: DeadBranch) -> dict:
     return {
         "step": d.step,
         "reason": d.reason,
-        "candidates": d.candidates,
-        "rejected_increase": d.rejected_increase,
-        "underdetermined": d.underdetermined,
-        "irrational_roots_detected": d.irrational_roots_detected,
-        "nonzero_dimensional": d.nonzero_dimensional,
+        "candidates": d.info.candidates,
+        "rejected_increase": d.info.rejected_increase,
+        "underdetermined": d.info.underdetermined,
+        "irrational_roots_detected": d.info.irrational,
+        "nonzero_dimensional": d.info.nonzero_dimensional,
         "trace": _trace_obj(d.trace),
     }
 

@@ -22,17 +22,22 @@ cofactors of leading coefficients, and a root ``p/q`` is substituted by
 scaling with ``q`` to the degree of its variable.  Every element is then a
 positive multiple of the monic element of the textbook algorithm, so the
 pairs chosen and the budget spent are the same.  ``Fraction``s appear only
-at the boundary: a system arrives as dicts with rational coefficients, and
-the roots are rationals.
+at the boundary: a system arrives as dicts with rational coefficients, which
+``values.primitive_ints`` turns into integers, as it does the univariate
+eliminants, and the roots are rationals.  Substituting a root into a dict
+and checking a solution against the system are one routine,
+``_substitute_last``, applied one variable at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Sequence
+
+from .values import primitive_ints
 
 
 # Default cap on the Groebner S-pairs processed per basis computation.
@@ -48,12 +53,6 @@ class TorusSolutionSet:
     solutions: tuple[tuple[Fraction, ...], ...]
     nonzero_dimensional: bool
     irrational_roots_detected: bool
-
-
-def _to_dict(p: dict) -> dict:
-    """The normal form of a nonzero dict with rational coefficients."""
-    den = lcm(*(c.denominator for c in p.values()))
-    return _normal({k: c.numerator * (den // c.denominator) for k, c in p.items()})
 
 
 def _normal(p: dict) -> dict:
@@ -167,14 +166,6 @@ def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
     return G
 
 
-def _primitive(poly: Sequence[int | Fraction]) -> list[int]:
-    """The primitive integer multiple of poly by a positive rational."""
-    den = lcm(*[c.denominator for c in poly])
-    ints = [c.numerator * (den // c.denominator) for c in poly]
-    g = gcd(*ints)
-    return [a // g for a in ints]
-
-
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """A positive multiple of the remainder of a on division by b.
 
@@ -227,12 +218,12 @@ def _sturm_chain(poly: list[int]) -> list[list[int]]:
     are positive, so signs are kept, and signs are all that is read.  The
     last entry is gcd(poly, poly') up to a constant.
     """
-    chain = [poly, _primitive([k * c for k, c in enumerate(poly)][1:])]
+    chain = [poly, primitive_ints([k * c for k, c in enumerate(poly)][1:])]
     while True:
         rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             return chain
-        chain.append(_primitive([-c for c in rem]))
+        chain.append(primitive_ints([-c for c in rem]))
 
 
 def _sturm_at(chain: list[list[int]], x: Fraction) -> tuple[int, bool]:
@@ -303,7 +294,7 @@ def rational_roots(coeffs: Sequence[int | Fraction]) -> tuple[tuple[Fraction, ..
         cs = cs[low:]
     if len(cs) == 1:
         return tuple(sorted(roots)), 0
-    work = _primitive(cs)
+    work = primitive_ints(cs)
     for r in _root_candidates(work):
         p, q = r.numerator, r.denominator
         while len(work) > 1 and _scaled_value(work, p, q) == 0:
@@ -316,7 +307,7 @@ def _substitute_last(p: dict, num: int, den: int) -> dict:
     """``den**deg * p`` with its last variable set to ``num/den``, ``deg`` its
     degree in that variable: an integer dict, zero exactly when the
     substitution is."""
-    deg = max(key[-1] for key in p)
+    deg = max((key[-1] for key in p), default=0)
     nums = [1]
     dens = [1]
     for _ in range(deg):
@@ -331,18 +322,11 @@ def _substitute_last(p: dict, num: int, den: int) -> dict:
 
 
 def _vanishes(p: dict, c: tuple[Fraction, ...]) -> bool:
-    """Whether an integer dict vanishes at a rational point.
-
-    Each variable's denominator is raised to that variable's degree in
-    ``p``, which clears every denominator and leaves an integer sum.
-    """
-    degs = [max(key[i] for key in p) for i in range(len(c))]
-    total = 0
-    for key, coeff in p.items():
-        for b, d, x in zip(key, degs, c):
-            coeff *= x.numerator**b * x.denominator ** (d - b)
-        total += coeff
-    return total == 0
+    """Whether an integer dict vanishes at a rational point: its variables
+    are substituted by ``_substitute_last``, the last one first."""
+    for x in reversed(c):
+        p = _substitute_last(p, x.numerator, x.denominator)
+    return not p
 
 
 def torus_solutions(
@@ -358,7 +342,7 @@ def torus_solutions(
     """
     budget = [max_pairs]
     flags = {"dim": False, "irr": False}
-    dicts = [_to_dict(p) for p in system]
+    dicts = [dict(zip(p, primitive_ints(p.values()))) for p in system]
 
     def walk(polys: list[dict], m: int) -> list[tuple]:
         if m == 0:

@@ -19,12 +19,18 @@ input never pays for ``Fraction`` arithmetic on exponents.
 The linear algebra over Q is one routine, ``add_row``, which inserts a row
 into a reduced row echelon form.  It checks the rank of a weight matrix, and
 candidate enumeration solves its tie systems with it one row at a time.
+
+The integer normal form of a list of rationals is one routine too,
+``primitive_ints``: denominators cleared, content divided out, signs kept.
+The polynomials of ``lpoly`` and the solver's dicts and univariate
+polynomials are brought to it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Collection, Iterable, Sequence
 
 
 def canonical(x) -> int | Fraction:
@@ -33,6 +39,19 @@ def canonical(x) -> int | Fraction:
         return x
     q = x if type(x) is Fraction else Fraction(x)
     return q.numerator if q.denominator == 1 else q
+
+
+def primitive_ints(coeffs: Collection[int | Fraction]) -> list[int]:
+    """The primitive integer multiple of a list of rationals by a positive rational.
+
+    The denominators are cleared by their lcm and the content, the gcd of
+    the numerators, is divided out, so every sign is kept.  The list needs a
+    nonzero entry unless it is empty; the empty list stays empty.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [a // g for a in ints]
 
 
 def sort_key(v: tuple | None) -> tuple:

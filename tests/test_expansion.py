@@ -51,14 +51,14 @@ SURFACE = lp(2, 1, (1, (F(0), F(0)), (2,)), (-1, (F(1), F(1)), (0,)))
 
 class TestStepData:
     def test_defining_data_of_monomial_tuple(self):
-        m = (xm(2, 3, 3, 3, 0), xm(2, 3, 7, 2, 1), LPoly.zero(2, 3))
+        m = (xm(2, 3, 3, 3, 0), xm(2, 3, 7, 2, 1), LPoly(2, 3))
         d = defining_data(m, W2)
         assert d.eta == ((3, 0), (2, 1), None)
         assert d.gamma == ((F(3), F(0)), (F(2), F(1)), None)
         assert d.c == (F(3), F(7), F(0))
 
     def test_defining_data_of_zero_tuple(self):
-        d = defining_data((LPoly.zero(2, 2), LPoly.zero(2, 2)), W2)
+        d = defining_data((LPoly(2, 2), LPoly(2, 2)), W2)
         assert d.eta == (None, None)
         assert d.c == (F(0), F(0))
 
@@ -82,7 +82,7 @@ class TestStepData:
         assert monomials_of(d, 2) == (
             xm(2, 3, 1, 1, 0),
             xm(2, 3, 1, 1, 0),
-            LPoly.zero(2, 3),
+            LPoly(2, 3),
         )
 
     def test_scaling_identity(self):
@@ -260,7 +260,7 @@ class TestExpand:
         assert len(res.dead_branches) == 1
         d = res.dead_branches[0]
         assert d.reason == "no_rational_torus_solution"
-        assert d.irrational_roots_detected
+        assert d.info.irrational
         assert res.irrational_roots_detected
 
     def test_no_candidates_reported(self):
@@ -280,7 +280,7 @@ class TestExpand:
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
-            expand([LPoly.zero(1, 1)], W1)
+            expand([LPoly(1, 1)], W1)
 
     def test_accumulated_exponents_live_in_ramification_lattice(self):
         f = lp(1, 1, (1, (F(0),), (3,)), (-1, (F(2),), (0,)))  # y^3 - x^2
@@ -407,7 +407,7 @@ def test_tie_count_ignores_terms_that_never_reach_the_minimum():
     # positive weight, so only one positive-dimensional pair system is left
     res = expand(coupled_pair(+1), WeightMatrix([[1, 1], [0, 1]]), ExpandOptions(max_terms=3))
     (dead,) = res.dead_branches
-    assert dead.underdetermined == 1
+    assert dead.info.underdetermined == 1
     assert res.underdetermined_seen
 
 

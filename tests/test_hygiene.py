@@ -166,9 +166,11 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def definitions_and_references(source: str):
     """The definitions of a module and the names it loads.
 
-    The definitions are the qualified names, as tuples, of every function,
-    class and method, nested ones included.  The references are ``(name,
-    enclosing)`` for every name loaded, bare or as an attribute, where
+    The definitions are ``(qualified name, method)`` for every function,
+    class and method, nested ones included: the qualified name is a tuple,
+    and ``method`` tells whether the definition sits directly in a class
+    body.  The references are ``(name, enclosing, attribute)`` for every
+    name loaded, bare or as an attribute (``attribute`` True), where
     ``enclosing`` is the qualified name of the innermost definition the
     reference sits in, ``()`` at module level.  Import statements and strings
     do not count.
@@ -178,13 +180,13 @@ def definitions_and_references(source: str):
     def visit(node, qual):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFS):
-                defs.append(qual + (child.name,))
+                defs.append((qual + (child.name,), isinstance(node, ast.ClassDef)))
                 visit(child, qual + (child.name,))
                 continue
             if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
-                refs.add((child.id, qual))
+                refs.add((child.id, qual, False))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
-                refs.add((child.attr, qual))
+                refs.add((child.attr, qual, True))
             visit(child, qual)
 
     visit(ast.parse(source), ())
@@ -195,19 +197,24 @@ def orphans(modules: dict[str, str], exempt=frozenset()) -> list[str]:
     """``path:qualified.name`` for every definition in ``modules`` (path ->
     source) that no module references outside the definition itself.
 
-    Dunder names and the names in ``exempt`` are not reported.
+    A method is referenced only through attribute access (``obj.name``,
+    ``Class.name``): a bare name, such as a local variable that shares the
+    method's name, does not count.  Dunder names and the names in
+    ``exempt`` are not reported.
     """
     scans = {path: definitions_and_references(source) for path, source in modules.items()}
     out = []
     for path, (defs, _) in scans.items():
-        for qual in defs:
+        for qual, method in defs:
             name = qual[-1]
             if name in exempt or (name.startswith("__") and name.endswith("__")):
                 continue
             if not any(
-                ref == name and (other != path or enclosing[: len(qual)] != qual)
+                ref == name
+                and (attribute or not method)
+                and (other != path or enclosing[: len(qual)] != qual)
                 for other, (_, refs) in scans.items()
-                for ref, enclosing in refs
+                for ref, enclosing, attribute in refs
             ):
                 out.append("%s:%s" % (path, ".".join(qual)))
     return out
@@ -253,6 +260,14 @@ def test_the_definition_scan_sees_orphans_and_references():
             "        return self.again()\n"
             "def by_attribute():\n"
             "    pass\n"
+            "class Poly:\n"
+            "    def zero(self):\n"
+            "        pass\n"
+            "    def one(self):\n"
+            "        pass\n"
+            "def shadow():\n"
+            "    zero = Poly().one()\n"
+            "    return zero\n"
         ),
         "b.py": (
             "from a import recursive\n"
@@ -262,6 +277,17 @@ def test_the_definition_scan_sees_orphans_and_references():
             "__all__ = ['recursive']\n"
         ),
     }
-    everything = ["a.py:recursive", "a.py:Main", "a.py:Main.unused", "a.py:Main.again"]
+    everything = [
+        "a.py:recursive",
+        "a.py:Main",
+        "a.py:Main.unused",
+        "a.py:Main.again",
+        "a.py:Poly.zero",
+        "a.py:shadow",
+    ]
     assert orphans(modules) == everything
-    assert orphans(modules, exported_names(modules["b.py"]) | {"Main"}) == everything[2:]
+    assert orphans(modules, exported_names(modules["b.py"]) | {"Main", "shadow"}) == [
+        "a.py:Main.unused",
+        "a.py:Main.again",
+        "a.py:Poly.zero",
+    ]

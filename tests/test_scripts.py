@@ -57,3 +57,46 @@ def test_compare_outputs_names_the_first_differing_run():
     assert mod.first_difference(a, a) is None
     assert mod.first_difference(a, b) == "puiseux check p <solution>: exit code, stderr differs"
     assert mod.first_difference(a, a[:1]) == "run counts differ: 2 and 1"
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+# a comment-only line
+import os  # a trailing comment
+
+
+class A:
+    """Class docstring."""
+
+    x = (
+        1,
+
+        2,
+    )
+
+    def f(self):
+        """Function
+        docstring."""
+        s = """not a
+docstring"""
+        return s
+
+
+"a string statement that is not first"
+'''
+
+
+def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
+    # 11 code lines: import, class, the four non-blank lines of x, def, the
+    # two lines of s, return, and the string statement that is no docstring
+    path = tmp_path / "fixture.py"
+    path.write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "empty.py").write_text("# nothing\n\n")
+    done = _script("code_lines.py", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "     0 %s" % (tmp_path / "empty.py"),
+        "    11 %s" % path,
+        "    11 total",
+    ]

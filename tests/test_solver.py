@@ -6,7 +6,8 @@ from hypothesis import assume, given, seed, settings
 
 from puiseux import BudgetExceeded, rational_roots, torus_solutions
 from puiseux import solver
-from puiseux.solver import SOLVER_BUDGET, _primitive, _sturm_chain
+from puiseux.solver import SOLVER_BUDGET, _sturm_chain, _substitute_last, _vanishes
+from puiseux.values import primitive_ints
 from oracle_grid import grid_torus_solutions, rational_grid
 from oracle_groebner import buchberger
 
@@ -19,9 +20,14 @@ def yp(*terms):
     return {k: c for k, c in out.items() if c}
 
 
+def integer_dict(p):
+    """A rational dict brought to integers, as ``torus_solutions`` reads its system."""
+    return dict(zip(p, primitive_ints(p.values())))
+
+
 def basis(polys, max_pairs=SOLVER_BUDGET):
     """The solver's reduced lex Groebner basis of rational dicts, as normal forms."""
-    return solver._buchberger([solver._to_dict(p) for p in polys], [max_pairs])
+    return solver._buchberger([integer_dict(p) for p in polys], [max_pairs])
 
 
 def monic(p):
@@ -167,7 +173,7 @@ def _reference_sturm_chain(poly):
     while True:
         rem = remainder(chain[-2], chain[-1])
         if not rem:
-            return [_primitive(p) for p in chain]
+            return [primitive_ints(p) for p in chain]
         chain.append([-c for c in rem])
 
 
@@ -180,9 +186,9 @@ def _reference_sturm_chain(poly):
     squared=st.booleans(),
 )
 def test_integer_sturm_chain_matches_fraction_division(coeffs, squared):
-    poly = _primitive(coeffs)
+    poly = primitive_ints(coeffs)
     if squared:  # repeated roots: the chain ends in a nonconstant gcd
-        poly = _primitive(_times(poly, poly))
+        poly = primitive_ints(_times(poly, poly))
     assert _sturm_chain(poly) == _reference_sturm_chain(poly)
 
 
@@ -212,7 +218,7 @@ def test_fraction_free_basis_matches_the_fraction_reference(system):
         assume(False)
     pairs = REFERENCE_CAP - budget[0]
     assert [monic(g) for g in basis(system)] == want
-    ints = [solver._to_dict(p) for p in system]
+    ints = [integer_dict(p) for p in system]
     for b in range(pairs + 1):
         left = [b]
         if b < pairs:
@@ -297,3 +303,55 @@ class TestTorusSolutions:
         want = grid_torus_solutions(system, k, grid)
         got = torus_solutions(system, k)
         assert sorted(got.solutions) == want
+
+
+# A root is substituted one variable at a time; a solution is checked the
+# same way, against Fraction evaluation of the dict.
+def _value(p, point):
+    """``p`` at a rational point, by plain ``Fraction`` arithmetic."""
+    total = F(0)
+    for key, c in p.items():
+        term = F(c)
+        for b, x in zip(key, point):
+            term *= x**b
+        total += term
+    return total
+
+
+@st.composite
+def _dicts_and_points(draw):
+    k = draw(st.integers(1, 3))
+    term = st.tuples(st.integers(-5, 5), st.tuples(*[st.integers(0, 3)] * k))
+    p = yp(*draw(st.lists(term, min_size=1, max_size=5)))
+    point = tuple(
+        draw(st.lists(st.fractions(-4, 4, max_denominator=5).filter(bool), min_size=k, max_size=k))
+    )
+    return p, point
+
+
+@seed(20261019)
+@settings(max_examples=150)
+@given(case=_dicts_and_points(), plant=st.sampled_from(["none", "value", "factor"]))
+def test_vanishes_matches_fraction_evaluation(case, plant):
+    p, point = case
+    if plant == "value":  # subtract the value: the dict vanishes at the point
+        v = _value(p, point)
+        zero = (0,) * len(point)
+        p = {key: c * v.denominator for key, c in p.items()}
+        p[zero] = p.get(zero, 0) - v.numerator
+    elif plant == "factor":  # times (q*y_i - n): zero already after y_i is substituted
+        i = len(point) - 1
+        x = point[i]
+        unit = tuple(int(j == i) for j in range(len(point)))
+        factor = {unit: x.denominator, (0,) * len(point): -x.numerator}
+        out: dict = {}
+        for k1, c1 in p.items():
+            for k2, c2 in factor.items():
+                key = tuple(a + b for a, b in zip(k1, k2))
+                out[key] = out.get(key, 0) + c1 * c2
+        p = out
+        assert not _substitute_last(p, x.numerator, x.denominator)
+    p = {key: c for key, c in p.items() if c}
+    assert _vanishes(p, point) == (_value(p, point) == 0)
+    if plant != "none":
+        assert _vanishes(p, point)

@@ -112,7 +112,7 @@ class TestCandidateEtas:
 
     def test_zero_generator_rejected(self):
         with pytest.raises(ValueError):
-            candidate_etas([LPoly.zero(1, 1)], W1, (0,))
+            candidate_etas([LPoly(1, 1)], W1, (0,))
 
     def test_empty_lambda_rejected(self):
         # retiring every coordinate is exact termination, decided by the driver

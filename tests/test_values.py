@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, seed
 
 from puiseux import WeightMatrix, term_value
-from puiseux.values import sort_key
+from puiseux.values import primitive_ints, sort_key
 from tutils import identity, lp, small_rats
 
 
@@ -84,3 +85,32 @@ def test_value_of_is_linear(w, a, b):
 def test_distinct_exponents_never_tie(w, a, b):
     if a != b:
         assert w.value_of(a) != w.value_of(b)
+
+
+# int and Fraction entries, zeros included, with at least one nonzero entry
+# unless the list is empty
+_rationals = st.one_of(
+    st.integers(-10**6, 10**6), st.fractions(-10**4, 10**4, max_denominator=10**4)
+)
+_coeff_lists = st.lists(_rationals, max_size=6).filter(lambda cs: not cs or any(cs))
+
+
+@seed(20261019)
+@given(coeffs=_coeff_lists)
+def test_primitive_ints_is_a_positive_multiple_with_coprime_integers(coeffs):
+    got = primitive_ints(coeffs)
+    assert all(type(a) is int for a in got)
+    assert len(got) == len(coeffs)
+    if not coeffs:
+        return
+    assert math.gcd(*got) == 1
+    # one positive ratio between the input and the output, zeros kept
+    assert [a == 0 for a in got] == [c == 0 for c in coeffs]
+    ratios = {F(c) / a for a, c in zip(got, coeffs) if a}
+    assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_primitive_ints_examples():
+    assert primitive_ints([]) == []
+    assert primitive_ints([F(-1, 2), F(3, 4), 0]) == [-2, 3, 0]
+    assert primitive_ints([-6, 4]) == [-3, 2]

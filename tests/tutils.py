@@ -92,7 +92,7 @@ def monomials_of(data, nx):
     out = []
     for i in range(ny):
         if data.gamma[i] is None:
-            out.append(LPoly.zero(nx, ny))
+            out.append(LPoly(nx, ny))
         else:
             out.append(lp(nx, ny, (data.c[i], data.gamma[i], (0,) * ny)))
     return tuple(out)
@@ -102,7 +102,7 @@ def initial_form(f, W, eta):
     """The sum of minimum-value terms; zero when the order is infinite."""
     best = weighted_order(f, W, eta)
     if best is None:
-        return LPoly.zero(f.nx, f.ny)
+        return LPoly(f.nx, f.ny)
     return LPoly(f.nx, f.ny, tuple(t for t in f.terms if term_value(W, eta, t) == best))
 
 
@@ -240,7 +240,7 @@ def naive_substitute(f, images):
         for g, b in zip(images, t.ydeg):
             m = naive_product(m, naive_power(g, b))
         parts.append(m)
-    return naive_sum(LPoly.zero(f.nx, f.ny), *parts)
+    return naive_sum(LPoly(f.nx, f.ny), *parts)
 
 
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
