@@ -202,3 +202,7 @@ def main(argv=None) -> int:
 
 def console_main():  # pragma: no cover
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    console_main()

@@ -10,22 +10,25 @@ emitted.
 
 Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
-per solution: ramify so the new exponent rows become integral, shift each
-active y by its new monomial, and retire coordinates whose weight went
-infinite.  ``expand`` first replaces each generator by its primitive integer
-multiple (``lpoly.primitive``), and ``shift_y`` returns the primitive integer
-multiple of each shifted generator, so a branch's generators are primitive
+per solution: ramify so the new exponent rows become integral, retire
+coordinates whose weight went infinite by setting them to zero, and shift
+each active y by its new monomial.  ``expand`` first replaces each
+generator by its primitive integer multiple (``lpoly.primitive``), and
+``shift_y`` returns the primitive integer multiple of each shifted
+generator, so a branch's generators are primitive
 integer polynomials, each a positive constant times the exact recentered
 generator.  Nothing read off them depends on that constant: supports and
 staircases, weighted orders, and the initial systems, which the solver
 brings to one normal form.  After recentering, the y-free part of each
 generator is (that constant times) the original generator evaluated at the
 accumulated truncation, in the ramified frame.  So ``expand`` (and with it
-``puiseux run``) reads the residual order off the recentered generators
-(``residual_order``) and never substitutes the series back.  A branch
-terminates when every y-free part is zero (the accumulated sum is then an
-exact solution), or when the step budget runs out (the truncation is
-emitted with its residual order as a certificate).  ``verify_residual``
+``puiseux run``) never substitutes the series back.  A branch terminates
+when every y-free part is zero, that is when no generator keeps a y-free
+term (the accumulated sum is then an exact solution), or when the step
+budget runs out (the truncation is emitted with its residual order as a
+certificate).  Exactness is read off the supports of every branch; the
+residual order is read off the recentered generators (``residual_order``)
+only for a truncation that is emitted.  ``verify_residual``
 substitutes a series into the original generators independently
 (``substitute_y``, a positive multiple of each residual, whose order is the
 residual's); ``puiseux check`` runs it.  Branches with no continuation are
@@ -274,11 +277,14 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
 
 
 def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
-    """Apply one step: ramify, shift the active y coordinates, retire the rest.
+    """Apply one step: ramify, retire the coordinates of infinite weight, shift the rest.
 
     The generators are ramified by the step's dgamma, so that its exponent
-    rows become integral, and the step is appended to the trace.  Each new
-    generator is the primitive integer multiple that ``shift_y`` returns.
+    rows become integral, and the step is appended to the trace.  The newly
+    retired coordinates are set to zero before the shift, which leaves them
+    alone, so their terms are never shifted; a generator that this zeroes is
+    dropped.  Each new generator is the primitive integer multiple that
+    ``shift_y`` returns.
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
@@ -303,11 +309,11 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
     gens = []
     for g in branch.gens:
-        h = shift_y(ramify(g, k), shifts)
+        h = ramify(g, k)
         if newly_retired:
             h = set_y_zero(h, newly_retired)
         if not h.is_zero:
-            gens.append(h)
+            gens.append(shift_y(h, shifts))
     return Branch(tuple(gens), branch.trace + (data,))
 
 
@@ -369,11 +375,12 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     any_irrational = False
     any_underdetermined = False
 
+    y_free = (0,) * ny
     while frontier:
         branch = frontier.popleft()
-        residual = residual_order(branch, W)
-        exact = residual is None
+        exact = not any(t.ydeg == y_free for g in branch.gens for t in g.terms)
         if exact or branch.step >= opts.max_terms:
+            residual = None if exact else residual_order(branch, W)
             sol = SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace)
             solutions.append(sol)
         if branch.step >= opts.max_terms or not branch.gens:

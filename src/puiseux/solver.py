@@ -1,17 +1,24 @@
 """Exact solving of the initial coefficient systems on the torus.
 
 The systems are small polynomial systems over Q in the active y variables.
-They are triangularized with a reduced lex Groebner basis, the rational
+A system of total degree at most one, which is what every step of a smooth
+branch gives, is solved by one echelon pass, ``values.add_row``: no
+solution when it is inconsistent, a positive-dimensional flag when its rank
+is below the number of variables, and otherwise its one point.  Any other
+system is triangularized with a reduced lex Groebner basis, the rational
 roots of the univariate eliminant at each level are found by
-isolate-round-verify, and roots are back-substituted: the real roots are
-isolated exactly by Sturm bisection, each is rounded to the nearest multiple
-of 1/a_n (a_n the integer leading coefficient; every rational root is one),
-and that candidate is verified exactly.  The univariate work runs on integer
-polynomials: pseudo-remainders for the Sturm chain, integer evaluation, and
-exact division for the squarefree part and for deflating a root.  Only rational points are produced;
-levels whose eliminant keeps a factor without rational roots set a flag, as
-do levels with no univariate eliminant at all (positive-dimensional solution
-sets).
+isolate-round-verify, and roots are back-substituted, except at the last
+variable, where the reduced basis is the eliminant alone.  The real roots
+are isolated exactly by Sturm bisection, each is rounded to the nearest
+multiple of 1/a_n (a_n the integer leading coefficient; every rational root
+is one), and that candidate is verified exactly; a linear eliminant is
+solved in closed form.  The univariate work runs on integer polynomials:
+pseudo-remainders for the Sturm chain, integer evaluation, and exact
+division for the squarefree part and for deflating a root.  Only rational
+points are produced; levels whose eliminant keeps a factor without rational
+roots set a flag, as do levels with no univariate eliminant at all
+(positive-dimensional solution sets).  Points with a zero coordinate are
+dropped, and every point left is checked against the system.
 
 A polynomial in ``k`` variables is a dict mapping degree ``k``-tuples to
 coefficients; the first variable is the most significant for the lex
@@ -37,7 +44,7 @@ from math import gcd
 from operator import add
 from typing import Sequence
 
-from .values import primitive_ints
+from .values import add_row, primitive_ints
 
 
 # Default cap on the Groebner S-pairs processed per basis computation.
@@ -240,15 +247,15 @@ def _root_candidates(poly: list[int]) -> list[Fraction]:
     The real roots of the squarefree part are isolated by Sturm bisection
     from a Cauchy bound.  A rational root p/q has q | a_n, so once an
     isolating interval is narrower than 1/(2|a_n|) its midpoint times a_n
-    rounds to a_n times the root.  A linear squarefree part isolates its
-    root exactly, and so does a bisection point that is a root.
+    rounds to a_n times the root.  A linear polynomial, or a linear
+    squarefree part, is solved in closed form before any Sturm chain is
+    built, and a bisection point that is a root is taken exactly.
     """
-    chain = _sturm_chain(poly)
-    if len(chain[-1]) > 1:  # repeated roots: work on the squarefree part
-        poly = _exact_quotient(poly, chain[-1])
-        chain = _sturm_chain(poly)
     if len(poly) == 2:
         return [Fraction(-poly[0], poly[1])]
+    chain = _sturm_chain(poly)
+    if len(chain[-1]) > 1:  # repeated roots: the squarefree part has none
+        return _root_candidates(_exact_quotient(poly, chain[-1]))
     an = abs(poly[-1])
     bound = Fraction(1 - max(abs(c) for c in poly[:-1]) // -an)  # Cauchy: |root| < bound
     width = Fraction(1, 2 * an)
@@ -329,22 +336,47 @@ def _vanishes(p: dict, c: tuple[Fraction, ...]) -> bool:
     return not p
 
 
-def torus_solutions(
-    system: Sequence[dict], k: int, max_pairs: int = SOLVER_BUDGET
-) -> TorusSolutionSet:
-    """All rational solutions of the system in ``k`` variables with every coordinate nonzero.
+def _linear_points(polys: Sequence[dict], k: int) -> tuple[list[tuple], bool]:
+    """The solutions of a system of total degree at most one in ``k`` variables.
 
-    Each polynomial of the system is a nonzero dict from degree ``k``-tuples
-    to rational coefficients (``int`` or ``Fraction``).  An empty system in
-    zero variables has exactly the empty solution; an empty system in a
-    positive number of variables is flagged positive dimensional, as is any
-    triangular level without a univariate eliminant.
+    One echelon pass (``values.add_row``): each polynomial is the row of its
+    coefficients with the negated constant as right-hand side.  Returns the
+    point, when the system has exactly one, and whether it is rank deficient
+    and consistent, which is positive dimensional.  An inconsistent system
+    has no solutions and no flag.
+    """
+    form: tuple | None = ()
+    for p in polys:
+        row = [0] * (k + 1)
+        for key, c in p.items():
+            if 1 in key:
+                row[key.index(1)] = c
+            else:
+                row[k] = -c
+        form = add_row(form, row, k)
+        if form is None:
+            return [], False
+    if len(form) < k:
+        return [], True
+    return [tuple(Fraction(r[k]) for _, r in sorted(form))], False  # every column a pivot
+
+
+def _groebner_points(
+    polys: Sequence[dict], k: int, max_pairs: int = SOLVER_BUDGET
+) -> tuple[list[tuple], bool, bool]:
+    """The rational solutions of integer dicts in ``k`` variables by the triangular walk.
+
+    A reduced lex basis is computed at each level, the roots of its
+    univariate eliminant in the last variable are substituted, and the walk
+    goes on one level down.  At the last variable the reduced basis is the
+    eliminant alone, so its roots are the solutions.  Returns the points,
+    whether a level was positive dimensional and whether an eliminant kept
+    roots outside Q.
     """
     budget = [max_pairs]
     flags = {"dim": False, "irr": False}
-    dicts = [dict(zip(p, primitive_ints(p.values()))) for p in system]
 
-    def walk(polys: list[dict], m: int) -> list[tuple]:
+    def walk(polys: Sequence[dict], m: int) -> list[tuple]:
         if m == 0:
             return [] if polys else [()]
         if not polys:
@@ -369,6 +401,8 @@ def torus_solutions(
         roots, leftover = rational_roots(coeffs)
         if leftover > 0:
             flags["irr"] = True
+        if m == 1:
+            return [(r,) for r in roots]
         out = []
         for r in roots:
             sub = [q for q in (_substitute_last(g, r.numerator, r.denominator) for g in G) if q]
@@ -376,8 +410,30 @@ def torus_solutions(
                 out.append(partial + (r,))
         return out
 
-    raw = walk(dicts, k)
-    torus = sorted(c for c in raw if all(v != 0 for v in c))
+    return walk(polys, k), flags["dim"], flags["irr"]
+
+
+def torus_solutions(
+    system: Sequence[dict], k: int, max_pairs: int = SOLVER_BUDGET
+) -> TorusSolutionSet:
+    """All rational solutions of the system in ``k`` variables with every coordinate nonzero.
+
+    Each polynomial of the system is a nonzero dict from degree ``k``-tuples
+    to rational coefficients (``int`` or ``Fraction``).  A system of total
+    degree at most one is solved by one echelon pass (``_linear_points``)
+    and spends no Groebner pairs; any other goes through the Groebner walk
+    (``_groebner_points``).  Both give the same solutions and flags.  An
+    empty system in zero variables has exactly the empty solution; an empty
+    system in a positive number of variables is flagged positive
+    dimensional, as is any triangular level without a univariate eliminant.
+    """
+    dicts = [dict(zip(p, primitive_ints(p.values()))) for p in system]
+    if all(sum(key) <= 1 for p in dicts for key in p):
+        raw, dim = _linear_points(dicts, k)
+        irr = False
+    else:
+        raw, dim, irr = _groebner_points(dicts, k, max_pairs)
+    torus = sorted(c for c in raw if all(c))
 
     for c in torus:
         if not all(_vanishes(p, c) for p in dicts):
@@ -385,6 +441,6 @@ def torus_solutions(
 
     return TorusSolutionSet(
         solutions=tuple(torus),
-        nonzero_dimensional=flags["dim"],
-        irrational_roots_detected=flags["irr"],
+        nonzero_dimensional=dim,
+        irrational_roots_detected=irr,
     )

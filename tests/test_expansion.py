@@ -615,18 +615,31 @@ def test_corpus_expansion_is_scale_invariant(max_terms):
             assert expand(scaled, spec.weights, opts) == want, (path.name, r)
 
 
+# Retiring y2 at the step y1 = x1 leaves 2*y1^2 + 4*x1*y1 when y2 is set to
+# zero after the shift instead of before it.
+RETIRES_AFTER_A_SHIFT = "vars x1 y1 y2\nweight 1\ngen y1 - x1\ngen y2 + 2*y1^2 - 2*x1^2\n"
+
+
 def test_branch_generators_are_primitive_integer_polynomials(monkeypatch):
     """Every branch ``expand`` visits, the root included, holds primitive integer generators."""
     seen = []
-    real = expansion.residual_order
+    real_scan, real_recenter = expansion.starting_data, expansion.recenter
 
-    def recording(branch, W):
-        seen.extend(branch.gens)
-        return real(branch, W)
+    def scanning(branch, W, opts):
+        if not branch.trace:
+            seen.extend(branch.gens)
+        return real_scan(branch, W, opts)
 
-    monkeypatch.setattr(expansion, "residual_order", recording)
-    for path in PROBLEMS:
-        spec = parse_problem(path.read_text())
+    def recentering(branch, data, W):
+        child = real_recenter(branch, data, W)
+        seen.extend(child.gens)
+        return child
+
+    monkeypatch.setattr(expansion, "starting_data", scanning)
+    monkeypatch.setattr(expansion, "recenter", recentering)
+    texts = [path.read_text() for path in PROBLEMS] + [RETIRES_AFTER_A_SHIFT]
+    for text in texts:
+        spec = parse_problem(text)
         expand(spec.gens, spec.weights, replace(spec.options, max_terms=3))
     assert seen
     for g in seen:

@@ -31,8 +31,12 @@ def _solutions(res):
 @pytest.mark.xfail(strict=True, reason="candidates come from the generators, not the ideal")
 @pytest.mark.parametrize(
     "first, second",
-    [("ideal_sum_set", "ideal_simple_set"), ("ideal_g1g2", "ideal_g1g2_lex")],
-    ids=["sum", "lex_basis"],
+    [
+        ("ideal_sum_set", "ideal_simple_set"),
+        ("ideal_g1g2", "ideal_g1g2_lex"),
+        ("spurious_retire", "spurious_retire_mixed"),
+    ],
+    ids=["sum", "lex_basis", "mixed"],
 )
 def test_generating_sets_of_one_ideal_give_the_same_solutions(first, second):
     a, b = _solutions(_expand(first)), _solutions(_expand(second))

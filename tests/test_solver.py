@@ -112,6 +112,14 @@ class TestRationalRoots:
         assert roots == (F(1),)
         assert leftover == 0
 
+    def test_linear_polynomial_builds_no_sturm_chain(self, monkeypatch):
+        def no_chain(poly):
+            raise AssertionError("a linear polynomial needs no Sturm chain")
+
+        monkeypatch.setattr(solver, "_sturm_chain", no_chain)
+        assert rational_roots([F(-3, 4), F(1, 2)]) == ((F(3, 2),), 0)
+        assert rational_roots([0, 0, 5, -10]) == ((F(0), F(1, 2)), 0)
+
 
 BIG = 2**64
 
@@ -294,6 +302,13 @@ class TestTorusSolutions:
             yp((2, (1, 0)), (-1, (0, 1))),  # y2 = 2 y1
         ],
         [yp((1, (3,)), (-1, (1,)))],  # y(y-1)(y+1)
+        # linear: one echelon pass, no Groebner basis
+        [yp((1, (1, 0)), (1, (0, 1)), (-1, (0, 0))), yp((1, (1, 0)), (-1, (0, 1)), (-2, (0, 0)))],
+        [
+            yp((1, (1, 0, 0)), (1, (0, 1, 0)), (1, (0, 0, 1)), (-1, (0, 0, 0))),
+            yp((2, (1, 0, 0)), (-1, (0, 1, 0)), (-2, (0, 0, 0))),
+            yp((-F(1, 2), (1, 0, 0)), (F(1, 2), (0, 0, 1)), (-F(1, 2), (0, 0, 0))),
+        ],  # (1/2, -1, 3/2)
     ]
 
     @pytest.mark.parametrize("system", FIXTURES)
@@ -355,3 +370,72 @@ def test_vanishes_matches_fraction_evaluation(case, plant):
     assert _vanishes(p, point) == (_value(p, point) == 0)
     if plant != "none":
         assert _vanishes(p, point)
+
+
+# A system of total degree at most one takes one echelon pass instead of the
+# Groebner walk; both must give the same solutions and flags.
+CASES = ("unique", "rank_deficient", "zero_coordinate", "inconsistent")
+
+
+@st.composite
+def _linear_systems(draw):
+    case = draw(st.sampled_from(CASES))
+    k = draw(st.integers(2 if case == "rank_deficient" else 1, 3))
+    point = draw(
+        st.lists(st.fractions(-3, 3, max_denominator=3).filter(bool), min_size=k, max_size=k)
+    )
+    if case == "zero_coordinate":
+        point[draw(st.integers(0, k - 1))] = F(0)
+    # a basis of the rows: unit lower triangular in permuted columns, one row
+    # short of full rank when rank deficient
+    rank = k - 1 if case == "rank_deficient" else k
+    cols = draw(st.permutations(range(k)))
+    small = st.integers(-2, 2)
+    basis_rows = []
+    for i in range(rank):
+        row = [0] * k
+        row[cols[i]] = 1
+        for j in range(i):
+            row[cols[j]] = draw(small)
+        basis_rows.append(row)
+
+    def combination():
+        mix = [draw(small) for _ in basis_rows]
+        return [sum(m * r[j] for m, r in zip(mix, basis_rows)) for j in range(k)]
+
+    rows = [[draw(st.integers(1, 3)) * a for a in row] for row in basis_rows]
+    inconsistent = case == "inconsistent"
+    rows += [combination() for _ in range(draw(st.integers(0, 4 - len(rows) - inconsistent)))]
+    consts = [-sum(a * x for a, x in zip(row, point)) for row in rows]
+    if inconsistent:  # a combination of the rows with another constant
+        rows.append(combination())
+        consts.append(-sum(a * x for a, x in zip(rows[-1], point)) + draw(small.filter(bool)))
+    unit = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    system = []
+    for row, const in zip(rows, consts):
+        scale = draw(st.sampled_from([1, -2, F(3, 5)]))
+        p = yp(*[(scale * a, e) for a, e in zip(row, unit)], (scale * const, (0,) * k))
+        if p:
+            system.append(p)
+    assume(system)
+    order = draw(st.permutations(range(len(system))))
+    return case, k, tuple(point), [system[i] for i in order]
+
+
+@seed(20261019)
+@settings(max_examples=200)
+@given(data=_linear_systems())
+def test_linear_systems_match_the_groebner_walk(data):
+    case, k, point, system = data
+    got = torus_solutions(system, k, max_pairs=0)  # the linear path spends no pairs
+    raw, dim, irr = solver._groebner_points([integer_dict(p) for p in system], k)
+    assert got.solutions == tuple(sorted(c for c in raw if all(c)))
+    assert (got.nonzero_dimensional, got.irrational_roots_detected) == (dim, irr)
+    want = {
+        "unique": ((point,), False),
+        "rank_deficient": ((), True),
+        "zero_coordinate": ((), False),
+        "inconsistent": ((), False),
+    }[case]
+    assert (got.solutions, got.nonzero_dimensional) == want
+    assert not got.irrational_roots_detected
