@@ -29,8 +29,10 @@ def main() -> int:
     ap.add_argument("--json", action="store_true", help="print full documents")
     args = ap.parse_args()
 
+    paths = sorted(PROBLEMS.glob("*.txt"))
+    width = max(len(path.name) for path in paths)
     worst = 0
-    for path in sorted(PROBLEMS.glob("*.txt")):
+    for path in paths:
         rc, out = capture(["run", str(path), "--json"])
         worst = max(worst, 0 if rc in (0, 2) else rc)
         if args.json:
@@ -43,8 +45,8 @@ def main() -> int:
             ("exact" if s["exact"] else "trunc") for s in doc["solutions"]
         )
         print(
-            "%-24s exit=%d solutions=%d [%s] dead=%d"
-            % (path.name, rc, n_sol, kinds, n_dead)
+            "%-*s exit=%d solutions=%d [%s] dead=%d"
+            % (width, path.name, rc, n_sol, kinds, n_dead)
         )
     return worst
 

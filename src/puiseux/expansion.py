@@ -49,7 +49,6 @@ from typing import Sequence
 
 from .lpoly import (
     LPoly,
-    active_set,
     primitive,
     ramify,
     set_y_zero,
@@ -101,7 +100,8 @@ class StepData:
 
     @property
     def active(self) -> tuple[int, ...]:
-        return active_set(self.eta)
+        """Indices whose weight is finite; the rest are retired coordinates."""
+        return tuple(i for i, e in enumerate(self.eta) if e is not None)
 
     @cached_property
     def dgamma(self) -> int:
@@ -245,8 +245,6 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     produced here; the driver detects it as exact termination.
     """
     info = ScanInfo()
-    if not branch.gens:
-        return [], info
     ny = branch.gens[0].ny
     active = sorted(set(range(ny)) - branch.retired)
     floor = branch.floor
@@ -353,8 +351,11 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
 
     Terminated branches become SeriesSolution entries (exact, or truncated
     with a residual certificate); branches with no valid continuation are
-    reported as DeadBranch diagnostics.  Identical solutions reached along
-    different paths are deduplicated.  Output order is deterministic.
+    reported as DeadBranch diagnostics.  No two solutions share a series:
+    step ``k`` of a trace sets the ``k``-th term of every active coordinate,
+    and a coordinate retired at step ``k`` keeps exactly ``k - 1`` terms, so
+    two traces that first differ at step ``k`` give different series, and
+    each branch is emitted once.  Output order is deterministic.
     """
     gens = tuple(gens)
     if not gens:
@@ -405,10 +406,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
                 )
             frontier.append(recenter(branch, sd, W))
 
-    unique: dict = {}
-    for s in solutions:
-        unique.setdefault(_coords_key(s.coords), s)
-    final = tuple(sorted(unique.values(), key=lambda s: _coords_key(s.coords)))
+    final = tuple(sorted(solutions, key=lambda s: _coords_key(s.coords)))
     dead_sorted = tuple(
         sorted(dead, key=lambda d: (d.step, tuple(t.sort_key() for t in d.trace)))
     )

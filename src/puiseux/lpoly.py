@@ -167,11 +167,6 @@ def primitive(f: LPoly) -> LPoly:
     return LPoly(f.nx, f.ny, tuple(Term(n, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
-def active_set(eta: Sequence[tuple | None]) -> tuple[int, ...]:
-    """Indices whose weight is finite; the rest are retired coordinates."""
-    return tuple(i for i, e in enumerate(eta) if e is not None)
-
-
 def term_value(W: WeightMatrix, eta: Sequence[tuple | None], term: Term) -> tuple | None:
     """Weighted value of one term; None if it touches a retired coordinate.
 

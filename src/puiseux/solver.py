@@ -5,10 +5,11 @@ A system of total degree at most one, which is what every step of a smooth
 branch gives, is solved by one echelon pass, ``values.add_row``: no
 solution when it is inconsistent, a positive-dimensional flag when its rank
 is below the number of variables, and otherwise its one point.  Any other
-system is triangularized with a reduced lex Groebner basis, the rational
-roots of the univariate eliminant at each level are found by
-isolate-round-verify, and roots are back-substituted, except at the last
-variable, where the reduced basis is the eliminant alone.  The real roots
+system is triangularized with a reduced lex Groebner basis (Buchberger's
+algorithm, then one interreduction pass), the rational roots of the
+univariate eliminant at each level are found by isolate-round-verify, and
+roots are back-substituted, except at the last variable, where the reduced
+basis is the eliminant alone.  The real roots
 are isolated exactly by Sturm bisection, each is rounded to the nearest
 multiple of 1/a_n (a_n the integer leading coefficient; every rational root
 is one), and that candidate is verified exactly; a linear eliminant is
@@ -140,6 +141,12 @@ def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
     S-polynomials and remainders are positive multiples of those of the
     monic elements, so the elements, their leading monomials, the pairs
     chosen and the budget spent are those of the monic computation.
+
+    The Groebner basis is then interreduced in one pass: each element is
+    reduced by the other nonzero ones.  It goes to zero when another leading
+    monomial divides its own, and the rest is still a basis; otherwise it
+    keeps its leading monomial.  Leading monomials never move, so a second
+    pass would change nothing, and the basis is never empty.
     """
     G = [_normal(p) for p in polys]
     pending = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
@@ -157,20 +164,12 @@ def _buchberger(polys: Sequence[dict], budget: list) -> list[dict]:
         if r:
             G.append(_normal(r))
             pending.update((k, len(G) - 1) for k in range(len(G) - 1))
-    # interreduce to the canonical reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            others = G[:i] + G[i + 1 :]
-            r = _reduce(G[i], [g for g in others if g]) if others else G[i]
-            r = _normal(r) if r else r
-            if r != G[i]:
-                G[i] = r
-                changed = True
-        G = [g for g in G if g]
-    G.sort(key=max)
-    return G
+    # one interreduction pass gives the reduced basis: leading monomials
+    # never move, so no later result makes an earlier one reducible again
+    for i in range(len(G)):
+        r = _reduce(G[i], [g for g in G[:i] + G[i + 1 :] if g])
+        G[i] = _normal(r) if r else r
+    return sorted((g for g in G if g), key=max)
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
@@ -364,28 +363,25 @@ def _linear_points(polys: Sequence[dict], k: int) -> tuple[list[tuple], bool]:
 def _groebner_points(
     polys: Sequence[dict], k: int, max_pairs: int = SOLVER_BUDGET
 ) -> tuple[list[tuple], bool, bool]:
-    """The rational solutions of integer dicts in ``k`` variables by the triangular walk.
+    """The rational solutions of integer dicts in ``k >= 1`` variables by the triangular walk.
 
     A reduced lex basis is computed at each level, the roots of its
     univariate eliminant in the last variable are substituted, and the walk
     goes on one level down.  At the last variable the reduced basis is the
     eliminant alone, so its roots are the solutions.  Returns the points,
     whether a level was positive dimensional and whether an eliminant kept
-    roots outside Q.
+    roots outside Q.  The walk is entered only for a system with a term of
+    degree at least two, so ``k >= 1``, and it recurses only from two
+    variables or more: zero variables go through ``_linear_points``.
     """
     budget = [max_pairs]
     flags = {"dim": False, "irr": False}
 
     def walk(polys: Sequence[dict], m: int) -> list[tuple]:
-        if m == 0:
-            return [] if polys else [()]
         if not polys:
             flags["dim"] = True
             return []
         G = _buchberger(polys, budget)
-        if not G:
-            flags["dim"] = True
-            return []
         if any(max(g) == (0,) * m for g in G):
             return []  # the ideal is the whole ring
         uni = next(

@@ -28,9 +28,10 @@ polynomials are brought to it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Sequence
 
 
 def canonical(x) -> int | Fraction:
@@ -86,6 +87,7 @@ def add_row(form: tuple, row: Sequence, n: int) -> tuple | None:
     return reduced + ((pivot, tuple(row)),)
 
 
+@dataclass(frozen=True, slots=True)
 class WeightMatrix:
     """Rational weight matrix with full column rank.
 
@@ -95,10 +97,10 @@ class WeightMatrix:
     Entries are stored in canonical form (see ``canonical``).
     """
 
-    __slots__ = ("rows",)
+    rows: tuple[tuple, ...]
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(canonical(x) for x in r) for r in rows)
+    def __post_init__(self):
+        rs = tuple(tuple(canonical(x) for x in r) for r in self.rows)
         if not rs or not rs[0]:
             raise ValueError("weight matrix must be nonempty")
         n = len(rs[0])
@@ -111,7 +113,7 @@ class WeightMatrix:
             form = add_row(form, r, n)
         if len(form) != n:
             raise ValueError("weight matrix must have full column rank")
-        self.rows = rs
+        object.__setattr__(self, "rows", rs)
 
     @property
     def n(self) -> int:
@@ -126,14 +128,3 @@ class WeightMatrix:
         if len(exp) != self.n:
             raise ValueError("exponent vector has wrong length")
         return tuple(sum(w * x for w, x in zip(row, exp)) for row in self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return "WeightMatrix(%r)" % (self.rows,)

@@ -655,3 +655,34 @@ def test_nonpositive_budget_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         replace(ExpandOptions(), **{field: value})
     assert getattr(ExpandOptions(**{field: 1}), field) == 1
+
+
+# Two traces that first differ at step k set different k-th terms, or retire
+# a coordinate at different lengths, so no two emitted branches share a
+# series; ``expand`` keeps every branch it emits.
+def _assert_distinct_series(res, where):
+    keys = [expansion._coords_key(s.coords) for s in res.solutions]
+    assert len(set(keys)) == len(keys), where
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_corpus_solutions_have_pairwise_distinct_series(positive_only):
+    for path in PROBLEMS:
+        spec = parse_problem(path.read_text())
+        for max_terms in range(1, 9):
+            opts = replace(spec.options, max_terms=max_terms, positive_only=positive_only)
+            _assert_distinct_series(expand(spec.gens, spec.weights, opts), (path.name, max_terms))
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_random_plane_curve_solutions_have_pairwise_distinct_series(positive_only):
+    rng = random.Random(20261019)
+    for _ in range(100):
+        support = [
+            (rng.randint(0, 5), rng.randint(0, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        f = LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
+        for max_terms in range(1, 7):
+            opts = ExpandOptions(max_terms=max_terms, max_branches=10**6, positive_only=positive_only)
+            _assert_distinct_series(expand([f], W1, opts), (support, max_terms))

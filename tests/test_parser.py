@@ -173,6 +173,12 @@ ERRORS = [
     ("weight 1/0", 4, 8, "zero denominator in '1/0'"),
     ("weight 1.5 0", 4, 9, "unexpected character '.'"),
     ("vars x3 $", 4, 9, "unexpected character '$'"),
+    ("opt max_terms 0", 4, 15, "max_terms needs a positive integer"),
+    ("opt max_branches 0", 4, 18, "max_branches needs a positive integer"),
+    ("opt max_terms 1/2", 4, 15, "max_terms needs a positive integer"),
+    ("opt positive_only maybe", 4, 19, "positive_only is true or false"),
+    ("opt bogus 3", 4, 5, "unknown option 'bogus'"),
+    ("opt max_terms", 4, 1, "expected: opt <name> <value>"),
 ]
 
 

@@ -100,3 +100,14 @@ def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path):
         "    11 %s" % path,
         "    11 total",
     ]
+
+
+def test_run_corpus_prints_one_aligned_line_per_problem():
+    done = _script("run_corpus.py")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    names = sorted(path.name for path in (ROOT / "problems").glob("*.txt"))
+    assert [line.split()[0] for line in lines] == names
+    width = max(map(len, names))
+    for line in lines:
+        assert line[width:].startswith(" exit="), line

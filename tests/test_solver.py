@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -204,12 +205,20 @@ def test_integer_sturm_chain_matches_fraction_division(coeffs, squared):
 # on Fraction dicts.  The solver's fraction-free elements are positive
 # multiples of the monic ones, so it chooses the same pairs: with any budget
 # it raises exactly when the reference does, after the same number of pairs.
+# Constant and monomial multiples of the system's own polynomials are
+# appended, so that interreduction meets elements that reduce to zero.
 @st.composite
 def _systems(draw):
     ny = draw(st.sampled_from([2, 3]))
-    term = st.tuples(st.fractions(-3, 3, max_denominator=3).filter(bool), st.tuples(*[st.integers(0, 2)] * ny))
-    polys = st.lists(term, min_size=1, max_size=4).map(lambda ts: yp(*ts)).filter(bool)
-    return draw(st.lists(polys, min_size=1, max_size=3))
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    mono = st.tuples(*[st.integers(0, 2)] * ny)
+    polys = st.lists(st.tuples(coeff, mono), min_size=1, max_size=4).map(lambda ts: yp(*ts)).filter(bool)
+    system = draw(st.lists(polys, min_size=1, max_size=3))
+    shift = st.tuples(*[st.integers(0, 1)] * ny)
+    extra = st.tuples(st.sampled_from(system), coeff, shift)
+    for p, c, m in draw(st.lists(extra, max_size=2)):
+        system.append({tuple(a + b for a, b in zip(k, m)): c * v for k, v in p.items()})
+    return system
 
 
 REFERENCE_CAP = 200
@@ -235,6 +244,18 @@ def test_fraction_free_basis_matches_the_fraction_reference(system):
         else:
             solver._buchberger(ints, left)
             assert left == [b - pairs]
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None)
+@given(system=_systems())
+def test_basis_elements_are_primitive_with_a_positive_leading_coefficient(system):
+    try:
+        got = basis(system, REFERENCE_CAP)
+    except BudgetExceeded:
+        assume(False)
+    for g in got:
+        assert gcd(*g.values()) == 1 and g[max(g)] > 0, g
 
 
 class TestTorusSolutions:
