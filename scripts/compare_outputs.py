@@ -9,8 +9,10 @@ its only ``PYTHONPATH``, runs ``puiseux run`` on every problem file at
 ``--plain``, and then ``puiseux check`` on each JSON document that a run
 printed.  The calls go through ``puiseux.cli.main`` in that one process
 (``main`` builds each call's options afresh).  A run is recorded as its
-arguments, exit code, stdout and stderr; the path of the temporary solution
-file is replaced by ``<solution>``.
+arguments, exit code, stdout and stderr.  In all of these a problem's path
+is replaced by ``<problems>/`` and its file name, and the path of the
+temporary solution file by ``<solution>``, so the digest does not depend on
+where the checkout or the problems live.
 
 Both checkouts read the same inputs: the ``problems/*.txt`` of PARENT, or
 the files given with ``--problem``.  The report prints one sha256 over all
@@ -39,28 +41,31 @@ from contextlib import redirect_stderr, redirect_stdout
 import puiseux
 from puiseux.cli import main
 
-def call(argv):
+def hide(text, subs):
+    for old, new in subs:
+        text = text.replace(old, new)
+    return text
+
+def call(argv, subs):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    return [argv, code, out.getvalue(), err.getvalue()]
+    return [[hide(a, subs) for a in argv], code, hide(out.getvalue(), subs), hide(err.getvalue(), subs)]
 
 problems, max_terms, formats = json.load(sys.stdin)
 runs = []
 with tempfile.TemporaryDirectory() as tmp:
     sol = os.path.join(tmp, "solution.json")
     for path in problems:
+        subs = [(path, "<problems>/" + os.path.basename(path)), (sol, "<solution>")]
         for k in max_terms:
             for fmt in formats:
-                run = call(["run", path, "--max-terms", str(k), fmt])
+                run = call(["run", path, "--max-terms", str(k), fmt], subs)
                 runs.append(run)
                 if fmt == "--json" and run[2]:
                     with open(sol, "w", encoding="utf-8") as fh:
                         fh.write(run[2])
-                    check = call(["check", path, sol])
-                    check[0] = ["check", path, "<solution>"]
-                    check[2:] = [s.replace(sol, "<solution>") for s in check[2:]]
-                    runs.append(check)
+                    runs.append(call(["check", path, sol], subs))
 json.dump({"package": puiseux.__file__, "runs": runs}, sys.stdout)
 """
 

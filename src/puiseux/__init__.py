@@ -11,7 +11,6 @@ from .expansion import (
     Branch,
     BranchBudgetExceeded,
     ExpandOptions,
-    MonotonicityError,
     StepData,
     denominator_lcm,
     expand,
@@ -25,7 +24,6 @@ from .lpoly import (
     set_y_zero,
     shift_y,
     substitute_y,
-    term_value,
     weighted_order,
 )
 from .problem import ProblemError, parse_problem, render_poly
@@ -41,7 +39,6 @@ __all__ = [
     "BudgetExceeded",
     "ExpandOptions",
     "LPoly",
-    "MonotonicityError",
     "ProblemError",
     "StepData",
     "WeightMatrix",
@@ -57,7 +54,6 @@ __all__ = [
     "shift_y",
     "starting_data",
     "substitute_y",
-    "term_value",
     "torus_solutions",
     "verify_residual",
     "weighted_order",

@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
-from .expansion import BranchBudgetExceeded, MonotonicityError, expand, verify_residual
+from .expansion import BranchBudgetExceeded, expand, verify_residual
 from .problem import (
     ProblemError,
     coords_from_obj,
@@ -144,7 +144,7 @@ def _cmd_run(args) -> int:
         opts = replace(opts, positive_only=False)
     try:
         result = expand(spec.gens, spec.weights, opts)
-    except (BranchBudgetExceeded, BudgetExceeded, MonotonicityError) as e:
+    except (BranchBudgetExceeded, BudgetExceeded) as e:
         print("puiseux: %s" % e, file=sys.stderr)
         return 1
     doc = run_document(spec, result, opts)
@@ -202,7 +202,3 @@ def main(argv=None) -> int:
 
 def console_main():  # pragma: no cover
     raise SystemExit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    console_main()

@@ -61,12 +61,8 @@ from .tropical import candidate_etas, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
-class MonotonicityError(RuntimeError):
-    """A step's weights failed to strictly exceed the scaled previous weights."""
-
-
 class BranchBudgetExceeded(RuntimeError):
-    """The expansion spawned more branches than allowed."""
+    """The expansion took more steps than allowed: every recentering counts."""
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,10 @@ class StepData:
     tuple, or None where the weight is infinite), ``gamma`` the exponent rows
     solving ``W . gamma[i] = eta[i]`` (None exactly where the weight is
     infinite, entries canonical), and ``c`` the coefficients (zero exactly
-    on the retired coordinates).
+    on the retired coordinates).  The fields are kept as given: the scan
+    makes canonical rows and the solver ``Fraction`` coefficients.  A step
+    built by hand may use ``int``s, which compare, hash and print like the
+    integral ``Fraction``s.
     """
 
     eta: tuple[tuple | None, ...]
@@ -87,9 +86,6 @@ class StepData:
     def __post_init__(self):
         if not (len(self.eta) == len(self.gamma) == len(self.c)):
             raise ValueError("step data fields must have equal length")
-        object.__setattr__(self, "c", tuple(map(Fraction, self.c)))
-        gamma = tuple(None if g is None else tuple(map(canonical, g)) for g in self.gamma)
-        object.__setattr__(self, "gamma", gamma)
         for e, g, c in zip(self.eta, self.gamma, self.c):
             if e is None:
                 if g is not None or c != 0:
@@ -169,7 +165,13 @@ class Branch:
 
 @dataclass(frozen=True)
 class ExpandOptions:
-    """The budgets of one expansion; each must be at least 1."""
+    """The budgets of one expansion; each must be at least 1.
+
+    ``max_terms`` bounds the steps of a branch.  ``max_branches`` bounds the
+    expansion steps of the whole run: every recentering counts, a step that
+    continues a branch as well as one that starts a new branch, and the root
+    branch counts as one.
+    """
 
     max_terms: int = 6
     max_branches: int = 64
@@ -282,7 +284,9 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     retired coordinates are set to zero before the shift, which leaves them
     alone, so their terms are never shifted; a generator that this zeroes is
     dropped.  Each new generator is the primitive integer multiple that
-    ``shift_y`` returns.
+    ``shift_y`` returns.  A step that revives a retired coordinate, or whose
+    weights do not strictly exceed the branch floor, raises ``ValueError``;
+    ``starting_data`` returns no such step.
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
@@ -295,7 +299,7 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     if floor is not None:
         for i in act:
             if not data.eta[i] > floor[i]:
-                raise MonotonicityError(
+                raise ValueError(
                     "weights must strictly increase along a branch (coordinate %d)" % i
                 )
     k = data.dgamma
@@ -402,7 +406,7 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
             spawned += 1
             if spawned > opts.max_branches:
                 raise BranchBudgetExceeded(
-                    "more than %d branches; raise max_branches" % opts.max_branches
+                    "more than %d expansion steps; raise max_branches" % opts.max_branches
                 )
             frontier.append(recenter(branch, sd, W))
 

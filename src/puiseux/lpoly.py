@@ -23,10 +23,14 @@ off a residual is unchanged by that constant: supports, weighted orders and
 initial systems up to scale.  ``primitive`` brings any polynomial to the
 same form, with the integer normal form of ``values.primitive_ints``.
 
-The weighted value of a term is the tuple ``value(xexp) + sum(eta[i] *
-ydeg[i])``.  A coordinate with infinite weight (``None``) makes every term
-containing it infinite, while zero degrees contribute nothing regardless of
-the weight; the skip is explicit in ``term_value`` and ``weighted_order``.
+The weighted value of a term under ``W`` and the y-weights ``eta`` is the
+tuple ``W.xexp + sum(ydeg[i] * eta[i])``.  A coordinate with infinite
+weight (``None``) makes every term containing it infinite, while zero
+degrees contribute nothing regardless of the weight; ``weighted_order``
+skips such terms explicitly.
+
+``render_poly`` is the one polynomial printer: the output documents and
+``LPoly``'s repr (with the names ``x1..``, ``y1..``) use it.
 """
 
 from __future__ import annotations
@@ -85,15 +89,48 @@ class LPoly:
         return all(all(b == 0 for b in t.ydeg) for t in self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "LPoly(0)"
-        parts = []
-        for t in self.terms:
-            bits = [str(t.coeff)]
-            bits += ["x%d^%s" % (i, e) for i, e in enumerate(t.xexp) if e != 0]
-            bits += ["y%d^%s" % (i, b) for i, b in enumerate(t.ydeg) if b != 0]
-            parts.append("*".join(bits))
-        return "LPoly(%s)" % " + ".join(parts)
+        xs = ["x%d" % i for i in range(1, self.nx + 1)]
+        return "LPoly(%s)" % render_poly(self, xs, ["y%d" % i for i in range(1, self.ny + 1)])
+
+
+def _exp_str(name: str, e: str) -> str:
+    """``name`` raised to the nonzero exponent written ``e`` (a "p/q" string)."""
+    if e == "1":
+        return name
+    if "/" in e or e.startswith("-"):
+        return "%s^(%s)" % (name, e)
+    return "%s^%s" % (name, e)
+
+
+def _sum_str(terms) -> str:
+    """Signed sum of ``(coefficient string, factor strings)`` pairs, in the given order."""
+    out = ""
+    for coeff, factors in terms:
+        negative = coeff.startswith("-")
+        mag = coeff[1:] if negative else coeff
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([mag] + factors)
+        if out:
+            out += (" - " if negative else " + ") + body
+        else:
+            out = ("-" if negative else "") + body
+    return out or "0"
+
+
+def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str:
+    """Canonical, re-parseable text form of a polynomial."""
+    return _sum_str(
+        (
+            str(t.coeff),
+            [_exp_str(x_names[i], str(e)) for i, e in enumerate(t.xexp) if e != 0]
+            + [_exp_str(y_names[i], str(b)) for i, b in enumerate(t.ydeg) if b != 0],
+        )
+        for t in f.terms
+    )
 
 
 def _xden(polys: Iterable[LPoly]) -> int:
@@ -167,27 +204,13 @@ def primitive(f: LPoly) -> LPoly:
     return LPoly(f.nx, f.ny, tuple(Term(n, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
-def term_value(W: WeightMatrix, eta: Sequence[tuple | None], term: Term) -> tuple | None:
-    """Weighted value of one term; None if it touches a retired coordinate.
-
-    Zero degrees are skipped outright, so an infinite weight paired with a
-    zero degree contributes nothing.
-    """
-    v = W.value_of(term.xexp)
-    for b, e in zip(term.ydeg, eta):
-        if b:
-            if e is None:
-                return None
-            v = tuple(p + b * q for p, q in zip(v, e))
-    return v
-
-
 def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tuple | None:
     """Minimum weighted value over the support; None for the zero polynomial.
 
-    One pass over the terms, with the values of ``term_value``: a term with
-    a nonzero degree in a coordinate of infinite weight is skipped before
-    its value is computed.
+    One pass over the terms.  A term's value is ``W.xexp`` plus
+    ``ydeg[i] * eta[i]`` for each ``y_i`` it contains; a term with a nonzero
+    degree in a coordinate of infinite weight is skipped before its value is
+    computed.
     """
     rows = W.rows
     best = None

@@ -1,4 +1,4 @@
-"""Problem files, polynomial rendering, and the structured output document.
+"""Problem files and the structured output document.
 
 A problem file is line based:
 
@@ -21,7 +21,9 @@ from that dict.  A number ``p/q`` with ``q = 0`` is rejected at its token.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
-string "inf".  Emitting and re-reading a document is the identity.
+string "inf".  Generators and series are written by the printer of
+``lpoly`` (``render_poly``).  Emitting and re-reading a document is the
+identity.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .expansion import (
     SeriesSolution,
     StepData,
 )
-from .lpoly import LPoly, _product
+from .lpoly import LPoly, _exp_str, _product, _sum_str, render_poly
 from .values import WeightMatrix, canonical
 
 
@@ -318,46 +320,6 @@ def parse_problem(text: str) -> ProblemSpec:
         weights=W,
         gens=tuple(gens),
         options=opts,
-    )
-
-
-def _exp_str(name: str, e: str) -> str:
-    """``name`` raised to the nonzero exponent written ``e`` (a "p/q" string)."""
-    if e == "1":
-        return name
-    if "/" in e or e.startswith("-"):
-        return "%s^(%s)" % (name, e)
-    return "%s^%s" % (name, e)
-
-
-def _sum_str(terms) -> str:
-    """Signed sum of ``(coefficient string, factor strings)`` pairs, in the given order."""
-    out = ""
-    for coeff, factors in terms:
-        negative = coeff.startswith("-")
-        mag = coeff[1:] if negative else coeff
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([mag] + factors)
-        if out:
-            out += (" - " if negative else " + ") + body
-        else:
-            out = ("-" if negative else "") + body
-    return out or "0"
-
-
-def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str:
-    """Canonical, re-parseable text form of a polynomial."""
-    return _sum_str(
-        (
-            str(t.coeff),
-            [_exp_str(x_names[i], str(e)) for i, e in enumerate(t.xexp) if e != 0]
-            + [_exp_str(y_names[i], str(b)) for i, b in enumerate(t.ydeg) if b != 0],
-        )
-        for t in f.terms
     )
 
 

@@ -87,18 +87,21 @@ def staircases(
 ) -> tuple[tuple, ...]:
     """Each generator's floor-adjusted Newton staircase, for every ``lam`` at once.
 
-    The region of weights (see ``candidate_etas``) bounds a set of columns:
-    the coordinates where the floor is finite, or all of them.  For each
-    generator the result holds ``(term, W.xexp, y-support)`` for its terms of
-    zero degree outside the columns that can reach a minimum, in term order;
-    the y-support has bit ``i`` set when ``y_i`` occurs.  A term ``t`` is
-    dropped when another term ``s`` has y-degrees componentwise
-    at most those of ``t`` and a floor-adjusted value ``W.xexp + sum(ydeg[i]
-    * floor[i])`` below that of ``t``: strictly below when the weights range
-    over the closed region ``eta_i >= floor_i``, at most equal when they
-    range over the open region ``eta_i > floor_i``.  Either way ``t`` lies
-    strictly above ``s`` at every weight of the region.  Without a floor only
-    terms of equal y-degrees are compared.
+    For each generator the result holds ``(term, W.xexp, y-support)`` for its
+    terms that can reach a minimum in the region of weights (see
+    ``candidate_etas``), in term order; the y-support has bit ``i`` set when
+    ``y_i`` occurs.  A term ``t`` is dropped when another term ``s`` has
+    y-degrees componentwise at most those of ``t`` and a floor-adjusted
+    value ``W.xexp + sum(ydeg[i] * floor[i])`` below that of ``t``: strictly
+    below when the weights range over the closed region ``eta_i >=
+    floor_i``, at most equal when they range over the open region ``eta_i >
+    floor_i``.  Either way ``t`` lies strictly above ``s`` at every weight
+    of the region.  Without a floor only terms of equal y-degrees are
+    compared.  A coordinate whose floor is infinite is retired: it is never
+    in ``lam``, and ``restrict`` drops every term that carries it.  Such a
+    term can dominate only terms that carry the same coordinate, so its
+    floor-adjusted value, which counts that coordinate as zero, changes no
+    scan.
 
     Of two terms with equal y-degrees the lower one by ``W.xexp`` dominates
     the other in every mode (see ``restrict``), and dominance is transitive.
@@ -111,13 +114,8 @@ def staircases(
     floor-adjusted values of such terms do not depend on ``lam``.
     """
     low, closed = _region(gens[0].ny, W.d, positive_only, floor)
-    if low is None:
-        off, bounds = 0, None
-    else:
-        off = sum(1 << i for i, f in enumerate(low) if f is None)
-        # per value coordinate, the bound of every y (zero where infinite: no
-        # term of the staircase has such a y)
-        bounds = tuple(zip(*((0,) * W.d if f is None else f for f in low)))
+    # per value coordinate, the bound of every y (zero where infinite)
+    bounds = None if low is None else tuple(zip(*((0,) * W.d if f is None else f for f in low)))
     rows = W.rows
     out = []
     for g in gens:
@@ -130,8 +128,6 @@ def staircases(
         entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
         for xval, j, t in lowest.values():
             support = sum(1 << i for i, b in enumerate(t.ydeg) if b)
-            if support & off:
-                continue
             adj = xval
             if bounds is not None:
                 adj = tuple(v + sum(map(mul, t.ydeg, c)) for v, c in zip(xval, bounds))

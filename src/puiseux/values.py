@@ -122,9 +122,3 @@ class WeightMatrix:
     @property
     def d(self) -> int:
         return len(self.rows)
-
-    def value_of(self, exp: Sequence) -> tuple:
-        """The weighted value ``W.exp`` of an exponent vector."""
-        if len(exp) != self.n:
-            raise ValueError("exponent vector has wrong length")
-        return tuple(sum(w * x for w, x in zip(row, exp)) for row in self.rows)

@@ -17,7 +17,6 @@ from puiseux import (
     candidate_etas,
     expand,
     parse_problem,
-    term_value,
     torus_solutions,
     verify_residual,
     weighted_order,
@@ -37,6 +36,7 @@ from tutils import (
     naive_product,
     naive_sum,
     scan_etas,
+    term_value,
     vadd,
 )
 

@@ -289,18 +289,16 @@ def test_successive_main_calls_match_separate_processes(tmp_path, capsys):
         assert (rc, out) == (alone.returncode, alone.stdout)
 
 
-@pytest.mark.parametrize("module", ["puiseux", "puiseux.cli"])
 @pytest.mark.parametrize("stem, code", [("cusp", 0), ("irrational_branch", 2)])
-def test_module_entry_point_matches_main(stem, code, module, capsys):
-    """``python -m puiseux`` and ``python -m puiseux.cli`` print what ``main``
-    prints and exit with its code."""
+def test_module_entry_point_matches_main(stem, code, capsys):
+    """``python -m puiseux`` prints what ``main`` prints and exits with its code."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["run", str(PROBLEMS / (stem + ".txt")), "--json"]
     rc = main(argv)
     out = capsys.readouterr().out
     done = subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, "-m", "puiseux", *argv],
         capture_output=True,
         text=True,
         env=env,

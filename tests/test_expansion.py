@@ -14,7 +14,6 @@ from puiseux import (
     BudgetExceeded,
     ExpandOptions,
     LPoly,
-    MonotonicityError,
     StepData,
     WeightMatrix,
     denominator_lcm,
@@ -37,6 +36,7 @@ from tutils import (
     monomials_of,
     naive_scale,
     residual_order_reference,
+    value_of,
     vscale,
     xm,
     y_var,
@@ -68,7 +68,7 @@ class TestStepData:
             (((F(0), F(-1)), None), (F(5), F(0))),
         ]:
             eta = tuple(
-                None if g is None else W2.value_of(g) for g in gamma
+                None if g is None else value_of(W2, g) for g in gamma
             )
             d = StepData(eta, gamma, c)
             assert defining_data(monomials_of(d, 2), W2) == d
@@ -89,7 +89,7 @@ class TestStepData:
         # the tuple of {eta, gamma, c} evaluated at x^r equals the tuple of
         # {r*eta, r*gamma, c}
         gamma = ((F(1, 2), F(1)),)
-        d = StepData((W2.value_of(gamma[0]),), gamma, (F(2),))
+        d = StepData((value_of(W2, gamma[0]),), gamma, (F(2),))
         r = 3
         scaled = StepData(
             (vscale(d.eta[0], r),), ((F(3, 2), F(3)),), d.c
@@ -198,7 +198,7 @@ class TestRecenter:
         b = Branch((NODAL,))
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(ValueError, match="strictly increase"):
             recenter(nb, d, W1)
 
     def test_zero_coefficient_step_rejected_by_invariants(self):
@@ -529,7 +529,8 @@ RESIDUAL_WS = [
     WeightMatrix([[F(1, 2), 1], [1, -1]]),
     WeightMatrix([[2, 3], [1, 1], [0, 5]]),
 ]
-PROBLEMS = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.txt"))
+PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
+PROBLEMS = sorted(PROBLEMS_DIR.glob("*.txt"))
 
 
 def _assert_residuals_match(gens, W, res):
@@ -645,6 +646,101 @@ def test_branch_generators_are_primitive_integer_polynomials(monkeypatch):
     for g in seen:
         assert all(type(t.coeff) is int for t in g.terms)
         assert gcd(*(t.coeff for t in g.terms)) == 1
+
+
+def _scanned_corpus(monkeypatch, positive_only):
+    """The branches ``expand`` scans on the corpus at ``max_terms`` 1-6, and
+    the steps ``starting_data`` returns for them."""
+    branches, steps = [], []
+    real_scan = expansion.starting_data
+
+    def scanning(branch, W, opts):
+        out, info = real_scan(branch, W, opts)
+        branches.append(branch)
+        steps.extend(out)
+        return out, info
+
+    monkeypatch.setattr(expansion, "starting_data", scanning)
+    for path in PROBLEMS:
+        spec = parse_problem(path.read_text())
+        for max_terms in range(1, 7):
+            opts = replace(spec.options, max_terms=max_terms, positive_only=positive_only)
+            expand(spec.gens, spec.weights, opts)
+    return branches, steps
+
+
+def _retired_degrees(branch):
+    """The terms of the branch's generators with a positive degree in a retired coordinate."""
+    return [
+        t for g in branch.gens for t in g.terms if any(t.ydeg[i] for i in branch.retired)
+    ]
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_scanned_branches_and_their_steps_are_normalized(monkeypatch, positive_only):
+    """``StepData`` keeps its fields as given, so the scan and the solver must
+    hand it canonical rows and ``Fraction`` coefficients.  ``recenter``
+    zeroes the retired coordinates, so the scan never meets them, and
+    ``restrict`` is the only filter for coordinates outside ``lam``."""
+    branches, steps = _scanned_corpus(monkeypatch, positive_only)
+    assert steps and any(b.retired for b in branches)
+    for sd in steps:
+        assert all(type(c) is F for c in sd.c), sd
+        for row in sd.gamma:
+            if row is not None:
+                assert all(type(e) is int or e.denominator != 1 for e in row), sd
+    for b in branches:
+        assert not _retired_degrees(b), b.trace
+
+
+def test_the_retired_coordinate_check_sees_a_recenter_that_keeps_them(monkeypatch):
+    monkeypatch.setattr(expansion, "set_y_zero", lambda f, indices: f)
+    branches, _ = _scanned_corpus(monkeypatch, True)
+    assert any(_retired_degrees(b) for b in branches)
+
+
+def _solution_keys(res):
+    """The solutions up to the order of terms: each coordinate a sorted term
+    list, with exactness and ramification; the trace order follows ``W``."""
+    return sorted(
+        (tuple(tuple(sorted(c)) for c in s.coords), s.exact, s.ramification)
+        for s in res.solutions
+    )
+
+
+# The corollary of the paper for quasi-ordinary surfaces: when every
+# difference of two branches is a monomial times a unit, the branches are
+# power series in fractional powers of x and do not depend on the weight.
+QUASI_ORDINARY = {
+    "surface_sqrt": (PROBLEMS_DIR / "surface_sqrt.txt").read_text(),
+    "squared_cusp": "vars x1 x2 y1\nweight 1 0\nweight 0 1\n"
+    "gen (y1^2 - x1^3*x2^2)^2 - x1^7*x2^5\n",
+    "unit_difference": "vars x1 x2 y1\nweight 1 0\nweight 0 1\n"
+    "gen (y1 - x1 - x2)*(y1 - x1 + x2^2)\n",
+}
+# y1 = x1*(1 + x2^3/x1^2)^(1/2): the difference of its branches is no
+# monomial times a unit, and its expansion depends on the weight.
+NOT_QUASI_ORDINARY = "vars x1 x2 y1\nweight 1 0\nweight 0 1\ngen y1^2 - x1^2 - x2^3\n"
+GENERIC_WS = [W2, WeightMatrix([[1, 1], [0, 1]]), WeightMatrix([[2, 1], [1, 3]])]
+
+
+def _keys_per_weight(text, max_terms):
+    spec = parse_problem(text)
+    opts = replace(spec.options, max_terms=max_terms)
+    return [_solution_keys(expand(spec.gens, W, opts)) for W in GENERIC_WS]
+
+
+@pytest.mark.parametrize("max_terms", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(QUASI_ORDINARY))
+def test_quasi_ordinary_solutions_do_not_depend_on_the_weight(name, max_terms):
+    keys = _keys_per_weight(QUASI_ORDINARY[name], max_terms)
+    assert keys[0]
+    assert keys[1] == keys[0] and keys[2] == keys[0]
+
+
+def test_the_weight_check_sees_a_surface_that_is_not_quasi_ordinary():
+    keys = _keys_per_weight(NOT_QUASI_ORDINARY, 4)
+    assert keys[0] and (keys[1] != keys[0] or keys[2] != keys[0])
 
 
 @pytest.mark.parametrize("field", ["max_terms", "max_branches", "solver_budget"])

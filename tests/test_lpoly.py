@@ -13,7 +13,6 @@ from puiseux import (
     set_y_zero,
     shift_y,
     substitute_y,
-    term_value,
     weighted_order,
 )
 from puiseux.lpoly import _product
@@ -31,6 +30,7 @@ from tutils import (
     naive_sum,
     primitive,
     small_rats,
+    term_value,
     vadd,
     vscale,
     x_var,
@@ -68,6 +68,11 @@ class TestArithmetic:
         assert [(type(t.coeff), t.coeff) for t in f.terms] == [(int, 3), (int, 1), (F, third)]
         parsed = parse_gen("3*y1 - (1/2)*x1 - (3/2)*x1")
         assert [type(t.coeff) for t in parsed.terms] == [int, int]
+
+    def test_repr_is_the_rendered_polynomial(self):
+        f = lp(2, 2, (F(-1, 2), (F(3, 2), 0), (0, 2)), (1, (0, -1), (1, 0)))
+        assert repr(f) == "LPoly(x2^(-1)*y1 - 1/2*x1^(3/2)*y2^2)"
+        assert repr(LPoly(1, 1)) == "LPoly(0)"
 
     def test_negative_ydeg_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ given generators, not from the initial ideal of the ideal they generate.
 So the answer can depend on the generating set, a false truncation can be
 emitted, and a first step can retire a coordinate on which no branch lies.
 Each test below states the right answer; it passes once the expansion
-works with the ideal, and the strict xfail then fails to say so.
+works with the ideal, and the strict xfail then fails to say so.  The
+extension test runs on every problem file, and its strict xfails name the
+problems on which a truncation does not extend today.
 """
 
 from dataclasses import replace
@@ -67,3 +69,31 @@ def test_no_first_step_retires_a_coordinate_without_branches():
     res = _expand("spurious_retire")
     traces = [s.trace for s in res.solutions] + [d.trace for d in res.dead_branches]
     assert all(t[0].eta[2] is not None for t in traces if t)
+
+
+# Problems with a truncation that is neither exact nor the start of a
+# solution two terms further: the false truncation, and a first step that
+# retires a coordinate without the ideal's consent.
+NO_EXTENSION = {"false_truncation", "ideal_g1g2_lex", "spurious_retire", "spurious_retire_mixed"}
+
+
+@pytest.mark.parametrize(
+    "stem",
+    [
+        pytest.param(
+            p.stem,
+            marks=pytest.mark.xfail(strict=True, reason="a truncation that does not extend")
+            if p.stem in NO_EXTENSION
+            else (),
+        )
+        for p in sorted(PROBLEMS.glob("*.txt"))
+    ],
+)
+def test_every_corpus_truncation_extends_two_terms_further(stem):
+    # the spurious_* systems are the slowest; 7 terms cover their failures
+    for d in range(1, 6 if stem.startswith("spurious_") else 7):
+        longer = _expand(stem, d + 2).solutions
+        for s in _expand(stem, d).solutions:
+            assert s.exact or any(t.trace[: len(s.trace)] == s.trace for t in longer), (
+                "%d-term truncation %s is no prefix of a %d-term solution" % (d, s.coords, d + 2)
+            )

@@ -48,6 +48,18 @@ def test_compare_outputs_of_a_checkout_with_itself():
     assert "(12 runs)" in lines[0]
 
 
+def test_compare_outputs_digest_does_not_depend_on_where_the_problems_live(tmp_path):
+    digests = set()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        problem = tmp_path / name / "cusp.txt"
+        problem.write_text((ROOT / "problems" / "cusp.txt").read_text())
+        done = _script("compare_outputs.py", ROOT, ROOT, "--problem", problem)
+        assert done.returncode == 0, done.stderr
+        digests.update(line.split("sha256 ")[1].split()[0] for line in done.stdout.splitlines()[:2])
+    assert len(digests) == 1
+
+
 def test_compare_outputs_names_the_first_differing_run():
     spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPTS / "compare_outputs.py")
     mod = importlib.util.module_from_spec(spec)

@@ -17,7 +17,6 @@ from puiseux import (
     parse_problem,
     recenter,
     starting_data,
-    term_value,
 )
 from puiseux import tropical
 from puiseux.solver import SOLVER_BUDGET
@@ -35,6 +34,8 @@ from tutils import (
     lp,
     naive_sum,
     scan_etas,
+    term_value,
+    value_of,
     y_var,
 )
 
@@ -238,7 +239,7 @@ def test_step_data_is_sound_under_general_weights(W, gens):
     for branch, steps in branches:
         for sd in steps:
             for e, g in zip(sd.eta, sd.gamma):
-                assert (g is None) if e is None else W.value_of(g) == e
+                assert (g is None) if e is None else value_of(W, g) == e
             assert is_prevariety_point(branch.gens, W, sd.eta)
             if all(sd.c[i] in GRID for i in sd.active):
                 on_grid += 1
@@ -291,7 +292,7 @@ def _check_against_brute(gens, W, lam, positive_only, floor):
     for c in scan.candidates:
         assert c.system == initial_system(gens, W, c.eta)
         for i in lam:
-            assert W.value_of(c.gamma[i]) == c.eta[i]
+            assert value_of(W, c.gamma[i]) == c.eta[i]
 
 
 @seed(20261018)
@@ -356,7 +357,7 @@ def _gens_through_a_point(draw, W, ny, lam):
     if draw(st.booleans()):
         rows = st.tuples(*[st.fractions(0, 2, max_denominator=2).filter(bool)] * W.n)
         gamma = [draw(rows) if i in lam else None for i in range(ny)]
-        eta = [None if g is None else W.value_of(g) for g in gamma]
+        eta = [None if g is None else value_of(W, g) for g in gamma]
         ydegs = st.tuples(*[st.integers(0, 3) if i in lam else st.just(0) for i in range(ny)])
         planted = []
         for g in gens:

@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import hypothesis.strategies as st
 
-from puiseux import LPoly, StepData, WeightMatrix, term_value, weighted_order
+from puiseux import LPoly, StepData, WeightMatrix, weighted_order
 from puiseux.values import canonical
 
 
@@ -33,6 +33,28 @@ def y_var(nx, ny, i, power=1):
 def xm(nx, ny, coeff, *exp):
     """Single x-monomial."""
     return lp(nx, ny, (coeff, tuple(Fraction(e) for e in exp), (0,) * ny))
+
+
+def value_of(W, exp):
+    """The weighted value ``W.exp`` of an exponent vector."""
+    if len(exp) != W.n:
+        raise ValueError("exponent vector has wrong length")
+    return tuple(sum(w * x for w, x in zip(row, exp)) for row in W.rows)
+
+
+def term_value(W, eta, term):
+    """Weighted value of one term; None if it touches a retired coordinate.
+
+    Zero degrees are skipped outright, so an infinite weight paired with a
+    zero degree contributes nothing.
+    """
+    v = value_of(W, term.xexp)
+    for b, e in zip(term.ydeg, eta):
+        if b:
+            if e is None:
+                return None
+            v = tuple(p + b * q for p, q in zip(v, e))
+    return v
 
 
 def identity(n):
@@ -80,7 +102,7 @@ def defining_data(monomials, W):
         if len(m.terms) != 1 or any(b != 0 for b in m.terms[0].ydeg):
             raise ValueError("defining data needs x-monomial (or zero) entries")
         t = m.terms[0]
-        etas.append(W.value_of(t.xexp))
+        etas.append(value_of(W, t.xexp))
         gammas.append(t.xexp)
         cs.append(t.coeff)
     return StepData(tuple(etas), tuple(gammas), tuple(cs))
@@ -169,7 +191,7 @@ def lower_terms(restricted, W, lam, floor, closed):
     """
     entries = []  # (term, W.xexp, lam-degrees, floor-adjusted value)
     for t in restricted:
-        xval = W.value_of(t.xexp)
+        xval = value_of(W, t.xexp)
         degs = tuple(t.ydeg[i] for i in lam)
         adj = xval
         if floor is not None:
