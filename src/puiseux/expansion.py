@@ -31,11 +31,12 @@ residual order is read off the recentered generators (``residual_order``)
 only for a truncation that is emitted.  ``verify_residual``
 substitutes a series into the original generators independently
 (``substitute_y``, a positive multiple of each residual, whose order is the
-residual's); ``puiseux check`` runs it.  Branches with no continuation are
-reported, not silently dropped: over Q a candidate can genuinely die, for
-instance when its coefficient system has only irrational roots.  A dead
-branch carries the ``ScanInfo`` of its last scan, and its step is the
-length of its trace.
+residual's); it hands the series over as the per-coordinate term lists of
+``SeriesSolution.coords``, unchanged, and ``puiseux check`` runs it.
+Branches with no continuation are reported, not silently dropped: over Q a
+candidate can genuinely die, for instance when its coefficient system has
+only irrational roots.  A dead branch carries the ``ScanInfo`` of its last
+scan, and its step is the length of its trace.
 """
 from __future__ import annotations
 
@@ -335,14 +336,13 @@ def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
 def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> tuple | None:
     """Order of the worst generator residual after substituting the series.
 
-    Independent of any expansion.  Returns None (infinity) exactly when every
-    residual is the zero polynomial, which certifies the (truncated) series
-    as an exact solution.
+    ``coords`` holds one ``(c, exponent)`` term list per y, as in
+    ``SeriesSolution.coords``.  Independent of any expansion.  Returns None
+    (infinity) exactly when every residual is the zero polynomial, which
+    certifies the (truncated) series as an exact solution.
     """
-    nx, ny = gens[0].nx, gens[0].ny
-    series = [LPoly.from_terms(nx, ny, [(c, e, (0,) * ny) for c, e in coord]) for coord in coords]
-    eta_inf = (None,) * ny
-    orders = [weighted_order(substitute_y(g, series), W, eta_inf) for g in gens]
+    eta_inf = (None,) * gens[0].ny
+    orders = [weighted_order(substitute_y(g, coords), W, eta_inf) for g in gens]
     return min((o for o in orders if o is not None), default=None)
 
 

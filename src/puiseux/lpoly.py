@@ -15,19 +15,23 @@ residual (``substitute_y``) and the problem parser's products use it.  The
 substitution runs on integers: each operand is read as integer numerators
 over the lcm of its coefficient denominators, with its x-exponents scaled by
 their common denominator to ``int``s, and the inner loops multiply and add
-``int``s only.  The kernel has one finisher: it divides the numerators of
-the sum by their gcd, so both substitutions return the primitive integer
-multiple of the exact polynomial, which differs from it by a positive
-constant.  Everything read off a branch's generators (``expansion``) and
-off a residual is unchanged by that constant: supports, weighted orders and
-initial systems up to scale.  ``primitive`` brings any polynomial to the
-same form, with the integer normal form of ``values.primitive_ints``.
+``int``s only.  ``shift_y`` builds its binomial images that way, and
+``substitute_y`` reads each series from its ``(c, exponent)`` term list, the
+form ``expansion`` and the solution reader already hold, leaving repeated
+exponents and zero coefficients for the kernel to sum.  The kernel has one
+finisher: it divides the numerators of the sum by their gcd, so both
+substitutions return the primitive integer multiple of the exact
+polynomial, which differs from it by a positive constant.  Everything read
+off a branch's generators (``expansion``) and off a residual is unchanged by
+that constant: supports, weighted orders and initial systems up to scale.
+``primitive`` brings any polynomial to the same form, with the integer
+normal form of ``values.primitive_ints``.
 
 The weighted value of a term under ``W`` and the y-weights ``eta`` is the
 tuple ``W.xexp + sum(ydeg[i] * eta[i])``.  A coordinate with infinite
 weight (``None``) makes every term containing it infinite, while zero
 degrees contribute nothing regardless of the weight; ``weighted_order``
-skips such terms explicitly.
+skips such terms before computing a value.
 
 ``render_poly`` is the one polynomial printer: the output documents and
 ``LPoly``'s repr (with the names ``x1..``, ``y1..``) use it.
@@ -85,9 +89,6 @@ class LPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_x_only(self) -> bool:
-        return all(all(b == 0 for b in t.ydeg) for t in self.terms)
-
     def __repr__(self):
         xs = ["x%d" % i for i in range(1, self.nx + 1)]
         return "LPoly(%s)" % render_poly(self, xs, ["y%d" % i for i in range(1, self.ny + 1)])
@@ -133,10 +134,9 @@ def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str
     )
 
 
-def _xden(polys: Iterable[LPoly]) -> int:
-    """The least common denominator of every x-exponent of ``polys``."""
-    dens = (e.denominator for f in polys for t in f.terms for e in t.xexp if type(e) is not int)
-    return lcm(*dens)
+def _xden(f: LPoly) -> int:
+    """The least common denominator of every x-exponent of ``f``."""
+    return lcm(*(e.denominator for t in f.terms for e in t.xexp if type(e) is not int))
 
 
 def _key(xexp: tuple, xden: int) -> tuple[int, ...]:
@@ -144,25 +144,6 @@ def _key(xexp: tuple, xden: int) -> tuple[int, ...]:
     return tuple(
         e * xden if type(e) is int else e.numerator * (xden // e.denominator) for e in xexp
     )
-
-
-def _numerators(f: LPoly, xden: int) -> tuple[int, list]:
-    """``f`` as integer numerators over one denominator.
-
-    Returns ``(d, items)``: ``d`` is the lcm of the coefficient denominators
-    and ``items`` has one ``(key, coeff * d)`` pair per term, where ``key`` is
-    the term's x-exponents times ``xden`` followed by its y-degrees.  With
-    ``xden`` 1 the exponents are ``int``s already and are used as they are.
-    """
-    d = lcm(*(t.coeff.denominator for t in f.terms))
-    items = [
-        (
-            (t.xexp if xden == 1 else _key(t.xexp, xden)) + t.ydeg,
-            t.coeff.numerator * (d // t.coeff.denominator),
-        )
-        for t in f.terms
-    ]
-    return d, items
 
 
 def _product(p: Iterable, q: Sequence) -> dict:
@@ -178,9 +159,10 @@ def _from_numerators(nx: int, ny: int, acc: dict, xden: int) -> LPoly:
     """The kernel's finisher: the primitive integer polynomial with the numerators ``acc``.
 
     The nonzero numerators are divided by their gcd, so the result is a
-    positive multiple of the sum.  Keys are as in ``_numerators``.  They are
-    sorted as integers, which is the canonical order, and turned back into
-    canonical exponents once each.
+    positive multiple of the sum.  A key is a term's x-exponents times
+    ``xden`` followed by its y-degrees, all ``int``s.  Keys are sorted as
+    integers, which is the canonical order, and turned back into canonical
+    exponents once each.
     """
     g = gcd(*acc.values())
     terms = []
@@ -208,24 +190,25 @@ def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tu
     """Minimum weighted value over the support; None for the zero polynomial.
 
     One pass over the terms.  A term's value is ``W.xexp`` plus
-    ``ydeg[i] * eta[i]`` for each ``y_i`` it contains; a term with a nonzero
-    degree in a coordinate of infinite weight is skipped before its value is
-    computed.
+    ``ydeg[i] * eta[i]`` for each ``y_i`` it contains; ``eta`` is split into
+    its infinite and finite coordinates once, and a term with a nonzero
+    degree in an infinite one is skipped before its value is computed.
     """
     rows = W.rows
+    infinite = [i for i, e in enumerate(eta) if e is None]
+    finite = [(i, e) for i, e in enumerate(eta) if e is not None]
     best = None
     for t in f.terms:
-        for b, e in zip(t.ydeg, eta):
-            if b and e is None:
-                break
-        else:
-            v = tuple(sum(map(mul, r, t.xexp)) for r in rows)
-            for b, e in zip(t.ydeg, eta):
-                if b:
-                    v = tuple(p + b * q for p, q in zip(v, e))
-            if best is None or v < best:
-                best = v
-    return best
+        yd = t.ydeg
+        if any(map(yd.__getitem__, infinite)):
+            continue
+        v = [sum(map(mul, r, t.xexp)) for r in rows]
+        for i, e in finite:
+            if yd[i]:
+                v = [p + yd[i] * q for p, q in zip(v, e)]
+        if best is None or v < best:
+            best = v
+    return None if best is None else tuple(best)
 
 
 def ramify(f: LPoly, k: int) -> LPoly:
@@ -244,9 +227,11 @@ def ramify(f: LPoly, k: int) -> LPoly:
 def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> dict:
     """Substitute ``y_i`` by the image ``bases[i]`` and expand exactly into one sum.
 
-    An image is given as ``_numerators`` returns it, ``(den_i, items_i)``,
-    and ``xden`` covers the x-exponents of ``f`` and of every image.  Returns
-    the sum as integer numerators over ``big``, keyed as in ``_numerators``.
+    An image is a pair ``(den_i, items_i)``: ``items_i`` holds ``(key,
+    numerator)`` pairs over the denominator ``den_i``, keyed as in
+    ``_from_numerators``, and may repeat a key or hold a zero numerator.
+    ``xden`` covers the x-exponents of ``f`` and of every image.  Returns
+    the sum as integer numerators over ``big``, keyed the same way.
     ``big`` is the lcm of the coefficient denominators of ``f`` times
     ``den_i ** maxdeg_i`` for every image, where ``maxdeg_i`` is the largest
     degree of ``y_i`` in ``f``; every term of ``f`` is scaled onto ``big`` by
@@ -299,7 +284,7 @@ def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
     nx, ny = f.nx, f.ny
     if len(shifts) != ny:
         raise ValueError("need one shift per y coordinate")
-    xden = lcm(_xden((f,)), *(e.denominator for s in shifts if s is not None for e in s[1]))
+    xden = lcm(_xden(f), *(e.denominator for s in shifts if s is not None for e in s[1]))
     zero = (0,) * (nx + ny)
     bases = []
     for i, s in enumerate(shifts):
@@ -320,20 +305,25 @@ def set_y_zero(f: LPoly, indices) -> LPoly:
     return LPoly(f.nx, f.ny, keep)
 
 
-def substitute_y(f: LPoly, series: Sequence[LPoly]) -> LPoly:
-    """Substitute ``y_i -> series[i]`` for x-only polynomials ``series``.
+def substitute_y(f: LPoly, coords: Sequence[Sequence[tuple]]) -> LPoly:
+    """Substitute ``y_i`` by the series ``coords[i]``, a sequence of ``(c, exponent)`` terms.
 
+    The terms are read straight into integer numerators; a repeated
+    exponent, a zero coefficient or an empty series is summed by the kernel.
     Returns the primitive integer multiple of the residual polynomial in the
     x variables: the exact residual times a positive constant, with the same
     support and weighted orders.
     """
-    if len(series) != f.ny:
-        raise ValueError("need one substitute per y coordinate")
-    for s in series:
-        if s.nx != f.nx or s.ny != f.ny:
-            raise ValueError("substitute lives in a different ring")
-        if not s.is_x_only():
-            raise ValueError("substituted series must not contain y variables")
-    xden = _xden((f, *series))
-    acc = _substitute(f, [_numerators(s, xden) for s in series], xden)
-    return _from_numerators(f.nx, f.ny, acc, xden)
+    nx, ny = f.nx, f.ny
+    if len(coords) != ny:
+        raise ValueError("need one series per y coordinate")
+    if any(len(e) != nx for coord in coords for _, e in coord):
+        raise ValueError("series exponent arity does not match the polynomial ring")
+    xden = lcm(_xden(f), *(q.denominator for coord in coords for _, e in coord for q in e))
+    ypad = (0,) * ny
+    bases = []
+    for coord in coords:
+        d = lcm(*(c.denominator for c, _ in coord))
+        items = [(_key(e, xden) + ypad, c.numerator * (d // c.denominator)) for c, e in coord]
+        bases.append((d, items))
+    return _from_numerators(nx, ny, _substitute(f, bases, xden), xden)

@@ -358,19 +358,38 @@ def solution_obj(sol: SeriesSolution, y_names: Sequence[str]) -> dict:
     }
 
 
-def coords_from_obj(obj: dict, nx: int, ny: int):
-    """Rebuild per-coordinate term lists from a solution object."""
+# a rational as ``solution_obj`` writes it: ``p`` or ``p/q`` with ASCII digits, ``q`` nonzero
+_NUMBER = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def _number(text) -> int | Fraction:
+    if type(text) is not str or not _NUMBER.fullmatch(text):
+        raise ValueError("%r is not a rational written p or p/q" % (text,))
+    return _rational(text)
+
+
+def coords_from_obj(obj: dict, nx: int, y_names: Sequence[str]):
+    """Rebuild per-coordinate term lists from a solution object.
+
+    Reads only what ``solution_obj`` writes: one coordinate per y, named as
+    in ``y_names`` and in that order, each exponent a list of ``nx`` entries,
+    and every coefficient and exponent entry a ``p`` or ``p/q`` string.
+    Anything else raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    """
+    entries = obj["coordinates"]
+    if len(entries) != len(y_names):
+        raise ValueError("solution coordinate count does not match the problem")
     coords = []
-    for entry in obj["coordinates"]:
+    for entry, name in zip(entries, y_names):
+        if entry["name"] != name:
+            raise ValueError("coordinate %r is not the problem's %r" % (entry["name"], name))
         terms = []
         for t in entry["terms"]:
-            exp = tuple(Fraction(e) for e in t["exponent"])
-            if len(exp) != nx:
-                raise ValueError("solution exponent arity does not match the problem")
-            terms.append((Fraction(t["coefficient"]), exp))
+            exp = t["exponent"]
+            if type(exp) is not list or len(exp) != nx:
+                raise ValueError("exponent %r is not a list of %d numbers" % (exp, nx))
+            terms.append((_number(t["coefficient"]), tuple(map(_number, exp))))
         coords.append(tuple(terms))
-    if len(coords) != ny:
-        raise ValueError("solution coordinate count does not match the problem")
     return tuple(coords)
 
 

@@ -11,9 +11,10 @@ from hypothesis import given, seed
 
 from puiseux import ProblemError, expand, parse_problem, render_poly
 from puiseux.cli import json_text, main
-from puiseux.problem import run_document
+from puiseux.problem import run_document, val_str
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParser:
@@ -227,6 +228,75 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("puiseux: ") and "malformed" in err
+
+    def _check_edited(self, tmp_path, capsys, stem, edit):
+        """``check`` on the golden ``run`` document of ``stem`` with solution 1 edited."""
+        doc = json.loads((GOLDEN / (stem + ".json")).read_text())
+        edit(doc["solutions"][0])
+        sol_file = tmp_path / "edited.json"
+        sol_file.write_text(json.dumps(doc))
+        rc = main(["check", str(PROBLEMS / (stem + ".txt")), str(sol_file)])
+        return rc, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"coefficient": True, "exponent": [True]},
+            {"coefficient": 0.5},
+            {"coefficient": -1},
+            {"coefficient": " -1 "},
+            {"coefficient": "-1.0"},
+            {"coefficient": "-1e0"},
+            {"coefficient": "-\u0661"},  # ARABIC-INDIC DIGIT ONE
+            {"exponent": ["3/0"]},
+            {"exponent": "3"},
+            {"exponent": ["3/2", "0"]},
+        ],
+        ids=repr,
+    )
+    def test_numbers_are_read_only_as_run_writes_them(self, tmp_path, capsys, change):
+        def edit(sol):
+            sol["coordinates"][0]["terms"][0].update(change)
+
+        rc, (out, err) = self._check_edited(tmp_path, capsys, "cusp", edit)
+        assert (rc, out) == (1, "")
+        assert err.startswith("puiseux: solution 1 is malformed: ")
+
+    @pytest.mark.parametrize(
+        "stem, edit",
+        [
+            ("cusp", lambda sol: sol["coordinates"][0].update(name="zz")),
+            ("linear_chain", lambda sol: sol["coordinates"].reverse()),
+            ("linear_chain", lambda sol: sol["coordinates"].pop()),
+        ],
+        ids=["renamed", "swapped", "missing"],
+    )
+    def test_coordinates_are_named_in_y_order(self, tmp_path, capsys, stem, edit):
+        rc, (out, err) = self._check_edited(tmp_path, capsys, stem, edit)
+        assert (rc, out) == (1, "")
+        assert err.startswith("puiseux: solution 1 is malformed: ")
+
+    def test_an_equal_rational_written_otherwise_still_checks(self, tmp_path, capsys):
+        def edit(sol):
+            sol["coordinates"][0]["terms"][0].update(coefficient="-2/2", exponent=["6/4"])
+
+        rc, (out, _) = self._check_edited(tmp_path, capsys, "cusp", edit)
+        assert rc == 0
+        assert out.count("residual order infinity") == 2
+
+
+@pytest.mark.parametrize("doc", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_check_prints_the_residual_orders_of_the_run_document(doc, capsys):
+    """``run`` and ``check`` agree on every corpus document, solution by solution."""
+    sols = json.loads(doc.read_text())["solutions"]
+    rc = main(["check", str(PROBLEMS / (doc.stem + ".txt")), str(doc)])
+    orders = [s["residual_order"] for s in sols]
+    want = [
+        "solution %d: residual order %s" % (i, "infinity" if v == "inf" else val_str(v))
+        for i, v in enumerate(orders, start=1)
+    ]
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == (want or ["no solutions in file"])
 
 
 # strings with quotes, backslashes, control characters and non-ASCII

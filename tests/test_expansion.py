@@ -33,11 +33,16 @@ from tutils import (
     defining_data,
     identity,
     lp,
+    lpolys,
     monomials_of,
     naive_scale,
+    naive_substitute,
+    nonzero_rats,
     residual_order_reference,
+    series_terms,
     value_of,
     vscale,
+    xexps,
     xm,
     y_var,
 )
@@ -342,6 +347,20 @@ class TestVerify:
         )
         assert child_res is None and parent_res is None
 
+    @seed(20261019)
+    @settings(max_examples=60)
+    @given(
+        gens=st.lists(lpolys(2, 2, max_terms=4), min_size=2, max_size=2),
+        series=st.tuples(*[st.lists(st.tuples(nonzero_rats, xexps(2)), max_size=3)] * 2),
+    )
+    def test_matches_the_order_of_the_naive_substitution(self, gens, series):
+        """Fractional and negative exponents, a 2-row weight, two generators in two y."""
+        assume(not any(g.is_zero for g in gens))
+        W = WeightMatrix([[F(1, 2), 1], [1, -1]])
+        images = [lp(2, 2, *((c, e, (0, 0)) for c, e in s)) for s in series]
+        values = [value_of(W, t.xexp) for g in gens for t in naive_substitute(g, images).terms]
+        assert verify_residual(gens, series, W) == min(values, default=None)
+
 
 class TestSubstituteConsistency:
     def test_recentered_generators_match_direct_substitution(self):
@@ -350,9 +369,9 @@ class TestSubstituteConsistency:
         d = StepData(((1,),), ((F(1),),), (F(1),))
         nb = recenter(b, d, W1)
         t = xm(1, 1, F(1, 2), 2)
-        via_child = substitute_y(nb.gens[0], [t])
+        via_child = substitute_y(nb.gens[0], [series_terms(t)])
         s_plus_t = lp(1, 1, (1, (1,), (0,)), (F(1, 2), (2,), (0,)))
-        via_parent = substitute_y(NODAL, [s_plus_t])
+        via_parent = substitute_y(NODAL, [series_terms(s_plus_t)])
         assert via_child == via_parent
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, seed
+from hypothesis import example, given, seed
 
 from puiseux import (
     LPoly,
@@ -29,6 +29,7 @@ from tutils import (
     naive_substitute,
     naive_sum,
     primitive,
+    series_terms,
     small_rats,
     term_value,
     vadd,
@@ -197,18 +198,18 @@ class TestSubstitutions:
     def test_substitute_exact_root(self):
         f = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(1),), (0,)))  # y^2 - x
         s = x_var(1, 1, 0, power=F(1, 2))
-        assert substitute_y(f, [s]).is_zero
+        assert substitute_y(f, [series_terms(s)]).is_zero
 
     def test_substitute_zero_series(self):
         f = lp(1, 1, (1, (0,), (1,)), (-1, (1,), (0,)))  # y - x
-        got = substitute_y(f, [LPoly(1, 1)])
+        got = substitute_y(f, [[]])
         assert got == xm(1, 1, -1, 1)
 
     def test_substitute_truncation_residual(self):
         # y^2 - x^2 - x^3 at x + x^2/2 leaves exactly x^4/4
         f = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(2),), (0,)), (-1, (F(3),), (0,)))
         s = lp(1, 1, (1, (1,), (0,)), (F(1, 2), (2,), (0,)))
-        got = substitute_y(f, [s])
+        got = substitute_y(f, [series_terms(s)])
         assert got == primitive(naive_substitute(f, [s])) == xm(1, 1, 1, 4)
         assert weighted_order(got, W1, (None,)) == (4,)
 
@@ -252,7 +253,7 @@ class TestCanonicalExponents:
 
     def test_substitute_y(self):
         root = x_var(1, 1, 0, power=self.half)
-        got = substitute_y(y_var(1, 1, 0, power=2), [root])
+        got = substitute_y(y_var(1, 1, 0, power=2), [series_terms(root)])
         assert got == x_var(1, 1, 0)
         assert type(got.terms[0].xexp[0]) is int
 
@@ -270,6 +271,13 @@ def mixed_lpolys(nx, ny, max_terms=4, max_deg=2):
 
 
 X_ONLY = mixed_lpolys(2, 2, max_terms=3, max_deg=0)
+# series term lists over few exponents, so that exponents repeat, with zero coefficients
+UNMERGED = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), coprime_rats), st.sampled_from([(0, 0), (1, F(1, 2)), (F(-1, 3), 2)])
+    ),
+    max_size=5,
+)
 
 
 def shifts(nx, ny):
@@ -324,7 +332,7 @@ class TestKernelAgainstNaiveExpansion:
     @seed(20261018)
     @given(f=mixed_lpolys(2, 2, max_deg=3), series=st.tuples(*[X_ONLY] * 2))
     def test_substitute_y(self, f, series):
-        got = substitute_y(f, series)
+        got = substitute_y(f, [series_terms(s) for s in series])
         assert got == primitive(naive_substitute(f, series))
         assert all(type(t.coeff) is int for t in got.terms)
         assert_canonical_exponents(got)
@@ -343,7 +351,15 @@ class TestKernelAgainstNaiveExpansion:
             naive_product(naive_sum(y2, naive_scale(series[1], -1)), k),
         )
         assert naive_substitute(f, series).is_zero
-        assert substitute_y(f, series).is_zero
+        assert substitute_y(f, [series_terms(s) for s in series]).is_zero
+
+    @seed(20261019)
+    @given(f=mixed_lpolys(2, 2, max_deg=3), raw=st.tuples(*[UNMERGED] * 2))
+    @example(f=y_var(2, 2, 0), raw=([(1, (1, 0)), (-1, (1, 0)), (0, (0, 0))], []))
+    def test_substitute_sums_unmerged_term_lists(self, f, raw):
+        """Repeated exponents, zero coefficients and empty series give the merged residual."""
+        merged = [series_terms(LPoly.from_terms(2, 2, [(c, e, (0, 0)) for c, e in s])) for s in raw]
+        assert substitute_y(f, raw) == substitute_y(f, merged)
 
 
 ETAS2 = etas(2, 2)

@@ -265,6 +265,11 @@ def naive_substitute(f, images):
     return naive_sum(LPoly(f.nx, f.ny), *parts)
 
 
+def series_terms(s):
+    """The x-only polynomial ``s`` as the term list ``substitute_y`` reads."""
+    return [(t.coeff, t.xexp) for t in s.terms]
+
+
 small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 nonzero_rats = small_rats.filter(lambda q: q != 0)
 
