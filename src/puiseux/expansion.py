@@ -10,12 +10,16 @@ emitted.
 
 Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
-per solution: ramify so the new exponent rows become integral, retire
-coordinates whose weight went infinite by setting them to zero, and shift
-each active y by its new monomial.  ``expand`` first replaces each
-generator by its primitive integer multiple (``lpoly.primitive``), and
-``shift_y`` returns the primitive integer multiple of each shifted
-generator, so a branch's generators are primitive
+per solution.  A smooth plane branch skips the first two past its first
+step: with one y, one generator and a floor, when the staircase shows one
+edge of height one above the floor (``tropical.forced_step``), the step is
+that edge's weight and minus the ratio of its end coefficients, with the
+walk's diagnostics.  Recentering means: ramify so the new exponent rows
+become integral, retire coordinates whose weight went infinite by setting
+them to zero, and shift each active y by its new monomial.  ``expand``
+first replaces each generator by its primitive integer multiple
+(``lpoly.primitive``), and ``shift_y`` returns the primitive integer
+multiple of each shifted generator, so a branch's generators are primitive
 integer polynomials, each a positive constant times the exact recentered
 generator.  Nothing read off them depends on that constant: supports and
 staircases, weighted orders, and the initial systems, which the solver
@@ -58,7 +62,7 @@ from .lpoly import (
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
-from .tropical import candidate_etas, staircases
+from .tropical import candidate_etas, forced_step, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
@@ -244,8 +248,10 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     every subset's scan, which restricts them to its subset.  Candidates that tie at
     the floor without exceeding it are counted as ``rejected_increase``.
     Emits one StepData per rational torus solution of each candidate's
-    initial coefficient system.  The all-retired continuation is not
-    produced here; the driver detects it as exact termination.
+    initial coefficient system.  A branch whose step is forced
+    (``forced_step``) gets that one step and the ``ScanInfo`` the walk
+    would report, without a scan or a solve.  The all-retired continuation
+    is not produced here; the driver detects it as exact termination.
     """
     info = ScanInfo()
     ny = branch.gens[0].ny
@@ -253,6 +259,15 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     floor = branch.floor
     positive_only = opts.positive_only and floor is None
     stairs = staircases(branch.gens, W, positive_only, floor)
+    if floor is not None and ny == len(active) == len(stairs) == 1:
+        forced = forced_step(stairs[0], floor[0])
+        if forced is not None:
+            (c0, a0, _), (c1, b1, _), eta, tie = forced
+            c = Fraction(-c0, c1)
+            if c0 * c.denominator + c1 * c.numerator != 0:  # c0 + c1*c, cleared
+                raise AssertionError("forced step produced a non-root; this is a bug")
+            gamma = tuple(canonical(p - q) for p, q in zip(a0, b1))
+            return [StepData((eta,), (gamma,), (c,))], ScanInfo(1 + tie, int(tie))
     out: list[StepData] = []
     for size in range(1, len(active) + 1):
         for lam in combinations(active, size):

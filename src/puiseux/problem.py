@@ -368,28 +368,54 @@ def _number(text) -> int | Fraction:
     return _rational(text)
 
 
+def _malformed(obj, keys: tuple) -> ValueError:
+    """The error for a JSON value that is not an object with every one of ``keys``."""
+    if type(obj) is not dict:
+        return ValueError("%r is not an object" % (obj,))
+    return ValueError("missing field %r" % next(k for k in keys if k not in obj))
+
+
+def _list(value, key: str) -> list:
+    if type(value) is not list:
+        raise ValueError("field %r is not a list: %r" % (key, value))
+    return value
+
+
 def coords_from_obj(obj: dict, nx: int, y_names: Sequence[str]):
     """Rebuild per-coordinate term lists from a solution object.
 
     Reads only what ``solution_obj`` writes: one coordinate per y, named as
     in ``y_names`` and in that order, each exponent a list of ``nx`` entries,
     and every coefficient and exponent entry a ``p`` or ``p/q`` string.
-    Anything else raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    Anything else raises ``ValueError``, naming the missing field or the
+    entry that is not an object, a list or a number.  Only a JSON object
+    takes a ``str`` key, so a lookup that raises ``KeyError`` or
+    ``TypeError`` is what ``_malformed`` describes.
     """
-    entries = obj["coordinates"]
-    if len(entries) != len(y_names):
+    try:
+        entries = obj["coordinates"]
+    except (KeyError, TypeError):
+        raise _malformed(obj, ("coordinates",)) from None
+    if len(_list(entries, "coordinates")) != len(y_names):
         raise ValueError("solution coordinate count does not match the problem")
     coords = []
     for entry, name in zip(entries, y_names):
-        if entry["name"] != name:
-            raise ValueError("coordinate %r is not the problem's %r" % (entry["name"], name))
-        terms = []
-        for t in entry["terms"]:
-            exp = t["exponent"]
+        try:
+            got, terms = entry["name"], entry["terms"]
+        except (KeyError, TypeError):
+            raise _malformed(entry, ("name", "terms")) from None
+        if got != name:
+            raise ValueError("coordinate %r is not the problem's %r" % (got, name))
+        out = []
+        for t in _list(terms, "terms"):
+            try:
+                coeff, exp = t["coefficient"], t["exponent"]
+            except (KeyError, TypeError):
+                raise _malformed(t, ("coefficient", "exponent")) from None
             if type(exp) is not list or len(exp) != nx:
                 raise ValueError("exponent %r is not a list of %d numbers" % (exp, nx))
-            terms.append((_number(t["coefficient"]), tuple(map(_number, exp))))
-        coords.append(tuple(terms))
+            out.append((_number(coeff), tuple(map(_number, exp))))
+        coords.append(tuple(out))
     return tuple(coords)
 
 

@@ -229,6 +229,35 @@ class TestCheckCommand:
         assert rc == 1
         assert err.startswith("puiseux: ") and "malformed" in err
 
+    @pytest.mark.parametrize(
+        "solution, message",
+        [
+            (5, "5 is not an object"),
+            ({}, "missing field 'coordinates'"),
+            ({"coordinates": 7}, "field 'coordinates' is not a list: 7"),
+            ({"coordinates": [3]}, "3 is not an object"),
+            ({"coordinates": [{"terms": []}]}, "missing field 'name'"),
+            ({"coordinates": [{"name": "y1"}]}, "missing field 'terms'"),
+            ({"coordinates": [{"name": "y1", "terms": "1"}]}, "field 'terms' is not a list: '1'"),
+            ({"coordinates": [{"name": "y1", "terms": [[1]]}]}, "[1] is not an object"),
+            (
+                {"coordinates": [{"name": "y1", "terms": [{"exponent": ["1"]}]}]},
+                "missing field 'coefficient'",
+            ),
+            (
+                {"coordinates": [{"name": "y1", "terms": [{"coefficient": "1"}]}]},
+                "missing field 'exponent'",
+            ),
+        ],
+        ids=repr,
+    )
+    def test_a_malformed_solution_names_what_is_wrong(self, tmp_path, capsys, solution, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"solutions": [solution]}))
+        rc = main(["check", str(PROBLEMS / "cusp.txt"), str(bad)])
+        out, err = capsys.readouterr()
+        assert (rc, out, err) == (1, "", "puiseux: solution 1 is malformed: %s\n" % message)
+
     def _check_edited(self, tmp_path, capsys, stem, edit):
         """``check`` on the golden ``run`` document of ``stem`` with solution 1 edited."""
         doc = json.loads((GOLDEN / (stem + ".json")).read_text())

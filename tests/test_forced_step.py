@@ -1,0 +1,209 @@
+"""The forced step of a smooth plane branch against the candidate walk.
+
+``starting_data`` reads the step of a branch with one y, one generator and a
+floor off its staircase (``tropical.forced_step``) when the staircase shows
+that the walk's only candidate above the floor is the edge of its y-free and
+its y-degree-one entry.  Every test here runs the scan once as it is and once
+with that shortcut switched off, and asks for equal steps and equal
+``ScanInfo``; and it asks that the shortcut fires exactly when the walk finds
+that one edge.
+"""
+
+from contextlib import ExitStack
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+from unittest.mock import patch
+
+import hypothesis.strategies as st
+from hypothesis import assume, given, seed
+
+from puiseux import (
+    Branch,
+    BranchBudgetExceeded,
+    BudgetExceeded,
+    ExpandOptions,
+    LPoly,
+    StepData,
+    WeightMatrix,
+    candidate_etas,
+    expand,
+    parse_problem,
+    starting_data,
+)
+from puiseux import expansion
+from puiseux.tropical import forced_step, staircases
+from tutils import identity, lp
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+# Weight matrices per number of x variables: the identity, a negative weight,
+# a 2-row W on one x, and mixing and fractional ones on two.
+WS = {
+    1: [identity(1), WeightMatrix([[-1]]), WeightMatrix([[1], [F(1, 2)]])],
+    2: [
+        identity(2),
+        WeightMatrix([[1, 1], [0, 1]]),
+        WeightMatrix([[F(1, 2), 1], [1, -1]]),
+        WeightMatrix([[1, 2], [1, 0]]),
+    ],
+}
+
+
+def _walk_only(stair, floor):
+    return None
+
+
+def _scans_agree(branch, W, opts):
+    """The scan with and without the forced step, and the forced step's trigger."""
+    got = starting_data(branch, W, opts)
+    with patch.object(expansion, "forced_step", _walk_only):
+        walked = starting_data(branch, W, opts)
+    assert got == walked, branch
+    floor = branch.floor
+    if floor is None or branch.gens[0].ny != 1 or len(branch.gens) != 1 or floor[0] is None:
+        return False
+    # The walk finds exactly one candidate above the floor, at which only a
+    # y-free and a y-degree-one term are lowest: the forced step fires.
+    scan = candidate_etas(branch.gens, W, (0,), positive_only=False, floor=floor)
+    above = [c for c in scan.candidates if c.eta[0] > floor[0]]
+    edge = len(above) == 1 and set(above[0].system[0]) == {(0,), (1,)}
+    forced = forced_step(staircases(branch.gens, W, False, floor)[0], floor[0])
+    assert (forced is not None) == edge, branch
+    return edge
+
+
+def _expand_checked(gens, W, opts) -> tuple[int, int]:
+    """Expand, checking every scanned branch; the scans and the forced ones among them."""
+    scanned = forced = 0
+
+    def checked(branch, W, opts):
+        nonlocal scanned, forced
+        scanned += 1
+        forced += _scans_agree(branch, W, opts)
+        return starting_data(branch, W, opts)
+
+    with patch.object(expansion, "starting_data", checked):
+        try:
+            expand(gens, W, opts)
+        except (BranchBudgetExceeded, BudgetExceeded):
+            pass
+    return scanned, forced
+
+
+def test_forced_step_is_the_walks_step_on_the_corpus():
+    scanned = forced = 0
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        for max_terms in range(1, 11):
+            for positive_only in (True, False):
+                opts = replace(spec.options, max_terms=max_terms, positive_only=positive_only)
+                s, f = _expand_checked(spec.gens, spec.weights, opts)
+                scanned += s
+                forced += f
+    assert forced > 0 and scanned > forced
+
+
+@st.composite
+def _plane_curves(draw):
+    nx = draw(st.integers(1, 2))
+    exps = st.fractions(-2, 4, max_denominator=3)
+    term = st.tuples(
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        st.tuples(*[exps] * nx),
+        st.tuples(st.integers(0, draw(st.integers(1, 3)))),  # linear in y, too
+    )
+    g = LPoly.from_terms(nx, 1, draw(st.lists(term, min_size=2, max_size=6)))
+    assume(any(t.ydeg[0] for t in g.terms))
+    opts = ExpandOptions(max_terms=4, positive_only=draw(st.booleans()))
+    return g, draw(st.sampled_from(WS[nx])), opts
+
+
+@seed(20261020)
+@given(curve=_plane_curves())
+def test_forced_step_is_the_walks_step_on_random_plane_curves(curve):
+    g, W, opts = curve
+    _expand_checked([g], W, opts)
+
+
+@st.composite
+def _floored_branches(draw):
+    """One generator in one y above a floor ``F = W.gamma0``, built around a
+    y-degree-one term ``x^b1 y`` so that the cases of ``forced_step`` are
+    frequent: y^k terms ``x^(b1 - (k-1) gamma0) y^k``, which meet its bound
+    with equality; a y-free term ``x^(b1 + gamma0 + 2e)``, whose edge with
+    ``x^b1 y`` lies at the floor when ``e = 0``; and a second y-degree-one
+    term ``x^(b1 + e) y``, whose edge with the y-free term lies above the
+    floor when ``W.e > 0``, and which may come first in term order without
+    being the lowest by ``W``."""
+    nx = draw(st.integers(1, 2))
+    W = draw(st.sampled_from(WS[nx]))
+    coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    offset = st.one_of(st.none(), st.tuples(*[st.integers(-2, 2)] * nx))
+    gamma0 = draw(st.tuples(*[st.integers(-2, 3)] * nx))
+    exps = st.tuples(*[st.fractions(-3, 4, max_denominator=2)] * nx)
+    b1 = draw(exps)
+    terms = [(draw(coeff), b1, (1,))]
+    ydeg = st.tuples(st.integers(0, draw(st.integers(1, 3))))
+    terms += draw(st.lists(st.tuples(coeff, exps, ydeg), max_size=4))
+    for k in draw(st.lists(st.integers(2, 3), max_size=2)):
+        terms.append((draw(coeff), tuple(b - (k - 1) * g for b, g in zip(b1, gamma0)), (k,)))
+    e = draw(offset)
+    if e is not None:
+        terms.append((draw(coeff), tuple(b + g + 2 * f for b, g, f in zip(b1, gamma0, e)), (0,)))
+        if draw(st.booleans()):
+            terms.append((draw(coeff), tuple(b + f for b, f in zip(b1, e)), (1,)))
+    g = LPoly.from_terms(nx, 1, terms)
+    floor = tuple(sum(r * a for r, a in zip(row, gamma0)) for row in W.rows)
+    step = StepData((floor,), (gamma0,), (F(1),))
+    return Branch((g,), (step,)), W
+
+
+@seed(20261020)
+@given(branch=_floored_branches())
+def test_forced_step_is_the_walks_step_above_any_floor(branch):
+    b, W = branch
+    _scans_agree(b, W, ExpandOptions())
+
+
+def test_a_tie_at_the_floor_is_counted_as_the_walk_counts_it():
+    # y - x^2 + x^(-1) y^2 above the floor 1: the edge (1, y) is at eta = 2,
+    # and y^2 ties y at the floor itself, a candidate the strict increase rejects
+    g = lp(1, 1, (1, (0,), (1,)), (-1, (2,), (0,)), (1, (-1,), (2,)))
+    branch = Branch((g,), (StepData(((1,),), ((1,),), (F(1),)),))
+    assert _scans_agree(branch, identity(1), ExpandOptions())
+    steps, info = starting_data(branch, identity(1), ExpandOptions())
+    assert steps == [StepData(((2,),), ((2,),), (F(1),))]
+    assert (info.candidates, info.rejected_increase) == (2, 1)
+
+
+def _calls(name: str, max_terms: int = 17) -> dict:
+    """The layer calls of one ``expand`` of a corpus problem."""
+    spec = parse_problem((PROBLEMS / name).read_text())
+    counts = dict.fromkeys(("candidate_etas", "torus_solutions", "recenter"), 0)
+    with ExitStack() as stack:
+        for attr in counts:
+            def counted(*args, _fn=getattr(expansion, attr), _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            stack.enter_context(patch.object(expansion, attr, counted))
+        expand(spec.gens, spec.weights, replace(spec.options, max_terms=max_terms))
+    return counts
+
+
+def test_smooth_plane_branches_scan_only_at_the_root():
+    # two smooth branches of 17 terms: 34 recenterings, and of the 33 scans
+    # only the root's, the first step without a floor, takes the walk
+    for name in ("nodal_cubic.txt", "sqrt_factor.txt"):
+        assert _calls(name) == {"candidate_etas": 1, "torus_solutions": 1, "recenter": 34}
+
+
+def test_a_system_with_one_y_left_active_takes_the_walk():
+    # -3 - 3*y1 - 3*x2 and -6*y2: y2 retires at the first step, and the branch
+    # left has one active y and one generator, but its steps keep two
+    # coordinates, so only the walk can make them
+    gens = [lp(2, 2, (-3, (0, 0), (0, 0)), (-3, (0, 0), (1, 0)), (-3, (0, 1), (0, 0))),
+            lp(2, 2, (-6, (0, 0), (0, 1)))]
+    scanned, forced = _expand_checked(gens, identity(2), ExpandOptions(max_terms=3, positive_only=False))
+    assert scanned > 1 and forced == 0
