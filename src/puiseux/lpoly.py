@@ -1,25 +1,31 @@
 """Sparse Laurent-Puiseux polynomials: a canonical term store and the substitution kernel.
 
 Terms are ``c * x^a * y^b`` with rational x-exponents (negative and
-fractional allowed) and nonnegative integer y-degrees.  Every constructor,
-substitution and ``ramify`` stores a coefficient or an x-exponent as ``int``
-when it is integral and as ``Fraction`` only when not (``values.canonical``),
-so recentered generators keep canonical exponents for any input.
+fractional allowed) and nonnegative integer y-degrees.  The problem parser,
+both substitutions and ``ramify`` store a coefficient or an x-exponent as
+``int`` when it is integral and as ``Fraction`` only when not
+(``values.canonical``), so recentered generators keep canonical exponents
+for any input.
 Polynomials are kept in a canonical form, sorted by the plain tuple
 ``(xexp, ydeg)``, so equality and hashing are structural and independent of
 any weight.
 
 The only polynomial arithmetic is the y-substitution kernel and its product
-routine.  Recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i``), the
-residual (``substitute_y``) and the problem parser's products use it.  The
-substitution runs on integers: each operand is read as integer numerators
-over the lcm of its coefficient denominators, with its x-exponents scaled by
-their common denominator to ``int``s, and the inner loops multiply and add
-``int``s only.  ``shift_y`` builds its binomial images that way, and
-``substitute_y`` reads each series from its ``(c, exponent)`` term list, the
-form ``expansion`` and the solution reader already hold, leaving repeated
+routine; recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i``) and the
+residual (``substitute_y``) use it.  (The problem parser multiplies its own
+term dicts, whose exponents may still be fractions with unknown bounds.)
+The substitution runs on integers.  Each operand is read as integer
+numerators over the lcm of its coefficient denominators, and each exponent
+vector, its x-exponents scaled by their common denominator to ``int``s and
+then its y-degrees, is packed into one ``int`` in mixed radix, with field
+widths read off the operands (see ``_substitute``).  Multiplying two terms
+is then one ``int`` addition and one ``int`` multiplication, and summing
+one ``int``-keyed dict update.  ``shift_y`` passes its binomial images, and
+``substitute_y`` each series as its ``(c, exponent)`` term list, the form
+``expansion`` and the solution reader already hold, leaving repeated
 exponents and zero coefficients for the kernel to sum.  The kernel has one
-finisher: it divides the numerators of the sum by their gcd, so both
+finisher: it sorts the packed keys, which is the canonical order, unpacks
+each once, and divides the numerators of the sum by their gcd, so both
 substitutions return the primitive integer multiple of the exact
 polynomial, which differs from it by a positive constant.  Everything read
 off a branch's generators (``expansion``) and off a residual is unchanged by
@@ -42,8 +48,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import add, attrgetter, floordiv, itemgetter, mod, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .values import WeightMatrix, canonical, primitive_ints
@@ -59,31 +66,14 @@ class Term(NamedTuple):
 class LPoly:
     """A finite sum of terms in canonical sorted form.
 
-    Use ``from_terms`` to build instances; the constructor trusts its input
-    to already be canonical.  ``LPoly(nx, ny)`` is the zero polynomial.
+    The constructor trusts its input to already be canonical: every maker
+    of terms (the problem parser, the substitution kernel, ``ramify``,
+    ``primitive``) builds them so.  ``LPoly(nx, ny)`` is the zero polynomial.
     """
 
     nx: int
     ny: int
     terms: tuple[Term, ...] = ()
-
-    @classmethod
-    def from_terms(cls, nx: int, ny: int, items: Iterable) -> "LPoly":
-        """Canonicalize ``(coeff, xexp, ydeg)`` triples: merge, drop zeros, sort.
-
-        Coefficients are ``int`` or ``Fraction`` and are stored canonical.
-        """
-        acc: dict = {}
-        for coeff, xexp, ydeg in items:
-            xe = tuple(canonical(e) for e in xexp)
-            yd = tuple(int(b) for b in ydeg)
-            if len(xe) != nx or len(yd) != ny:
-                raise ValueError("term arity does not match the polynomial ring")
-            if any(b < 0 for b in yd):
-                raise ValueError("y-degrees must be nonnegative")
-            key = (xe, yd)
-            acc[key] = acc.get(key, 0) + coeff
-        return cls(nx, ny, tuple(Term(canonical(c), *key) for key, c in sorted(acc.items()) if c))
 
     @property
     def is_zero(self) -> bool:
@@ -134,45 +124,54 @@ def render_poly(f: LPoly, x_names: Sequence[str], y_names: Sequence[str]) -> str
     )
 
 
-def _xden(f: LPoly) -> int:
-    """The least common denominator of every x-exponent of ``f``."""
-    return lcm(*(e.denominator for t in f.terms for e in t.xexp if type(e) is not int))
-
-
 def _key(xexp: tuple, xden: int) -> tuple[int, ...]:
-    """The x-exponents times ``xden``, as ``int``s."""
+    """The rationals ``xexp`` times ``xden``, which clears their denominators, as ``int``s."""
     return tuple(
         e * xden if type(e) is int else e.numerator * (xden // e.denominator) for e in xexp
     )
 
 
 def _product(p: Iterable, q: Sequence) -> dict:
-    """Product of two ``(key, coefficient)`` sequences, merged, unsorted."""
+    """Product of two ``(key, numerator)`` sequences, merged, unsorted; keys add."""
     acc: dict = defaultdict(int)
     for pk, pn in p:
         for qk, qn in q:
-            acc[tuple(map(add, pk, qk))] += pn * qn
+            acc[pk + qk] += pn * qn
     return acc
 
 
-def _from_numerators(nx: int, ny: int, acc: dict, xden: int) -> LPoly:
+def _from_numerators(nx: int, ny: int, xden: int, acc: dict, lead: int, fields: list) -> LPoly:
     """The kernel's finisher: the primitive integer polynomial with the numerators ``acc``.
 
     The nonzero numerators are divided by their gcd, so the result is a
-    positive multiple of the sum.  A key is a term's x-exponents times
-    ``xden`` followed by its y-degrees, all ``int``s.  Keys are sorted as
-    integers, which is the canonical order, and turned back into canonical
-    exponents once each.
+    positive multiple of the sum.  A key is a term's packed exponent less
+    the lows (see ``_substitute``): ``lead`` is the place of its first
+    field, and ``fields`` holds the ``(place, radix, low)`` of each later
+    one, whose digit lies in ``[0, radix)``.  Keys are sorted as integers,
+    which is the canonical order, and unpacked one field at a time over all
+    keys at once: the first field is the key floor-divided by its place, a
+    later one that quotient modulo its radix, plus its low.  These per-term
+    steps run as builtin maps rather than a Python loop per term; a field of
+    radix 1 is its low throughout, and an x-exponent over ``xden`` is made
+    once per distinct value.
     """
-    g = gcd(*acc.values())
-    terms = []
-    for key in sorted(acc):
-        n = acc[key]
-        if n:
-            xe = key[:nx]
-            if xden != 1:
-                xe = tuple(e // xden if e % xden == 0 else Fraction(e, xden) for e in xe)
-            terms.append(Term(n // g, xe, key[nx:]))
+    keys = sorted(compress(acc, acc.values()))
+    if not keys:
+        return LPoly(nx, ny)
+    nums = map(floordiv, map(acc.__getitem__, keys), repeat(gcd(*acc.values())))
+    cols = [map(floordiv, keys, repeat(lead))]
+    for p, r, lo in fields:
+        if r == 1:
+            cols.append(repeat(lo, len(keys)))
+            continue
+        col = map(mod, map(floordiv, keys, repeat(p)) if p > 1 else keys, repeat(r))
+        cols.append(map(add, col, repeat(lo)) if lo else col)
+    if xden != 1:
+        cols[:nx] = [list(c) for c in cols[:nx]]
+        exps = {e: canonical(Fraction(e, xden)) for e in set(chain(*cols[:nx]))}
+        cols[:nx] = [map(exps.__getitem__, c) for c in cols[:nx]]
+    # tuple.__new__ makes each Term without the Python-level NamedTuple constructor
+    terms = map(tuple.__new__, repeat(Term), zip(nums, zip(*cols[:nx]), zip(*cols[nx:])))
     return LPoly(nx, ny, tuple(terms))
 
 
@@ -224,53 +223,98 @@ def ramify(f: LPoly, k: int) -> LPoly:
     )
 
 
-def _substitute(f: LPoly, bases: Sequence[tuple[int, list]], xden: int) -> dict:
-    """Substitute ``y_i`` by the image ``bases[i]`` and expand exactly into one sum.
+def _substitute(f: LPoly, images: Sequence[tuple[int, int, list]]) -> LPoly:
+    """The primitive integer multiple of ``f`` with ``y_i`` replaced by ``images[i]``.
 
-    An image is a pair ``(den_i, items_i)``: ``items_i`` holds ``(key,
-    numerator)`` pairs over the denominator ``den_i``, keyed as in
-    ``_from_numerators``, and may repeat a key or hold a zero numerator.
-    ``xden`` covers the x-exponents of ``f`` and of every image.  Returns
-    the sum as integer numerators over ``big``, keyed the same way.
-    ``big`` is the lcm of the coefficient denominators of ``f`` times
-    ``den_i ** maxdeg_i`` for every image, where ``maxdeg_i`` is the largest
-    degree of ``y_i`` in ``f``; every term of ``f`` is scaled onto ``big`` by
-    an exact integer.  Each power ``b`` of image ``i`` is
-    built once, from power ``b - 1``, and each distinct y-monomial of ``f``
-    is expanded once.
+    An image is a triple ``(den_i, ynum_i, items_i)``, the polynomial
+    ``(ynum_i * y_i + sum(n * x^e for e, n in items_i)) / den_i`` with
+    integer numerators; ``items_i`` may repeat an exponent or hold a zero
+    numerator.  The sum is expanded exactly on integers and finished by
+    ``_from_numerators``.
+
+    Every exponent is keyed by one ``int``.  The x-exponents of ``f`` and of
+    the images are scaled to integers by their common denominator ``xden``,
+    read off one transposed pass over ``f``'s exponents that also gives
+    their extremes.  A key is ``sum(e_j * place_j)`` over the scaled
+    x-exponents and then the y-degrees, in mixed radix with the first field
+    unbounded, so adding keys adds exponents.  Each later x-field has a
+    window ``[low, low + radix)``: the extremes of ``f``'s exponents, widened
+    by each image's extremes and 0 times ``maxdeg_i``, the largest degree of
+    ``y_i`` in ``f``.  The field of ``y_i`` is ``[0, maxdeg_i]``, or takes
+    no room (radix 1) when the image holds no ``y_i``, as in the residual.
+    The keys of every power, product and term of the sum lie in windows
+    this wide, so packing is injective on each dict of the kernel; a term
+    of ``f`` is keyed less the lows, so each later field of a key of the
+    sum is a digit in ``[0, radix)`` and the keys sort as the exponent
+    tuples do.
+
+    Every term of ``f`` is put over ``big``, the lcm of the coefficient
+    denominators of ``f`` times ``den_i ** maxdeg_i`` for every image, by
+    an exact integer.  Each power ``b`` of image ``i`` is built once, from
+    power ``b - 1``, and each distinct y-monomial of ``f`` is expanded once.
+    An exponent of an image is read as an ``int`` even when it is given as
+    an integral ``Fraction``.
     """
     nx, ny = f.nx, f.ny
-    maxdeg = map(max, zip(*(t.ydeg for t in f.terms)))
+    if not f.terms:
+        return f
+    maxdeg = list(map(max, zip(*map(itemgetter(2), f.terms))))
+    cols = list(zip(*map(itemgetter(1), f.terms)))
+    exps = chain(*cols, *(e for _, _, items in images for e, _ in items))
+    xden = lcm(*map(attrgetter("denominator"), exps))
+    if xden != 1:
+        cols = [_key(c, xden) for c in cols]
+        images = [(d, yn, [(_key(e, xden), n) for e, n in items]) for d, yn, items in images]
+    lows, radices = [], []
+    for j in range(1, nx):
+        lo, hi = min(cols[j]), max(cols[j])
+        for (_, _, items), m in zip(images, maxdeg):
+            if m and items:
+                ej = [e[j] for e, _ in items]
+                lo += m * min(0, *ej)
+                hi += m * max(0, *ej)
+        lows.append(int(lo))
+        radices.append(int(hi - lo + 1))
+    lows += [0] * ny
+    radices += [m + 1 if yn else 1 for (_, yn, _), m in zip(images, maxdeg)]
+    places = list(accumulate(reversed(radices), mul, initial=1))
+    places.reverse()
+    fkeys = [-sum(map(mul, lows, places[1:]))] * len(f.terms)
+    for c, p in zip(cols, places):
+        fkeys = list(map(add, fkeys, map(mul, c, repeat(p))))
+    packed = []
+    for p, (_, yn, items) in zip(places[nx:], images):
+        ks = [(int(sum(map(mul, e, places))), n) for e, n in items]
+        packed.append([(p, yn), *ks] if yn else ks)
+
     big = lcm(*(t.coeff.denominator for t in f.terms)) * prod(
-        d**m for (d, _), m in zip(bases, maxdeg)
+        d**m for (d, _, _), m in zip(images, maxdeg)
     )
-    one = [((0,) * (nx + ny), 1)]
+    one = [(0, 1)]
     powers: dict = {}  # (i, b) -> numerators of image i to the b over den_i ** b
 
     def power(i: int, b: int) -> list:
         if (i, b) not in powers:
             prev = power(i, b - 1) if b > 1 else one
-            powers[(i, b)] = list(_product(prev, bases[i][1]).items())
+            powers[(i, b)] = list(_product(prev, packed[i]).items())
         return powers[(i, b)]
 
     expanded: dict = {}  # y-degrees -> (denominator, numerators) of the image monomial
     acc: dict = defaultdict(int)
-    ypad = (0,) * ny
-    for t in f.terms:
+    for t, fk in zip(f.terms, fkeys):
         if t.ydeg not in expanded:
             den, m = 1, one
             for i, b in enumerate(t.ydeg):
                 if b:
-                    den *= bases[i][0] ** b
+                    den *= images[i][0] ** b
                     m = power(i, b) if m is one else list(_product(m, power(i, b)).items())
             expanded[t.ydeg] = (den, m)
         den, m = expanded[t.ydeg]
         c = t.coeff
         s = c.numerator * (big // (c.denominator * den))
-        xk = (t.xexp if xden == 1 else _key(t.xexp, xden)) + ypad
         for k, n in m:
-            acc[tuple(map(add, xk, k))] += s * n
-    return acc
+            acc[fk + k] += s * n
+    return _from_numerators(nx, ny, xden, acc, places[0], list(zip(places[1:], radices, lows)))
 
 
 def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
@@ -281,21 +325,14 @@ def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
     the result is the exact polynomial times a positive constant (see the
     module docstring); the zero polynomial stays zero.
     """
-    nx, ny = f.nx, f.ny
-    if len(shifts) != ny:
+    if len(shifts) != f.ny:
         raise ValueError("need one shift per y coordinate")
-    xden = lcm(_xden(f), *(e.denominator for s in shifts if s is not None for e in s[1]))
-    zero = (0,) * (nx + ny)
-    bases = []
-    for i, s in enumerate(shifts):
-        y = zero[: nx + i] + (1,) + zero[nx + i + 1 :]
-        if s is None or not s[0]:
-            bases.append((1, [(y, 1)]))
-        else:
-            c = s[0]
-            x = _key(s[1], xden) + zero[nx:]
-            bases.append((c.denominator, [(y, c.denominator), (x, c.numerator)]))
-    return _from_numerators(nx, ny, _substitute(f, bases, xden), xden)
+    images = [
+        (1, 1, []) if s is None or not s[0]
+        else (s[0].denominator, s[0].denominator, [(s[1], s[0].numerator)])
+        for s in shifts
+    ]
+    return _substitute(f, images)
 
 
 def set_y_zero(f: LPoly, indices) -> LPoly:
@@ -314,16 +351,13 @@ def substitute_y(f: LPoly, coords: Sequence[Sequence[tuple]]) -> LPoly:
     x variables: the exact residual times a positive constant, with the same
     support and weighted orders.
     """
-    nx, ny = f.nx, f.ny
-    if len(coords) != ny:
+    nx = f.nx
+    if len(coords) != f.ny:
         raise ValueError("need one series per y coordinate")
     if any(len(e) != nx for coord in coords for _, e in coord):
         raise ValueError("series exponent arity does not match the polynomial ring")
-    xden = lcm(_xden(f), *(q.denominator for coord in coords for _, e in coord for q in e))
-    ypad = (0,) * ny
-    bases = []
+    images = []
     for coord in coords:
         d = lcm(*(c.denominator for c, _ in coord))
-        items = [(_key(e, xden) + ypad, c.numerator * (d // c.denominator)) for c, e in coord]
-        bases.append((d, items))
-    return _from_numerators(nx, ny, _substitute(f, bases, xden), xden)
+        images.append((d, 0, [(e, c.numerator * (d // c.denominator)) for c, e in coord]))
+    return _substitute(f, images)

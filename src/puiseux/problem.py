@@ -13,11 +13,14 @@ Generator expressions use + - * ^ and parentheses, with explicit '*'.
 Rational or negative x-exponents must be parenthesized, as in x1^(1/2) or
 x1^(-2); y-exponents are nonnegative integers.  Each line is tokenized in
 one regular-expression pass, and a generator is evaluated straight into a
-dict of terms (exponent key to coefficient, ``int`` until a ``p/q`` number
+dict of terms (exponent tuple to coefficient, ``int`` until a ``p/q`` number
 takes part): a single term is raised to a power by scaling its exponents,
-and products are multiplied out by the substitution kernel's product
-routine (``lpoly._product``).  The ``LPoly`` is built once per generator,
-from that dict.  A number ``p/q`` with ``q = 0`` is rejected at its token.
+and products are multiplied out by ``_product``, which adds exponent tuples
+(while reading, an exponent may be a fraction and its bounds are not yet
+known, so the packed keys of ``lpoly``'s kernel do not apply).  The
+``LPoly`` is built once per generator, straight from that merged dict:
+exponents and coefficients made canonical, zero terms dropped, sorted.  A
+number ``p/q`` with ``q = 0`` is rejected at its token.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
@@ -29,8 +32,10 @@ identity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .expansion import (
@@ -40,7 +45,7 @@ from .expansion import (
     SeriesSolution,
     StepData,
 )
-from .lpoly import LPoly, _exp_str, _product, _sum_str, render_poly
+from .lpoly import LPoly, Term, _exp_str, _sum_str, render_poly
 from .values import WeightMatrix, canonical
 
 
@@ -96,13 +101,23 @@ def _rational(text: str) -> int | Fraction:
     return canonical(Fraction(int(p), int(q)))
 
 
+def _product(p: dict, q: dict) -> dict:
+    """Product of two term dicts: exponent tuples add, coefficients multiply, merged."""
+    acc: dict = defaultdict(int)
+    for pk, pc in p.items():
+        for qk, qc in q.items():
+            acc[tuple(map(add, pk, qk))] += pc * qc
+    return acc
+
+
 class _ExprParser:
     """Recursive-descent evaluator of one generator expression.
 
     Every value is a term dict mapping an exponent key (the x-exponents, then
     the y-degrees) to its coefficient, an ``int`` until a ``p/q`` number
-    takes part.  Zero coefficients may stay in the dict; the caller builds
-    the ``LPoly`` once, which drops them.
+    takes part.  Zero coefficients and exponents that are integral
+    ``Fraction``s may stay in the dict; the caller builds the ``LPoly`` once,
+    which drops the one and makes the other canonical.
     """
 
     def __init__(self, toks, line, atoms, one):
@@ -151,7 +166,7 @@ class _ExprParser:
         p = self.factor()
         while self._peek()[0] == "*":
             self.pos += 1
-            p = _product(p.items(), self.factor().items())
+            p = _product(p, self.factor())
         return p
 
     def factor(self) -> dict:
@@ -166,7 +181,7 @@ class _ExprParser:
                 return {tuple(e * exp for e in key): c**exp}
             p = {self.one: 1}
             for _ in range(exp):
-                p = _product(p.items(), base.items())
+                p = _product(p, base)
             return p
         if xvar is None:
             self._fail(col, "rational or negative exponents need a bare x variable")
@@ -213,7 +228,7 @@ def parse_problem(text: str) -> ProblemSpec:
     y_names: list[str] = []
     weight_rows: list[tuple[int | Fraction, ...]] = []
     gen_lines: list[tuple[int, list]] = []
-    opts = ExpandOptions()
+    opts: dict = {}
     first_weight_line = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -276,11 +291,11 @@ def parse_problem(text: str) -> ProblemSpec:
                 n = int(val)
                 if n < 1:
                     raise ProblemError(lineno, c2, "%s needs a positive integer" % name)
-                opts = replace(opts, **{name: n})
+                opts[name] = n
             elif name == "positive_only":
                 if val not in ("true", "false"):
                     raise ProblemError(lineno, c2, "positive_only is true or false")
-                opts = replace(opts, positive_only=val == "true")
+                opts[name] = val == "true"
             else:
                 raise ProblemError(lineno, c1, "unknown option %r" % name)
         else:
@@ -309,17 +324,21 @@ def parse_problem(text: str) -> ProblemSpec:
         if not toks:
             raise ProblemError(lineno, 1, "empty generator")
         terms = _ExprParser(toks, lineno, atoms, one).parse()
-        poly = LPoly.from_terms(nx, ny, ((c, k[:nx], k[nx:]) for k, c in terms.items()))
-        if poly.is_zero:
+        poly = tuple(
+            Term(canonical(terms[k]), tuple(map(canonical, k[:nx])), k[nx:])
+            for k in sorted(terms)
+            if terms[k]
+        )
+        if not poly:
             raise ProblemError(lineno, 1, "generator is identically zero")
-        gens.append(poly)
+        gens.append(LPoly(nx, ny, poly))
 
     return ProblemSpec(
         x_names=tuple(x_names),
         y_names=tuple(y_names),
         weights=W,
         gens=tuple(gens),
-        options=opts,
+        options=ExpandOptions(**opts),
     )
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from puiseux import (
     ExpandOptions,
-    LPoly,
     WeightMatrix,
     candidate_etas,
     expand,
@@ -28,6 +27,7 @@ from puiseux.values import sort_key
 from tutils import (
     assert_trace_monotone,
     coupled_pair,
+    from_terms,
     identity,
     initial_form,
     initial_system,
@@ -56,7 +56,7 @@ PLANE_CORPUS = {
 
 
 def _curve_poly(support):
-    return LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
+    return from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
 
 
 def _curve_dict(support):
@@ -116,7 +116,7 @@ def _random_lpoly(rng, nx, ny, max_terms=5):
         xe = tuple(F(rng.randint(-4, 8), rng.choice((1, 1, 2, 4))) for _ in range(nx))
         yd = tuple(rng.randint(0, 3) for _ in range(ny))
         items.append((c, xe, yd))
-    return LPoly.from_terms(nx, ny, items)
+    return from_terms(nx, ny, items)
 
 
 def _random_eta(rng, ny, d):

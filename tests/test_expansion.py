@@ -31,6 +31,7 @@ from tutils import (
     assert_trace_monotone,
     coupled_pair,
     defining_data,
+    from_terms,
     identity,
     lp,
     lpolys,
@@ -394,7 +395,7 @@ def test_smooth_branches_at_depth_match_the_closed_form():
 
 
 def _against_newton_oracle(support, max_terms):
-    f = LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
+    f = from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
     res = expand([f], W1, ExpandOptions(max_terms=max_terms, max_branches=10**6))
     got = sorted(
         (tuple((e[0], c) for c, e in s.coords[0]), s.exact) for s in res.solutions
@@ -445,7 +446,7 @@ def _systems(draw, integral):
         st.tuples(exps, exps),
         st.tuples(*[st.integers(0, 2)] * ny),
     )
-    gen = st.lists(term, min_size=2, max_size=4).map(lambda ts: LPoly.from_terms(2, ny, ts))
+    gen = st.lists(term, min_size=2, max_size=4).map(lambda ts: from_terms(2, ny, ts))
     gens = draw(st.lists(gen.filter(lambda g: g.terms), min_size=ny, max_size=ny))
     W = draw(st.sampled_from(NUMBER_WS))
     opts = ExpandOptions(max_terms=3, positive_only=draw(st.booleans()))
@@ -581,7 +582,7 @@ def _residual_systems(draw):
         st.integers(0, ny - 1),
     )
     gen = st.tuples(y_free, linear, st.lists(term, min_size=1, max_size=2)).map(
-        lambda ts: LPoly.from_terms(nx, ny, [ts[0], ts[1], *ts[2]])
+        lambda ts: from_terms(nx, ny, [ts[0], ts[1], *ts[2]])
     )
     gens = draw(st.lists(gen.filter(lambda g: len(g.terms) > 1), min_size=ny, max_size=ny))
     W = W1 if plane else draw(st.sampled_from(RESIDUAL_WS))
@@ -797,7 +798,7 @@ def test_random_plane_curve_solutions_have_pairwise_distinct_series(positive_onl
             (rng.randint(0, 5), rng.randint(0, 3), rng.choice((-3, -2, -1, 1, 2, 3)))
             for _ in range(rng.randint(2, 6))
         ]
-        f = LPoly.from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
+        f = from_terms(1, 1, [(c, (F(a),), (i,)) for a, i, c in support])
         for max_terms in range(1, 7):
             opts = ExpandOptions(max_terms=max_terms, max_branches=10**6, positive_only=positive_only)
             _assert_distinct_series(expand([f], W1, opts), (support, max_terms))

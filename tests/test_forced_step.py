@@ -23,7 +23,6 @@ from puiseux import (
     BranchBudgetExceeded,
     BudgetExceeded,
     ExpandOptions,
-    LPoly,
     StepData,
     WeightMatrix,
     candidate_etas,
@@ -33,7 +32,7 @@ from puiseux import (
 )
 from puiseux import expansion
 from puiseux.tropical import forced_step, staircases
-from tutils import identity, lp
+from tutils import from_terms, identity, lp
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -113,7 +112,7 @@ def _plane_curves(draw):
         st.tuples(*[exps] * nx),
         st.tuples(st.integers(0, draw(st.integers(1, 3)))),  # linear in y, too
     )
-    g = LPoly.from_terms(nx, 1, draw(st.lists(term, min_size=2, max_size=6)))
+    g = from_terms(nx, 1, draw(st.lists(term, min_size=2, max_size=6)))
     assume(any(t.ydeg[0] for t in g.terms))
     opts = ExpandOptions(max_terms=4, positive_only=draw(st.booleans()))
     return g, draw(st.sampled_from(WS[nx])), opts
@@ -153,7 +152,7 @@ def _floored_branches(draw):
         terms.append((draw(coeff), tuple(b + g + 2 * f for b, g, f in zip(b1, gamma0, e)), (0,)))
         if draw(st.booleans()):
             terms.append((draw(coeff), tuple(b + f for b, f in zip(b1, e)), (1,)))
-    g = LPoly.from_terms(nx, 1, terms)
+    g = from_terms(nx, 1, terms)
     floor = tuple(sum(r * a for r, a in zip(row, gamma0)) for row in W.rows)
     step = StepData((floor,), (gamma0,), (F(1),))
     return Branch((g,), (step,)), W

@@ -15,10 +15,11 @@ from puiseux import (
     substitute_y,
     weighted_order,
 )
-from puiseux.lpoly import _product
+from puiseux.problem import _product
 from puiseux.values import sort_key
 from tutils import (
     etas,
+    from_terms,
     identity,
     initial_form,
     lp,
@@ -267,7 +268,7 @@ coprime_rats = st.builds(
 
 def mixed_lpolys(nx, ny, max_terms=4, max_deg=2):
     terms = st.tuples(coprime_rats, xexps(nx), ydegs(ny, max_deg))
-    return st.lists(terms, max_size=max_terms).map(lambda ts: LPoly.from_terms(nx, ny, ts))
+    return st.lists(terms, max_size=max_terms).map(lambda ts: from_terms(nx, ny, ts))
 
 
 X_ONLY = mixed_lpolys(2, 2, max_terms=3, max_deg=0)
@@ -285,20 +286,20 @@ def shifts(nx, ny):
     return st.tuples(*[st.one_of(st.none(), st.tuples(coprime_rats, xexps(nx)))] * ny)
 
 
-def kernel_items(f):
-    """``f`` as ``(exponent key, coefficient)`` pairs, the parser's input to ``_product``."""
-    return [(t.xexp + t.ydeg, t.coeff) for t in f.terms]
+def term_dict(f):
+    """``f`` as the parser's term dict, exponent tuple to coefficient, for ``_product``."""
+    return {t.xexp + t.ydeg: t.coeff for t in f.terms}
 
 
 class TestKernelAgainstNaiveExpansion:
-    """The kernel's product, the parser's powers and the substitutions against a
-    plain ``Fraction`` expansion."""
+    """The parser's products and powers, and the kernel's substitutions,
+    against a plain ``Fraction`` expansion."""
 
     @seed(20261018)
     @given(f=mixed_lpolys(2, 3), g=mixed_lpolys(2, 3))
     def test_product(self, f, g):
-        acc = _product(kernel_items(f), kernel_items(g))
-        got = LPoly.from_terms(2, 3, ((c, k[:2], k[2:]) for k, c in acc.items()))
+        acc = _product(term_dict(f), term_dict(g))
+        got = from_terms(2, 3, ((c, k[:2], k[2:]) for k, c in acc.items()))
         assert got == naive_product(f, g)
         assert_canonical_exponents(got)
 
@@ -358,8 +359,92 @@ class TestKernelAgainstNaiveExpansion:
     @example(f=y_var(2, 2, 0), raw=([(1, (1, 0)), (-1, (1, 0)), (0, (0, 0))], []))
     def test_substitute_sums_unmerged_term_lists(self, f, raw):
         """Repeated exponents, zero coefficients and empty series give the merged residual."""
-        merged = [series_terms(LPoly.from_terms(2, 2, [(c, e, (0, 0)) for c, e in s])) for s in raw]
+        merged = [series_terms(from_terms(2, 2, [(c, e, (0, 0)) for c, e in s])) for s in raw]
         assert substitute_y(f, raw) == substitute_y(f, merged)
+
+
+# Exponents for the packed keys: small rationals, negative and fractional, and
+# integers far apart, so that a later x-field can span -50 to 10**6.
+wide_rats = st.one_of(small_rats, st.sampled_from([-50, -7, 0, 3, 10**6, F(10**6 - 1, 2)]))
+
+
+@st.composite
+def packed_cases(draw, series=False):
+    """A ring with 1-3 x and 1-3 y, a polynomial in it, and one image per y:
+    a shift ``(c, xexp)`` or None, or a series term list that may repeat an
+    exponent, hold a zero coefficient, cancel entirely or be empty."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    wide = st.tuples(*[wide_rats] * nx)
+    terms = st.tuples(coprime_rats, wide, ydegs(ny, 2))
+    f = from_terms(nx, ny, draw(st.lists(terms, max_size=4)))
+    if not series:
+        return f, draw(st.tuples(*[st.one_of(st.none(), st.tuples(coprime_rats, wide))] * ny))
+    coords = []
+    for _ in range(ny):
+        pool = draw(st.lists(wide, min_size=1, max_size=3))
+        term = st.tuples(st.one_of(st.just(0), coprime_rats), st.sampled_from(pool))
+        coord = draw(st.lists(term, max_size=4))
+        if draw(st.booleans()):
+            coord += [(-c, e) for c, e in coord]  # every term cancels
+        coords.append(coord)
+    return f, coords
+
+
+def assert_canonical_order(f):
+    assert list(f.terms) == sorted(f.terms, key=lambda t: (t.xexp, t.ydeg))
+
+
+class TestPackedKeys:
+    """The kernel keys each exponent by one ``int``: across ring sizes, exponent
+    signs, denominators and spans, both substitutions match the naive ones,
+    and the packed keys sort into the canonical term order."""
+
+    @seed(20261020)
+    @given(case=packed_cases())
+    @example(case=(LPoly(1, 1), (None,)))
+    @example(case=(LPoly(3, 3), (None, None, None)))
+    @example(case=(LPoly(2, 2), ((F(1, 2), (1, -50)), None)))
+    @example(
+        case=(
+            lp(2, 1, (1, (0, -50), (2,)), (3, (1, 10**6), (1,)), (-2, (F(1, 3), 2), (0,))),
+            ((F(5, 7), (F(-1, 2), 10**6)),),
+        )
+    )
+    def test_shift_y(self, case):
+        f, shift = case
+        nx, ny = f.nx, f.ny
+        images = [
+            naive_sum(y_var(nx, ny, i), *([] if s is None else [xm(nx, ny, s[0], *s[1])]))
+            for i, s in enumerate(shift)
+        ]
+        got = shift_y(f, shift)
+        assert got == primitive(naive_substitute(f, images))
+        assert_canonical_order(got)
+        assert_canonical_exponents(got)
+
+    @seed(20261020)
+    @given(case=packed_cases(series=True))
+    @example(case=(LPoly(2, 3), [[], [(1, (0, 0))], [(0, (1, 2))]]))
+    @example(case=(y_var(1, 2, 1, 3), [[(1, (-50,)), (-1, (-50,))], [(2, (10**6,))] * 2]))
+    def test_substitute_y(self, case):
+        f, coords = case
+        nx, ny = f.nx, f.ny
+        series = [
+            naive_sum(LPoly(nx, ny), *(xm(nx, ny, c, *e) for c, e in coord)) for coord in coords
+        ]
+        got = substitute_y(f, coords)
+        assert got == primitive(naive_substitute(f, series))
+        assert_canonical_order(got)
+        assert_canonical_exponents(got)
+
+    @seed(20261020)
+    @given(case=packed_cases())
+    def test_sorted_keys_are_the_canonical_order(self, case):
+        """With every shift None the kernel only packs, sorts and unpacks the terms."""
+        f, _ = case
+        got = shift_y(f, [None] * f.ny)
+        assert got == primitive(f)
+        assert_canonical_order(got)
 
 
 ETAS2 = etas(2, 2)

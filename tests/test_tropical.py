@@ -27,6 +27,7 @@ from oracle_newton import curve, edge_mus
 from oracle_pairs import brute_etas, brute_underdetermined
 from tutils import (
     coupled_pair,
+    from_terms,
     identity,
     initial_system,
     is_prevariety_point,
@@ -260,7 +261,7 @@ def _gens(nx, ny, max_gens, max_terms):
         st.tuples(*[st.integers(0, 3)] * ny),
     )
     gen = st.lists(term, min_size=2, max_size=max_terms).map(
-        lambda ts: LPoly.from_terms(nx, ny, ts)
+        lambda ts: from_terms(nx, ny, ts)
     )
     return st.lists(gen.filter(lambda g: len(g.terms) >= 2), min_size=1, max_size=max_gens)
 
@@ -353,7 +354,7 @@ def _gens_through_a_point(draw, W, ny, lam):
         i, j = lam[:2]
         return ydeg[:j] + (ydeg[i],) + ydeg[j + 1 :]
 
-    gens = [LPoly.from_terms(W.n, ny, [(t.coeff, t.xexp, couple(t.ydeg)) for t in g.terms]) for g in gens]
+    gens = [from_terms(W.n, ny, [(t.coeff, t.xexp, couple(t.ydeg)) for t in g.terms]) for g in gens]
     if draw(st.booleans()):
         rows = st.tuples(*[st.fractions(0, 2, max_denominator=2).filter(bool)] * W.n)
         gamma = [draw(rows) if i in lam else None for i in range(ny)]
@@ -475,7 +476,7 @@ def _gens_repeating_degrees(draw, nx, ny):
             for d in degs
             for e in draw(st.lists(xexp, min_size=2, max_size=4, unique=True))
         ]
-        gens.append(LPoly.from_terms(nx, ny, terms))
+        gens.append(from_terms(nx, ny, terms))
     return gens
 
 
@@ -514,7 +515,7 @@ def _spurious_retire_with_lex_basis():
     spec = parse_problem((PROBLEMS / "spurious_retire.txt").read_text())
     dicts = [{t.ydeg + t.xexp: t.coeff for t in g.terms} for g in spec.gens]
     basis = [
-        LPoly.from_terms(1, 3, [(c, key[3:], key[:3]) for key, c in p.items()])
+        from_terms(1, 3, [(c, key[3:], key[:3]) for key, c in p.items()])
         for p in buchberger(dicts, [SOLVER_BUDGET])
     ]
     assert len(basis) == 10

@@ -8,12 +8,32 @@ from math import gcd, lcm
 import hypothesis.strategies as st
 
 from puiseux import LPoly, StepData, WeightMatrix, weighted_order
+from puiseux.lpoly import Term
 from puiseux.values import canonical
+
+
+def from_terms(nx, ny, items):
+    """Canonicalize ``(coeff, xexp, ydeg)`` triples into an LPoly: merge, drop zeros, sort.
+
+    Coefficients and exponents may be given as any exact rationals; they
+    are stored canonical.
+    """
+    acc: dict = {}
+    for coeff, xexp, ydeg in items:
+        xe = tuple(canonical(e) for e in xexp)
+        yd = tuple(int(b) for b in ydeg)
+        if len(xe) != nx or len(yd) != ny:
+            raise ValueError("term arity does not match the polynomial ring")
+        if any(b < 0 for b in yd):
+            raise ValueError("y-degrees must be nonnegative")
+        key = (xe, yd)
+        acc[key] = acc.get(key, 0) + coeff
+    return LPoly(nx, ny, tuple(Term(canonical(c), *key) for key, c in sorted(acc.items()) if c))
 
 
 def lp(nx, ny, *terms):
     """Build an LPoly from (coeff, xexp, ydeg) triples."""
-    return LPoly.from_terms(nx, ny, terms)
+    return from_terms(nx, ny, terms)
 
 
 def const(nx, ny, c):
@@ -235,7 +255,7 @@ def naive_product(f, g):
             xe = tuple(a + b for a, b in zip(s.xexp, t.xexp))
             yd = tuple(a + b for a, b in zip(s.ydeg, t.ydeg))
             acc[(xe, yd)] = acc.get((xe, yd), Fraction(0)) + s.coeff * t.coeff
-    return LPoly.from_terms(f.nx, f.ny, [(c, xe, yd) for (xe, yd), c in acc.items()])
+    return from_terms(f.nx, f.ny, [(c, xe, yd) for (xe, yd), c in acc.items()])
 
 
 def naive_power(f, k):
@@ -285,7 +305,7 @@ def ydegs(ny, max_deg=3):
 def lpolys(nx, ny, max_terms=5):
     return st.lists(
         st.tuples(nonzero_rats, xexps(nx), ydegs(ny)), min_size=0, max_size=max_terms
-    ).map(lambda ts: LPoly.from_terms(nx, ny, ts))
+    ).map(lambda ts: from_terms(nx, ny, ts))
 
 
 def vals(dim):
