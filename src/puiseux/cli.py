@@ -31,10 +31,11 @@ from .solver import BudgetExceeded
 
 
 def _positive_int(text: str) -> int:
-    """An argparse type: a positive integer, as ``opt max_terms`` in a problem file requires."""
-    if not text.strip().isdecimal() or int(text) < 1:
+    """An argparse type: a positive integer in ASCII digits, as ``opt max_terms`` requires."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdecimal()) or int(digits) < 1:
         raise argparse.ArgumentTypeError("needs a positive integer, got %r" % text)
-    return int(text)
+    return int(digits)
 
 
 @functools.cache

@@ -7,20 +7,21 @@ A problem file is line based:
     weight 1 0             # one row per line, rational entries
     weight 0 1
     gen y1^2 - x1*x2       # any number of gen lines
-    opt max_terms 6        # optional: max_terms, max_branches, positive_only
+    opt max_terms 6        # optional: max_terms, max_branches, positive_only; each once
 
 Generator expressions use + - * ^ and parentheses, with explicit '*'.
 Rational or negative x-exponents must be parenthesized, as in x1^(1/2) or
-x1^(-2); y-exponents are nonnegative integers.  Each line is tokenized in
-one regular-expression pass, and a generator is evaluated straight into a
-dict of terms (exponent tuple to coefficient, ``int`` until a ``p/q`` number
-takes part): a single term is raised to a power by scaling its exponents,
-and products are multiplied out by ``_product``, which adds exponent tuples
-(while reading, an exponent may be a fraction and its bounds are not yet
-known, so the packed keys of ``lpoly``'s kernel do not apply).  The
-``LPoly`` is built once per generator, straight from that merged dict:
-exponents and coefficients made canonical, zero terms dropped, sorted.  A
-number ``p/q`` with ``q = 0`` is rejected at its token.
+x1^(-2); y-exponents are nonnegative integers.  Numbers are ASCII digits.
+Each line is tokenized in one regular-expression pass, and a generator is
+evaluated straight into a dict of terms (exponent tuple to coefficient,
+``int`` until a ``p/q`` number takes part): a single term is raised to a
+power by scaling its exponents, and products are multiplied out by
+``_product``, which adds exponent tuples (while reading, an exponent may be
+a fraction and its bounds are not yet known, so the packed keys of
+``lpoly``'s kernel do not apply).  The ``LPoly`` is built once per
+generator, straight from that merged dict: exponents and coefficients made
+canonical, zero terms dropped, sorted.  A number ``p/q`` with ``q = 0`` is
+rejected at its token.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
@@ -74,7 +75,7 @@ class ProblemSpec:
         return len(self.y_names)
 
 
-_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
+_TOKEN = re.compile(r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
 # token kind by the group that matched; an operator is its own kind
 _KIND = (None, "num", "name", None)
 
@@ -285,6 +286,8 @@ def parse_problem(text: str) -> ProblemSpec:
                 raise ProblemError(lineno, col, "expected: opt <name> <value>")
             _, name, c1 = rest[0]
             k2, val, c2 = rest[1]
+            if name in opts:
+                raise ProblemError(lineno, c1, "duplicate option %r" % name)
             if name in ("max_terms", "max_branches"):
                 if k2 != "num" or "/" in val:
                     raise ProblemError(lineno, c2, "%s needs a positive integer" % name)

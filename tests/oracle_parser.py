@@ -18,7 +18,7 @@ from fractions import Fraction
 from puiseux import LPoly, ProblemError
 from tutils import const, naive_power, naive_product, naive_scale, naive_sum, x_var, y_var
 
-_TOKEN = re.compile(r"(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
+_TOKEN = re.compile(r"([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()])|(\S)")
 
 
 def tokenize(text: str, line: int):

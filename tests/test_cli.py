@@ -158,6 +158,16 @@ class TestRunCommand:
         assert captured.out == ""
         assert flag in captured.err and "positive integer" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--max-terms", "--max-branches"])
+    @pytest.mark.parametrize("value", ["\u0663", "1\u0662", "\uff13"])
+    def test_non_ascii_digits_in_a_budget_flag_are_a_usage_error(self, capsys, flag, value):
+        # Arabic-Indic and fullwidth digits, which int() would read as 3 and 12
+        rc = main(["run", str(PROBLEMS / "cusp.txt"), flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert flag in captured.err and "positive integer" in captured.err
+
     def test_determinism_byte_identical(self, capsys):
         outs = []
         for _ in range(2):

@@ -3,10 +3,13 @@
 ``starting_data`` reads the step of a branch with one y, one generator and a
 floor off its staircase (``tropical.forced_step``) when the staircase shows
 that the walk's only candidate above the floor is the edge of its y-free and
-its y-degree-one entry.  Every test here runs the scan once as it is and once
-with that shortcut switched off, and asks for equal steps and equal
-``ScanInfo``; and it asks that the shortcut fires exactly when the walk finds
-that one edge.
+its y-degree-one entry, and ``expand`` then reads every later step of that
+branch off two terms, without a scan.  The tests here run the scan, and
+``expand``, once as they are and once with that shortcut switched off, and
+ask for equal steps and equal ``ScanInfo``, and for equal results or the
+same budget error; they ask that the shortcut fires exactly when the walk
+finds that one edge; and they check the persistence lemma of ``expand`` on
+every branch that a forced step makes.
 """
 
 from contextlib import ExitStack
@@ -16,6 +19,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume, given, seed
 
 from puiseux import (
@@ -28,6 +32,7 @@ from puiseux import (
     candidate_etas,
     expand,
     parse_problem,
+    recenter,
     starting_data,
 )
 from puiseux import expansion
@@ -53,15 +58,38 @@ def _walk_only(stair, floor):
     return None
 
 
+def _outcome(gens, W, opts):
+    """The result of ``expand``, or the type and message of the budget error it raised."""
+    try:
+        return expand(gens, W, opts)
+    except (BranchBudgetExceeded, BudgetExceeded) as e:
+        return type(e), str(e)
+
+
+def _expands_agree(gens, W, opts):
+    """``expand`` as it is and with the forced step switched off give the same outcome."""
+    got = _outcome(gens, W, opts)
+    with patch.object(expansion, "forced_step", _walk_only):
+        walked = _outcome(gens, W, opts)
+    assert got == walked, (gens, W, opts)
+    return got
+
+
+def _is_plane(branch):
+    """One y, one generator and a finite floor: the branches a step can be forced on."""
+    floor = branch.floor
+    return floor is not None and branch.gens[0].ny == len(branch.gens) == 1 and floor[0] is not None
+
+
 def _scans_agree(branch, W, opts):
     """The scan with and without the forced step, and the forced step's trigger."""
     got = starting_data(branch, W, opts)
     with patch.object(expansion, "forced_step", _walk_only):
         walked = starting_data(branch, W, opts)
     assert got == walked, branch
-    floor = branch.floor
-    if floor is None or branch.gens[0].ny != 1 or len(branch.gens) != 1 or floor[0] is None:
+    if not _is_plane(branch):
         return False
+    floor = branch.floor
     # The walk finds exactly one candidate above the floor, at which only a
     # y-free and a y-degree-one term are lowest: the forced step fires.
     scan = candidate_etas(branch.gens, W, (0,), positive_only=False, floor=floor)
@@ -83,24 +111,45 @@ def _expand_checked(gens, W, opts) -> tuple[int, int]:
         return starting_data(branch, W, opts)
 
     with patch.object(expansion, "starting_data", checked):
-        try:
-            expand(gens, W, opts)
-        except (BranchBudgetExceeded, BudgetExceeded):
-            pass
+        _outcome(gens, W, opts)
     return scanned, forced
 
 
-def test_forced_step_is_the_walks_step_on_the_corpus():
-    scanned = forced = 0
+def _corpus_runs():
+    """Every corpus problem at ``max_terms`` 1-10, with ``positive_only`` on and off."""
     for path in sorted(PROBLEMS.glob("*.txt")):
         spec = parse_problem(path.read_text())
         for max_terms in range(1, 11):
             for positive_only in (True, False):
                 opts = replace(spec.options, max_terms=max_terms, positive_only=positive_only)
-                s, f = _expand_checked(spec.gens, spec.weights, opts)
-                scanned += s
-                forced += f
+                yield spec.gens, spec.weights, opts
+
+
+def test_forced_step_is_the_walks_step_on_the_corpus():
+    scanned = forced = 0
+    for gens, W, opts in _corpus_runs():
+        s, f = _expand_checked(gens, W, opts)
+        scanned += s
+        forced += f
     assert forced > 0 and scanned > forced
+
+
+def test_forced_chains_give_the_walks_result_on_the_corpus():
+    for gens, W, opts in _corpus_runs():
+        _expands_agree(gens, W, opts)
+
+
+@pytest.mark.parametrize("max_branches", [3, 10, 34, 35])
+def test_forced_chains_count_every_step_against_the_budget(max_branches):
+    # nodal_cubic at 17 terms takes 35 steps: the root and 17 on each branch
+    spec = parse_problem((PROBLEMS / "nodal_cubic.txt").read_text())
+    opts = replace(spec.options, max_terms=17, max_branches=max_branches)
+    got = _expands_agree(spec.gens, spec.weights, opts)
+    if max_branches < 35:
+        message = "more than %d expansion steps; raise max_branches" % max_branches
+        assert got == (BranchBudgetExceeded, message)
+    else:
+        assert len(got.solutions) == 2
 
 
 @st.composite
@@ -123,6 +172,13 @@ def _plane_curves(draw):
 def test_forced_step_is_the_walks_step_on_random_plane_curves(curve):
     g, W, opts = curve
     _expand_checked([g], W, opts)
+
+
+@seed(20261020)
+@given(curve=_plane_curves())
+def test_forced_chains_give_the_walks_result_on_random_plane_curves(curve):
+    g, W, opts = curve
+    _expands_agree([g], W, opts)
 
 
 @st.composite
@@ -176,10 +232,84 @@ def test_a_tie_at_the_floor_is_counted_as_the_walk_counts_it():
     assert (info.candidates, info.rejected_increase) == (2, 1)
 
 
+def _lowest(g, W, k):
+    """The lowest term of ``g`` of y-degree ``k`` by ``W``, with its value, or None."""
+    terms = [(_value(W, t.xexp), t) for t in g.terms if t.ydeg == (k,)]
+    return min(terms, default=None)
+
+
+def _value(W, xexp):
+    return tuple(sum(w * a for w, a in zip(row, xexp)) for row in W.rows)
+
+
+def _is_forced(branch, W):
+    if not _is_plane(branch):
+        return False
+    floor = branch.floor
+    return forced_step(staircases(branch.gens, W, False, floor)[0], floor[0]) is not None
+
+
+def _check_persistence(branch, W, child):
+    """The lemma of ``expand`` for the child that the forced step of ``branch`` makes.
+
+    ``T1`` stays the lowest y-degree-one term (its exponent scaled by the
+    step's ramification), the y-free minimum rises above ``v1 + eta``, and
+    the bound holds strictly at the new floor ``eta``; so the child is exact
+    with no candidate above its floor, or its step is forced again, with no
+    tie, and the chain reads that step.
+    """
+    g, h = branch.gens[0], child.gens[0]
+    k = child.trace[-1].dgamma
+    (_, t1), (w1, u1) = _lowest(g, W, 1), _lowest(h, W, 1)
+    assert u1.xexp == tuple(e * k for e in t1.xexp), child
+    eta = child.floor[0]
+    assert all(
+        tuple(a + (t.ydeg[0] - 1) * e for a, e in zip(_value(W, t.xexp), eta)) > w1
+        for t in h.terms
+        if t.ydeg[0] >= 2
+    ), child
+    low0 = _lowest(h, W, 0)
+    if low0 is None:
+        assert starting_data(child, W, ExpandOptions())[0] == []
+        assert expansion._chain_step(h, W) is None
+        return
+    assert low0[0] > tuple(p + e for p, e in zip(w1, eta)), child
+    forced = forced_step(staircases(child.gens, W, False, child.floor)[0], eta)
+    assert forced is not None and forced[3] is False, child
+    assert [expansion._chain_step(h, W)] == starting_data(child, W, ExpandOptions())[0]
+
+
+def test_a_forced_step_is_followed_by_forced_steps_on_the_corpus():
+    checked = 0
+
+    def checked_recenter(branch, data, W):
+        nonlocal checked
+        child = recenter(branch, data, W)
+        if _is_forced(branch, W):
+            checked += 1
+            _check_persistence(branch, W, child)
+        return child
+
+    with patch.object(expansion, "recenter", checked_recenter):
+        for gens, W, opts in _corpus_runs():
+            _outcome(gens, W, opts)
+    assert checked > 0
+
+
+@seed(20261020)
+@given(branch=_floored_branches())
+def test_a_forced_step_is_followed_by_forced_steps_above_any_floor(branch):
+    b, W = branch
+    if _is_forced(b, W):
+        [step], info = starting_data(b, W, ExpandOptions())
+        assert info.forced
+        _check_persistence(b, W, recenter(b, step, W))
+
+
 def _calls(name: str, max_terms: int = 17) -> dict:
     """The layer calls of one ``expand`` of a corpus problem."""
     spec = parse_problem((PROBLEMS / name).read_text())
-    counts = dict.fromkeys(("candidate_etas", "torus_solutions", "recenter"), 0)
+    counts = dict.fromkeys(("starting_data", "candidate_etas", "torus_solutions", "recenter"), 0)
     with ExitStack() as stack:
         for attr in counts:
             def counted(*args, _fn=getattr(expansion, attr), _attr=attr, **kwargs):
@@ -192,10 +322,14 @@ def _calls(name: str, max_terms: int = 17) -> dict:
 
 
 def test_smooth_plane_branches_scan_only_at_the_root():
-    # two smooth branches of 17 terms: 34 recenterings, and of the 33 scans
-    # only the root's, the first step without a floor, takes the walk
+    # two smooth branches of 17 terms: 34 recenterings and 3 scans, of which
+    # only the root's, the first step without a floor, takes the walk; the
+    # other two are each branch's first forced step, and the chain reads the
+    # other 30 steps off two terms
     for name in ("nodal_cubic.txt", "sqrt_factor.txt"):
-        assert _calls(name) == {"candidate_etas": 1, "torus_solutions": 1, "recenter": 34}
+        assert _calls(name) == {
+            "starting_data": 3, "candidate_etas": 1, "torus_solutions": 1, "recenter": 34
+        }
 
 
 def test_a_system_with_one_y_left_active_takes_the_walk():

@@ -179,6 +179,12 @@ ERRORS = [
     ("opt positive_only maybe", 4, 19, "positive_only is true or false"),
     ("opt bogus 3", 4, 5, "unknown option 'bogus'"),
     ("opt max_terms", 4, 1, "expected: opt <name> <value>"),
+    ("opt max_terms 3\nopt max_terms 4", 5, 5, "duplicate option 'max_terms'"),
+    ("opt positive_only true\n#\nopt  positive_only 1", 6, 6, "duplicate option 'positive_only'"),
+    ("weight \u0661 0", 4, 8, "unexpected character '\u0661'"),
+    ("gen y1^\u0662 - x1", 4, 8, "unexpected character '\u0662'"),
+    ("gen \u0663*x1 - y1", 4, 5, "unexpected character '\u0663'"),
+    ("opt max_terms \u0664", 4, 15, "unexpected character '\u0664'"),
 ]
 
 
