@@ -6,6 +6,8 @@
 For every emitted branch the k-term truncations are substituted back into
 the generators and the weighted order of the worst residual is shown; a
 strictly increasing column is the term-by-term convergence certificate.
+A file that cannot be read or parsed, and a run over its budget, print one
+line on stderr and exit 1, as ``puiseux run`` does.
 """
 
 import argparse
@@ -13,8 +15,20 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from puiseux import expand, parse_problem, verify_residual
+from puiseux import (
+    BranchBudgetExceeded,
+    BudgetExceeded,
+    ProblemError,
+    expand,
+    parse_problem,
+    verify_residual,
+)
 from puiseux.problem import val_obj, val_str
+
+
+def _fail(msg: str) -> int:
+    print("residual_growth: %s" % msg, file=sys.stderr)
+    return 1
 
 
 def main() -> int:
@@ -23,14 +37,22 @@ def main() -> int:
     ap.add_argument("--max-terms", type=int, default=None)
     args = ap.parse_args()
 
-    spec = parse_problem(args.file.read_text())
+    try:
+        spec = parse_problem(args.file.read_text(encoding="utf-8"))
+    except OSError as e:
+        return _fail("cannot read %s: %s" % (args.file, e.strerror))
+    except ProblemError as e:
+        return _fail("%s: %s" % (args.file, e))
     opts = spec.options
     if args.max_terms is not None:
         try:
             opts = replace(opts, max_terms=args.max_terms)
         except ValueError as e:
             ap.error("--max-terms: %s" % e)
-    result = expand(spec.gens, spec.weights, opts)
+    try:
+        result = expand(spec.gens, spec.weights, opts)
+    except (BranchBudgetExceeded, BudgetExceeded) as e:
+        return _fail(str(e))
     if not result.solutions:
         print("no solutions (see `puiseux run` diagnostics)")
         return 2

@@ -11,22 +11,22 @@ emitted.
 Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
 per solution.  A smooth plane branch skips the first two past its first
-step: with one y, one generator and a floor, when the staircase shows one
-edge of height one above the floor (``tropical.forced_step``), the step is
-that edge's weight and minus the ratio of its end coefficients, with the
-walk's diagnostics.  Every later step of such a branch is forced too (the
-persistence lemma of ``expand``), so ``expand`` runs it to its end in one
-loop, a forced chain, reading each step off two terms of its generator
-without a scan.  Recentering means: ramify so the new exponent rows
-become integral, retire coordinates whose weight went infinite by setting
-them to zero, and shift each active y by its new monomial.  ``expand``
-first replaces each generator by its primitive integer multiple
-(``lpoly.primitive``), and ``shift_y`` returns the primitive integer
-multiple of each shifted generator, so a branch's generators are primitive
-integer polynomials, each a positive constant times the exact recentered
-generator.  Nothing read off them depends on that constant: supports and
-staircases, weighted orders, and the initial systems, which the solver
-brings to one normal form.  After recentering, the y-free part of each
+step: with one y, one generator and a floor, when the lowest terms of its
+generator show one edge of height one above the floor, ``forced_step``
+reads the step off that edge's two end terms.  ``expand`` tries it on
+every branch it makes, so such a branch runs to its end in one loop, a
+forced chain, each step checked by the same test.  Once a step is forced
+every later step is forced too (the persistence lemma of ``forced_step``),
+so a chain never falls back to the walk.  Recentering means: ramify so
+the new exponent rows become integral, retire coordinates whose weight
+went infinite by setting them to zero, and shift each active y by its new
+monomial.  ``expand`` first replaces each generator by its primitive
+integer multiple (``lpoly.primitive``), and ``shift_y`` returns the
+primitive integer multiple of each shifted generator, so a branch's
+generators are primitive integer polynomials, each a positive constant
+times the exact recentered generator.  Nothing read off them depends on
+that constant: supports and staircases, weighted orders, and the initial
+systems, which the solver brings to one normal form.  After recentering, the y-free part of each
 generator is (that constant times) the original generator evaluated at the
 accumulated truncation, in the ramified frame.  So ``expand`` (and with it
 ``puiseux run``) never substitutes the series back.  A branch terminates
@@ -48,7 +48,7 @@ scan, and its step is the length of its trace.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -58,7 +58,6 @@ from typing import Sequence
 
 from .lpoly import (
     LPoly,
-    Term,
     primitive,
     ramify,
     set_y_zero,
@@ -67,7 +66,7 @@ from .lpoly import (
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
-from .tropical import candidate_etas, forced_step, staircases
+from .tropical import candidate_etas, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
@@ -216,20 +215,13 @@ class SeriesSolution:
 
 @dataclass
 class ScanInfo:
-    """The diagnostics of one scan, as the candidate walk reports them.
-
-    ``forced`` marks a step read off the staircase (``forced_step``); it
-    says how the scan ran, not what it found, so equality ignores it.
-    ``expand`` runs the branch of a forced step to its end without another
-    scan.
-    """
+    """The diagnostics of one scan, as the candidate walk reports them."""
 
     candidates: int = 0
     rejected_increase: int = 0
     underdetermined: int = 0
     irrational: bool = False
     nonzero_dimensional: bool = False
-    forced: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -253,38 +245,72 @@ class ExpandResult:
     underdetermined_seen: bool
 
 
-def _forced_data(t0: Term, t1: Term, eta: tuple) -> StepData:
-    """The step that ``T0 = c0*x^a0`` and ``T1 = c1*x^b1*y`` force at ``eta = W.a0 - W.b1``.
+def forced_step(branch: Branch, W: WeightMatrix) -> StepData | None:
+    """The step forced on a smooth plane branch, or None when it is not forced.
 
-    Its row is ``gamma = a0 - b1`` and its coefficient ``c = -c0/c1``, the
+    Only a branch with one y, one generator and a finite floor ``F`` can
+    have one.  Let ``T0 = c0*x^a0`` be the generator's lowest y-free term by
+    ``W``, of value ``v0 = W.a0``, and ``T1 = c1*x^b1*y`` its lowest
+    y-degree-one term, of value ``v1 = W.b1``.  The step is forced when
+    ``eta = v0 - v1 > F`` and the lowest term ``x^a y^k`` of each y-degree
+    ``k >= 2`` has ``W.a + (k-1)F >= v1``.  At a weight ``e > F`` such a
+    term lies strictly above ``T1``, since ``W.a + (k-1)e > v1``; the other
+    y-free and y-degree-one terms lie above ``T0`` and ``T1``.  So ``T0``
+    and ``T1`` tie at ``eta`` and nowhere else above the floor: ``eta`` is
+    the candidate walk's only candidate there, with those two terms alone at
+    its minimum.  The step is ``gamma = a0 - b1`` and ``c = -c0/c1``, the
     root of the initial form ``c0 + c1*c``, checked exactly.
+
+    Persistence.  ``expand`` tries this on every branch it makes, and once
+    a step is forced, the child's step is forced too or the child ends
+    exact, so a chain never falls back to the walk.  Let ``W.gamma = eta``
+    and ``c0 + c1*c = 0``.  The shift ``y -> y + c x^gamma`` sends ``x^a
+    y^m`` to terms ``x^(a + (m-j) gamma) y^j`` of value ``W.a + (m-j)
+    eta``.  With the new floor ``eta`` (ramifying scales every value alike
+    and changes nothing):
+
+    1. The bound holds strictly: a new ``y^k`` term, ``k >= 2``, comes from
+       some ``x^a y^m`` with ``m >= k`` and has ``W.a + (m-k) eta + (k-1)
+       eta = W.a + (m-1) eta > W.a + (m-1) F >= v1``.
+    2. ``T1`` stays the unique lowest ``y^1`` term, with its coefficient:
+       the other ``y^1`` terms have values ``W.a > v1`` (``y^1``, ``W`` is
+       injective) or ``W.a + (m-1) eta > v1`` (``m >= 2``, as in 1).
+    3. The new y-free minimum lies above ``v1 + eta = v0``: ``T0`` and
+       ``T1`` give ``(c0 + c1*c) x^a0 = 0``, and the rest give ``W.a >
+       v0`` (``y^0``), ``W.a + eta > v1 + eta`` (``y^1``) or ``W.a + m eta
+       > v1 + eta`` (``m >= 2``, by 1).
+
+    So a child with a y-free term of value ``v0'`` has ``eta' = v0' - v1 >
+    eta``, the new floor, and by 1 its step is forced again.  A child with
+    no y-free term has ``T1`` as its unique lowest term at every weight
+    from its floor up, by 1, so the walk finds no candidate above its floor,
+    and it ends as an exact solution, not as a dead branch.
     """
-    (c0, a0, _), (c1, b1, _) = t0, t1
-    c = Fraction(-c0, c1)
-    if c0 * c.denominator + c1 * c.numerator != 0:  # c0 + c1*c, cleared
-        raise AssertionError("forced step produced a non-root; this is a bug")
-    gamma = tuple(canonical(p - q) for p, q in zip(a0, b1))
-    return StepData((eta,), (gamma,), (c,))
-
-
-def _chain_step(g: LPoly, W: WeightMatrix) -> StepData | None:
-    """The next step of a forced chain, or None when ``g`` keeps no y-free term.
-
-    ``T0`` is the lowest y-free term of ``g`` by ``W`` and ``T1`` its lowest
-    y-degree-one term; ``expand`` proves that they force the step.
-    """
-    rows = W.rows
-    low: list = [None, None]  # per y-degree 0 and 1: (W.xexp, term) of the lowest term
-    for t in g.terms:
-        k = t.ydeg[0]
-        if k < 2:
-            v = [sum(map(mul, r, t.xexp)) for r in rows]
-            if low[k] is None or v < low[k][0]:
-                low[k] = (v, t)
-    if low[0] is None:
+    floor = branch.floor
+    if floor is None or len(floor) != 1 or len(branch.gens) != 1:
         return None
-    (v0, t0), (v1, t1) = low
-    return _forced_data(t0, t1, tuple(canonical(p - q) for p, q in zip(v0, v1)))
+    rows = W.rows
+    low: dict = {}  # y-degree -> (W.xexp, term) of its lowest term
+    for t in branch.gens[0].terms:
+        k = t.ydeg[0]
+        v = [sum(map(mul, r, t.xexp)) for r in rows]
+        prev = low.get(k)
+        if prev is None or v < prev[0]:
+            low[k] = (v, t)
+    if 0 not in low or 1 not in low:
+        return None
+    (v0, t0), (v1, t1) = low.pop(0), low.pop(1)
+    F = floor[0]
+    eta = tuple(canonical(p - q) for p, q in zip(v0, v1))
+    if not eta > F or any(
+        [w + (k - 1) * f for w, f in zip(v, F)] < v1 for k, (v, _) in low.items()
+    ):
+        return None
+    c = Fraction(-t0.coeff, t1.coeff)
+    if t0.coeff * c.denominator + t1.coeff * c.numerator != 0:  # c0 + c1*c, cleared
+        raise AssertionError("forced step produced a non-root; this is a bug")
+    gamma = tuple(canonical(p - q) for p, q in zip(t0.xexp, t1.xexp))
+    return StepData((eta,), (gamma,), (c,))
 
 
 def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
@@ -296,13 +322,8 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     every subset's scan, which restricts them to its subset.  Candidates that tie at
     the floor without exceeding it are counted as ``rejected_increase``.
     Emits one StepData per rational torus solution of each candidate's
-    initial coefficient system.  A branch whose step is forced
-    (``forced_step``) gets that one step and the ``ScanInfo`` the walk
-    would report, without a scan or a solve, marked ``forced``: ``expand``
-    reads every later step of that branch off two terms, so a forced chain
-    is scanned once, at its first forced step.  The all-retired
-    continuation is not produced here; the driver detects it as exact
-    termination.
+    initial coefficient system.  The all-retired continuation is not
+    produced here; ``expand`` detects it as exact termination.
     """
     info = ScanInfo()
     ny = branch.gens[0].ny
@@ -310,11 +331,6 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
     floor = branch.floor
     positive_only = opts.positive_only and floor is None
     stairs = staircases(branch.gens, W, positive_only, floor)
-    if floor is not None and ny == len(active) == len(stairs) == 1:
-        forced = forced_step(stairs[0], floor[0])
-        if forced is not None:
-            t0, t1, eta, tie = forced
-            return [_forced_data(t0, t1, eta)], ScanInfo(1 + tie, int(tie), forced=True)
     out: list[StepData] = []
     for size in range(1, len(active) + 1):
         for lam in combinations(active, size):
@@ -426,39 +442,13 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     expanded does not show, and the total step count, which alone decides
     ``BranchBudgetExceeded``, does not depend on it either.
 
-    Forced chains.  Once ``starting_data`` returns a forced step, the branch
-    is run to its end in one loop: each later step is read off the lowest
-    y-free term ``T0 = c0*x^a0`` and the lowest y-degree-one term ``T1 =
-    c1*x^b1*y`` of the one generator (``_chain_step``), without a scan, until
-    no y-free term is left (an exact solution) or ``max_terms`` is reached
-    (a truncation).  Each step still goes through ``recenter`` and counts
-    against ``max_branches``.  This rests on a persistence lemma.  Let a
-    step above the floor ``F`` be forced: ``v0 = W.a0``, ``v1 = W.b1``,
-    ``eta = v0 - v1 > F`` and ``W.a + (k-1)F >= v1`` for every term ``x^a
-    y^k`` with ``k >= 2``; let ``W.gamma = eta`` and ``c0 + c1*c = 0``.
-    The shift ``y -> y + c x^gamma`` sends ``x^a y^m`` to terms ``x^(a +
-    (m-j) gamma) y^j`` of value ``W.a + (m-j) eta``.  Then, with the new
-    floor ``eta`` (ramifying scales every value alike and changes nothing):
-
-    1. The bound holds strictly: a new ``y^k`` term, ``k >= 2``, comes from
-       some ``x^a y^m`` with ``m >= k`` and has ``W.a + (m-k) eta + (k-1)
-       eta = W.a + (m-1) eta > W.a + (m-1) F >= v1``.
-    2. ``T1`` stays the unique lowest ``y^1`` term, with its coefficient:
-       the other ``y^1`` terms have values ``W.a > v1`` (``y^1``, ``W`` is
-       injective) or ``W.a + (m-1) eta > v1`` (``m >= 2``, as in 1).
-    3. The new y-free minimum lies above ``v1 + eta = v0``: ``T0`` and
-       ``T1`` give ``(c0 + c1*c) x^a0 = 0``, and the rest give ``W.a >
-       v0`` (``y^0``), ``W.a + eta > v1 + eta`` (``y^1``) or ``W.a + m eta
-       > v1 + eta`` (``m >= 2``, by 1).
-
-    So a child with a y-free term of value ``v0'`` has ``eta' = v0' - v1 >
-    eta``, the new floor, and by 1 its step is forced again with no tie at
-    the floor (``tie`` False: the scan would report one candidate and
-    nothing else).  A child with no y-free term has ``T1`` as its unique
-    lowest term at every weight from its floor up, by 1, so no candidate
-    lies above its floor, and it ends as an exact solution, not as a dead
-    branch.  Either way the scan that the loop skips would return what the
-    loop does.
+    Forced chains.  Every branch that a step makes is first handed to
+    ``forced_step``, and while its step is forced and ``max_terms`` is not
+    reached, the step is taken at once, without a scan.  Each such step
+    still goes through ``recenter`` and counts against ``max_branches``.
+    The branch that is left then ends or takes the walk like any other; by
+    the persistence lemma of ``forced_step`` a chain stops only at
+    ``max_terms`` or at an exact solution.
     """
     gens = tuple(gens)
     if not gens:
@@ -488,16 +478,13 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
             )
         return recenter(branch, sd, W)
 
-    def emit(branch: Branch, exact: bool) -> None:
-        residual = None if exact else residual_order(branch, W)
-        solutions.append(SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace))
-
     y_free = (0,) * ny
     while frontier:
         branch = frontier.popleft()
         exact = not any(t.ydeg == y_free for g in branch.gens for t in g.terms)
         if exact or branch.step >= opts.max_terms:
-            emit(branch, exact)
+            residual = None if exact else residual_order(branch, W)
+            solutions.append(SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace))
         if branch.step >= opts.max_terms or not branch.gens:
             continue
         steps, info = starting_data(branch, W, opts)
@@ -514,13 +501,9 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
             continue
         for sd in steps:
             child = spawn(branch, sd)
-            if not info.forced:
-                frontier.append(child)
-                continue
-            # a forced chain: every later step is forced (the lemma above)
-            while (sd := _chain_step(child.gens[0], W)) is not None and child.step < opts.max_terms:
+            while child.step < opts.max_terms and (sd := forced_step(child, W)) is not None:
                 child = spawn(child, sd)
-            emit(child, sd is None)
+            frontier.append(child)
 
     final = tuple(sorted(solutions, key=lambda s: _coords_key(s.coords)))
     dead_sorted = tuple(

@@ -3,7 +3,7 @@
 A problem file is line based:
 
     # comments run to the end of the line
-    vars x1 x2 y1          # names starting with x/y pick the block
+    vars x1 x2 y1          # names starting with x/y pick the block; one of each at least
     weight 1 0             # one row per line, rational entries
     weight 0 1
     gen y1^2 - x1*x2       # any number of gen lines
@@ -242,7 +242,7 @@ def parse_problem(text: str) -> ProblemSpec:
             raise ProblemError(lineno, col, "expected a keyword")
         rest = toks[1:]
         if word == "vars":
-            if x_names or y_names:
+            if x_names:
                 raise ProblemError(lineno, col, "duplicate vars line")
             for k, name, c in rest:
                 if k != "name":
@@ -255,6 +255,8 @@ def parse_problem(text: str) -> ProblemSpec:
                     y_names.append(name)
                 else:
                     raise ProblemError(lineno, c, "variable names must start with x or y")
+            if not x_names or not y_names:
+                raise ProblemError(lineno, col, "vars needs at least one x and one y variable")
         elif word == "weight":
             if not x_names:
                 raise ProblemError(lineno, col, "weight before vars")
@@ -278,7 +280,7 @@ def parse_problem(text: str) -> ProblemSpec:
                 first_weight_line = lineno
             weight_rows.append(tuple(row))
         elif word == "gen":
-            if not x_names or not y_names:
+            if not x_names:
                 raise ProblemError(lineno, col, "gen before vars")
             gen_lines.append((lineno, rest))
         elif word == "opt":
@@ -304,7 +306,7 @@ def parse_problem(text: str) -> ProblemSpec:
         else:
             raise ProblemError(lineno, col, "unknown keyword %r" % word)
 
-    if not x_names or not y_names:
+    if not x_names:
         raise ProblemError(1, 1, "need at least one x and one y variable")
     if not weight_rows:
         raise ProblemError(1, 1, "need at least one weight row")

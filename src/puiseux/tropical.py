@@ -41,13 +41,10 @@ finite coordinates (``restrict``).  Full pair choices whose systems are
 consistent but positive-dimensional among the remaining terms are counted
 and reported rather than enumerated.
 
-A smooth plane branch needs no walk.  For one generator in one y above a
-floor, ``forced_step`` reads off the staircase whether the only candidate
-above the floor is the edge of its y-free and its y-degree-one entry, the
-classical forced step of Newton's method once the polygon above the last
-slope is one edge of height one.  It then returns that edge, and whether the
-walk would also have found, and the strict increase rejected, a tie at the
-floor.
+A smooth plane branch past its first step needs no walk: when the lowest
+terms of its one generator show one edge of height one above the floor,
+``expansion.forced_step`` reads the step off that edge, the only candidate
+the walk would find, and ``expand`` takes it without a scan.
 """
 
 from __future__ import annotations
@@ -170,43 +167,6 @@ def restrict(stair, lam: Sequence[int]) -> list:
     """
     off = ~sum(1 << i for i in lam)
     return [(t, xval, tuple(t.ydeg[i] for i in lam)) for t, xval, support in stair if not support & off]
-
-
-def forced_step(stair, floor: tuple) -> tuple | None:
-    """The edge that forces a smooth plane step, read off one staircase, or None.
-
-    ``stair`` is the staircase of a single generator in a single y above the
-    finite ``floor`` F.  Let it hold a y-free entry ``T0`` of value ``v0 =
-    W.a0`` and a y-degree-one entry ``T1`` of value ``v1``, and let ``eta =
-    v0 - v1``.  The step is forced when ``eta > F`` and every entry ``x^a
-    y^k`` with ``k >= 2`` has ``W.a + (k - 1) F - v1 >= 0``.  Then T0 and T1
-    are the only terms at the minimum at ``eta``, T0 is the unique minimum
-    above it and T1 the unique one on ``(F, eta)``: y-free terms lie above
-    ``v0``, T1 is the lowest y-degree-one term, and a ``k >= 2`` term lies
-    above T1 wherever ``eta > F``.  So ``eta`` is the walk's only candidate
-    above the floor.  A term the staircase dropped is dominated by an entry
-    that meets the bound, so the entries are enough.
-
-    Returns ``(T0, T1, eta, tie)`` with ``eta`` canonical, where ``tie``
-    says whether some entry meets its bound with equality: T1 ties it at the
-    floor, a candidate that the strict increase rejects.
-    """
-    by_deg = {t.ydeg[0]: (t, xval) for t, xval, _ in stair}
-    if 0 not in by_deg or 1 not in by_deg:
-        return None
-    (t0, v0), (t1, v1) = by_deg[0], by_deg[1]
-    eta = tuple(canonical(p - q) for p, q in zip(v0, v1))
-    if not eta > floor:
-        return None
-    zero = (0,) * len(eta)
-    gaps = [
-        tuple(w + (k - 1) * f - v for w, f, v in zip(xval, floor, v1))
-        for k, (_, xval) in by_deg.items()
-        if k >= 2
-    ]
-    if any(g < zero for g in gaps):
-        return None
-    return t0, t1, eta, zero in gaps
 
 
 def _region(ny: int, d: int, positive_only: bool, floor) -> tuple:

@@ -1,15 +1,16 @@
 """The forced step of a smooth plane branch against the candidate walk.
 
-``starting_data`` reads the step of a branch with one y, one generator and a
-floor off its staircase (``tropical.forced_step``) when the staircase shows
-that the walk's only candidate above the floor is the edge of its y-free and
-its y-degree-one entry, and ``expand`` then reads every later step of that
-branch off two terms, without a scan.  The tests here run the scan, and
-``expand``, once as they are and once with that shortcut switched off, and
-ask for equal steps and equal ``ScanInfo``, and for equal results or the
-same budget error; they ask that the shortcut fires exactly when the walk
-finds that one edge; and they check the persistence lemma of ``expand`` on
-every branch that a forced step makes.
+``expansion.forced_step`` reads the step of a branch with one y, one
+generator and a floor off the lowest terms of its generator, when they
+show that the walk's only candidate above the floor is the edge of its
+y-free and its y-degree-one term, and ``expand`` takes that step on every
+branch it makes, for as long as it is forced, without a scan.  The tests
+here run ``expand`` once as it is and once with the reader switched off,
+and ask for equal results or the same budget error; they ask that on every
+branch that ``recenter`` returns the reader fires exactly when the walk
+finds that one edge, and then gives the walk's one step, and that no
+branch that is scanned has a forced step; and they check the persistence
+lemma of ``forced_step`` on every branch that a forced step makes.
 """
 
 from contextlib import ExitStack
@@ -36,7 +37,6 @@ from puiseux import (
     starting_data,
 )
 from puiseux import expansion
-from puiseux.tropical import forced_step, staircases
 from tutils import from_terms, identity, lp
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -54,7 +54,7 @@ WS = {
 }
 
 
-def _walk_only(stair, floor):
+def _walk_only(branch, W):
     return None
 
 
@@ -78,41 +78,51 @@ def _expands_agree(gens, W, opts):
 def _is_plane(branch):
     """One y, one generator and a finite floor: the branches a step can be forced on."""
     floor = branch.floor
-    return floor is not None and branch.gens[0].ny == len(branch.gens) == 1 and floor[0] is not None
+    return len(branch.gens) == 1 and branch.gens[0].ny == 1 and floor is not None
 
 
-def _scans_agree(branch, W, opts):
-    """The scan with and without the forced step, and the forced step's trigger."""
-    got = starting_data(branch, W, opts)
-    with patch.object(expansion, "forced_step", _walk_only):
-        walked = starting_data(branch, W, opts)
-    assert got == walked, branch
+def _forced_is_the_walks_step(branch, W):
+    """The reader fires exactly when the walk finds one edge above the floor, and takes its step."""
+    forced = expansion.forced_step(branch, W)
     if not _is_plane(branch):
+        assert forced is None, branch
         return False
     floor = branch.floor
     # The walk finds exactly one candidate above the floor, at which only a
-    # y-free and a y-degree-one term are lowest: the forced step fires.
+    # y-free and a y-degree-one term are lowest: the step is forced.
     scan = candidate_etas(branch.gens, W, (0,), positive_only=False, floor=floor)
     above = [c for c in scan.candidates if c.eta[0] > floor[0]]
     edge = len(above) == 1 and set(above[0].system[0]) == {(0,), (1,)}
-    forced = forced_step(staircases(branch.gens, W, False, floor)[0], floor[0])
     assert (forced is not None) == edge, branch
+    if edge:
+        assert starting_data(branch, W, ExpandOptions())[0] == [forced], branch
     return edge
 
 
 def _expand_checked(gens, W, opts) -> tuple[int, int]:
-    """Expand, checking every scanned branch; the scans and the forced ones among them."""
-    scanned = forced = 0
+    """Expand, checking every branch made and every branch scanned.
 
-    def checked(branch, W, opts):
-        nonlocal scanned, forced
-        scanned += 1
-        forced += _scans_agree(branch, W, opts)
+    Returns the number of branches made and of the forced ones among them.
+    """
+    made = forced = 0
+
+    def checked_recenter(branch, data, W):
+        nonlocal made, forced
+        child = recenter(branch, data, W)
+        made += 1
+        forced += _forced_is_the_walks_step(child, W)
+        return child
+
+    def checked_scan(branch, W, opts):
+        assert expansion.forced_step(branch, W) is None, branch
         return starting_data(branch, W, opts)
 
-    with patch.object(expansion, "starting_data", checked):
+    with (
+        patch.object(expansion, "recenter", checked_recenter),
+        patch.object(expansion, "starting_data", checked_scan),
+    ):
         _outcome(gens, W, opts)
-    return scanned, forced
+    return made, forced
 
 
 def _corpus_runs():
@@ -126,17 +136,28 @@ def _corpus_runs():
 
 
 def test_forced_step_is_the_walks_step_on_the_corpus():
-    scanned = forced = 0
+    made = forced = 0
     for gens, W, opts in _corpus_runs():
-        s, f = _expand_checked(gens, W, opts)
-        scanned += s
+        m, f = _expand_checked(gens, W, opts)
+        made += m
         forced += f
-    assert forced > 0 and scanned > forced
+    assert forced > 0 and made > forced
 
 
 def test_forced_chains_give_the_walks_result_on_the_corpus():
     for gens, W, opts in _corpus_runs():
         _expands_agree(gens, W, opts)
+
+
+def test_a_forced_chain_that_ends_exact():
+    # y1 = x1 + x1^2 and y1 = -x1 - x1^2: the root's walk takes x1, the chain
+    # takes x1^2 and leaves no y-free term, and the scan of that end finds
+    # no candidate above its floor, so the branch is exact, not dead
+    spec = parse_problem("vars x1 y1\nweight 1\ngen y1^2 - (x1 + x1^2)^2\n")
+    got = _expands_agree(spec.gens, spec.weights, spec.options)
+    assert [s.exact for s in got.solutions] == [True, True]
+    assert got.dead_branches == ()
+    assert _expand_checked(spec.gens, spec.weights, spec.options) == (4, 2)
 
 
 @pytest.mark.parametrize("max_branches", [3, 10, 34, 35])
@@ -218,7 +239,7 @@ def _floored_branches(draw):
 @given(branch=_floored_branches())
 def test_forced_step_is_the_walks_step_above_any_floor(branch):
     b, W = branch
-    _scans_agree(b, W, ExpandOptions())
+    _forced_is_the_walks_step(b, W)
 
 
 def test_a_tie_at_the_floor_is_counted_as_the_walk_counts_it():
@@ -226,7 +247,7 @@ def test_a_tie_at_the_floor_is_counted_as_the_walk_counts_it():
     # and y^2 ties y at the floor itself, a candidate the strict increase rejects
     g = lp(1, 1, (1, (0,), (1,)), (-1, (2,), (0,)), (1, (-1,), (2,)))
     branch = Branch((g,), (StepData(((1,),), ((1,),), (F(1),)),))
-    assert _scans_agree(branch, identity(1), ExpandOptions())
+    assert _forced_is_the_walks_step(branch, identity(1))
     steps, info = starting_data(branch, identity(1), ExpandOptions())
     assert steps == [StepData(((2,),), ((2,),), (F(1),))]
     assert (info.candidates, info.rejected_increase) == (2, 1)
@@ -242,21 +263,14 @@ def _value(W, xexp):
     return tuple(sum(w * a for w, a in zip(row, xexp)) for row in W.rows)
 
 
-def _is_forced(branch, W):
-    if not _is_plane(branch):
-        return False
-    floor = branch.floor
-    return forced_step(staircases(branch.gens, W, False, floor)[0], floor[0]) is not None
-
-
 def _check_persistence(branch, W, child):
-    """The lemma of ``expand`` for the child that the forced step of ``branch`` makes.
+    """The lemma of ``forced_step`` for the child that the forced step of ``branch`` makes.
 
     ``T1`` stays the lowest y-degree-one term (its exponent scaled by the
     step's ramification), the y-free minimum rises above ``v1 + eta``, and
     the bound holds strictly at the new floor ``eta``; so the child is exact
-    with no candidate above its floor, or its step is forced again, with no
-    tie, and the chain reads that step.
+    with no candidate above its floor, or its step is forced again, the
+    walk's one candidate with no tie at the floor.
     """
     g, h = branch.gens[0], child.gens[0]
     k = child.trace[-1].dgamma
@@ -271,12 +285,13 @@ def _check_persistence(branch, W, child):
     low0 = _lowest(h, W, 0)
     if low0 is None:
         assert starting_data(child, W, ExpandOptions())[0] == []
-        assert expansion._chain_step(h, W) is None
+        assert expansion.forced_step(child, W) is None
         return
     assert low0[0] > tuple(p + e for p, e in zip(w1, eta)), child
-    forced = forced_step(staircases(child.gens, W, False, child.floor)[0], eta)
-    assert forced is not None and forced[3] is False, child
-    assert [expansion._chain_step(h, W)] == starting_data(child, W, ExpandOptions())[0]
+    forced = expansion.forced_step(child, W)
+    steps, info = starting_data(child, W, ExpandOptions())
+    assert forced is not None and steps == [forced], child
+    assert (info.candidates, info.rejected_increase) == (1, 0), child
 
 
 def test_a_forced_step_is_followed_by_forced_steps_on_the_corpus():
@@ -285,7 +300,7 @@ def test_a_forced_step_is_followed_by_forced_steps_on_the_corpus():
     def checked_recenter(branch, data, W):
         nonlocal checked
         child = recenter(branch, data, W)
-        if _is_forced(branch, W):
+        if expansion.forced_step(branch, W) is not None:
             checked += 1
             _check_persistence(branch, W, child)
         return child
@@ -300,9 +315,8 @@ def test_a_forced_step_is_followed_by_forced_steps_on_the_corpus():
 @given(branch=_floored_branches())
 def test_a_forced_step_is_followed_by_forced_steps_above_any_floor(branch):
     b, W = branch
-    if _is_forced(b, W):
-        [step], info = starting_data(b, W, ExpandOptions())
-        assert info.forced
+    step = expansion.forced_step(b, W)
+    if step is not None:
         _check_persistence(b, W, recenter(b, step, W))
 
 
@@ -322,13 +336,12 @@ def _calls(name: str, max_terms: int = 17) -> dict:
 
 
 def test_smooth_plane_branches_scan_only_at_the_root():
-    # two smooth branches of 17 terms: 34 recenterings and 3 scans, of which
-    # only the root's, the first step without a floor, takes the walk; the
-    # other two are each branch's first forced step, and the chain reads the
-    # other 30 steps off two terms
+    # two smooth branches of 17 terms: 34 recenterings and one scan, the
+    # root's, the first step without a floor; each branch takes its other
+    # 16 steps as a forced chain and ends truncated at max_terms
     for name in ("nodal_cubic.txt", "sqrt_factor.txt"):
         assert _calls(name) == {
-            "starting_data": 3, "candidate_etas": 1, "torus_solutions": 1, "recenter": 34
+            "starting_data": 1, "candidate_etas": 1, "torus_solutions": 1, "recenter": 34
         }
 
 
@@ -338,5 +351,5 @@ def test_a_system_with_one_y_left_active_takes_the_walk():
     # coordinates, so only the walk can make them
     gens = [lp(2, 2, (-3, (0, 0), (0, 0)), (-3, (0, 0), (1, 0)), (-3, (0, 1), (0, 0))),
             lp(2, 2, (-6, (0, 0), (0, 1)))]
-    scanned, forced = _expand_checked(gens, identity(2), ExpandOptions(max_terms=3, positive_only=False))
-    assert scanned > 1 and forced == 0
+    made, forced = _expand_checked(gens, identity(2), ExpandOptions(max_terms=3, positive_only=False))
+    assert made > 1 and forced == 0

@@ -193,3 +193,22 @@ def test_parse_errors_keep_their_position_and_message(lines, line, col, msg):
     with pytest.raises(ProblemError) as err:
         parse_problem(HEAD + lines + "\n")
     assert (err.value.line, err.value.col, err.value.msg) == (line, col, msg)
+
+
+# (whole file, line, column, message): a vars line must name an x and a y
+VARS_ERRORS = [
+    ("vars\nvars x1 y1\nweight 1\ngen y1 - x1\n", 1, 1, "vars needs at least one x and one y variable"),
+    ("vars y1\nweight 1\ngen y1 - x1\n", 1, 1, "vars needs at least one x and one y variable"),
+    ("# x only\n  vars x1 x2\nweight 1 0\n", 2, 3, "vars needs at least one x and one y variable"),
+    ("vars x1 y1\nvars x2 y2\n", 2, 1, "duplicate vars line"),
+    ("weight 1\nvars x1 y1\n", 1, 1, "weight before vars"),
+    ("gen y1 - x1\nvars x1 y1\n", 1, 1, "gen before vars"),
+    ("# no vars line\n", 1, 1, "need at least one x and one y variable"),
+]
+
+
+@pytest.mark.parametrize("text,line,col,msg", VARS_ERRORS)
+def test_a_vars_line_names_an_x_and_a_y(text, line, col, msg):
+    with pytest.raises(ProblemError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col, err.value.msg) == (line, col, msg)

@@ -30,6 +30,30 @@ def test_residual_growth_rejects_a_nonpositive_max_terms():
         assert "--max-terms: max_terms must be at least 1" in done.stderr
 
 
+def _one_error_line(done, text):
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "residual_growth: %s\n" % text
+
+
+def test_residual_growth_reports_an_unreadable_file(tmp_path):
+    missing = tmp_path / "missing.txt"
+    done = _script("residual_growth.py", missing)
+    _one_error_line(done, "cannot read %s: No such file or directory" % missing)
+
+
+def test_residual_growth_reports_a_problem_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("vars y1\nweight 1\ngen y1\n")
+    done = _script("residual_growth.py", bad)
+    _one_error_line(done, "%s: line 1, col 1: vars needs at least one x and one y variable" % bad)
+
+
+def test_residual_growth_reports_a_run_over_its_budget():
+    done = _script("residual_growth.py", "problems/nodal_cubic.txt", "--max-terms", "40")
+    _one_error_line(done, "more than 64 expansion steps; raise max_branches")
+
+
 def test_residual_growth_prints_the_table():
     done = _script("residual_growth.py", "problems/cusp.txt", "--max-terms", "2")
     assert done.returncode == 0
