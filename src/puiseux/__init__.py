@@ -21,7 +21,6 @@ from .expansion import (
 from .lpoly import (
     LPoly,
     ramify,
-    set_y_zero,
     shift_y,
     substitute_y,
     weighted_order,
@@ -50,7 +49,6 @@ __all__ = [
     "rational_roots",
     "recenter",
     "render_poly",
-    "set_y_zero",
     "shift_y",
     "starting_data",
     "substitute_y",

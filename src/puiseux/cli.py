@@ -161,7 +161,7 @@ def _cmd_check(args) -> int:
     if spec is None:
         return 1
     try:
-        with open(args.solution_file, "r", encoding="utf-8") as fh:
+        with open(args.solution_file, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as e:
         print(

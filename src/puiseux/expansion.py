@@ -18,9 +18,9 @@ every branch it makes, so such a branch runs to its end in one loop, a
 forced chain, each step checked by the same test.  Once a step is forced
 every later step is forced too (the persistence lemma of ``forced_step``),
 so a chain never falls back to the walk.  Recentering means: ramify so
-the new exponent rows become integral, retire coordinates whose weight
-went infinite by setting them to zero, and shift each active y by its new
-monomial.  ``expand`` first replaces each generator by its primitive
+the new exponent rows become integral, then substitute once, shifting each
+active y by its new monomial and setting each coordinate whose weight went
+infinite to zero.  ``expand`` first replaces each generator by its primitive
 integer multiple (``lpoly.primitive``), and ``shift_y`` returns the
 primitive integer multiple of each shifted generator, so a branch's
 generators are primitive integer polynomials, each a positive constant
@@ -53,20 +53,18 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
-from operator import mul
 from typing import Sequence
 
 from .lpoly import (
     LPoly,
     primitive,
     ramify,
-    set_y_zero,
     shift_y,
     substitute_y,
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
-from .tropical import candidate_etas, staircases
+from .tropical import candidate_etas, lowest_terms, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
@@ -289,21 +287,14 @@ def forced_step(branch: Branch, W: WeightMatrix) -> StepData | None:
     floor = branch.floor
     if floor is None or len(floor) != 1 or len(branch.gens) != 1:
         return None
-    rows = W.rows
-    low: dict = {}  # y-degree -> (W.xexp, term) of its lowest term
-    for t in branch.gens[0].terms:
-        k = t.ydeg[0]
-        v = [sum(map(mul, r, t.xexp)) for r in rows]
-        prev = low.get(k)
-        if prev is None or v < prev[0]:
-            low[k] = (v, t)
-    if 0 not in low or 1 not in low:
+    low = lowest_terms(branch.gens[0], W)
+    if (0,) not in low or (1,) not in low:
         return None
-    (v0, t0), (v1, t1) = low.pop(0), low.pop(1)
+    (v0, _, t0), (v1, _, t1) = low.pop((0,)), low.pop((1,))
     F = floor[0]
     eta = tuple(canonical(p - q) for p, q in zip(v0, v1))
     if not eta > F or any(
-        [w + (k - 1) * f for w, f in zip(v, F)] < v1 for k, (v, _) in low.items()
+        tuple(w + (k - 1) * f for w, f in zip(v, F)) < v1 for (k,), (v, _, _) in low.items()
     ):
         return None
     c = Fraction(-t0.coeff, t1.coeff)
@@ -356,20 +347,19 @@ def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
 
 
 def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
-    """Apply one step: ramify, retire the coordinates of infinite weight, shift the rest.
+    """Apply one step: ramify, then shift the active coordinates and retire the rest at once.
 
     The generators are ramified by the step's dgamma, so that its exponent
-    rows become integral, and the step is appended to the trace.  The newly
-    retired coordinates are set to zero before the shift, which leaves them
-    alone, so their terms are never shifted; a generator that this zeroes is
-    dropped.  Each new generator is the primitive integer multiple that
-    ``shift_y`` returns.  A step that revives a retired coordinate, or whose
-    weights do not strictly exceed the branch floor, raises ``ValueError``;
-    ``starting_data`` returns no such step.
+    rows become integral, and the step is appended to the trace.  Then one
+    ``shift_y`` per generator sends each active ``y_i`` to ``y_i + c_i
+    x^gamma_i`` and each coordinate of infinite weight to zero; a generator
+    that this zeroes is dropped.  Each new generator is the primitive
+    integer multiple that ``shift_y`` returns.  A step that revives a
+    retired coordinate, or whose weights do not strictly exceed the branch
+    floor, raises ``ValueError``; ``starting_data`` returns no such step.
     """
     if not branch.gens:
         raise ValueError("cannot recenter a branch without generators")
-    ny = branch.gens[0].ny
     act = data.active
     retired = branch.retired
     if any(i in retired for i in act):
@@ -387,15 +377,8 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
         None if row is None else (c, tuple(canonical(e * k) for e in row))
         for c, row in zip(data.c, data.gamma)
     ]
-    newly_retired = [i for i in range(ny) if i not in retired and data.eta[i] is None]
-    gens = []
-    for g in branch.gens:
-        h = ramify(g, k)
-        if newly_retired:
-            h = set_y_zero(h, newly_retired)
-        if not h.is_zero:
-            gens.append(shift_y(h, shifts))
-    return Branch(tuple(gens), branch.trace + (data,))
+    gens = (shift_y(ramify(g, k), shifts) for g in branch.gens)
+    return Branch(tuple(h for h in gens if not h.is_zero), branch.trace + (data,))
 
 
 def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:

@@ -11,8 +11,9 @@ Polynomials are kept in a canonical form, sorted by the plain tuple
 any weight.
 
 The only polynomial arithmetic is the y-substitution kernel and its product
-routine; recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i``) and the
-residual (``substitute_y``) use it.  (The problem parser multiplies its own
+routine; recentering (``shift_y``, ``y_i -> y_i + c_i x^gamma_i`` on the
+active coordinates and ``y_i -> 0`` on the retired ones) and the residual
+(``substitute_y``) use it.  (The problem parser multiplies its own
 term dicts, whose exponents may still be fractions with unknown bounds.)
 The substitution runs on integers.  Each operand is read as integer
 numerators over the lcm of its coefficient denominators, and each exponent
@@ -20,10 +21,11 @@ vector, its x-exponents scaled by their common denominator to ``int``s and
 then its y-degrees, is packed into one ``int`` in mixed radix, with field
 widths read off the operands (see ``_substitute``).  Multiplying two terms
 is then one ``int`` addition and one ``int`` multiplication, and summing
-one ``int``-keyed dict update.  ``shift_y`` passes its binomial images, and
-``substitute_y`` each series as its ``(c, exponent)`` term list, the form
-``expansion`` and the solution reader already hold, leaving repeated
-exponents and zero coefficients for the kernel to sum.  The kernel has one
+one ``int``-keyed dict update.  ``shift_y`` passes its binomial images (the
+zero image on a retired coordinate), and ``substitute_y`` each series as its
+``(c, exponent)`` term list, the form ``expansion`` and the solution reader
+already hold, leaving repeated exponents and zero coefficients for the
+kernel to sum.  The kernel has one
 finisher: it sorts the packed keys, which is the canonical order, unpacks
 each once, and divides the numerators of the sum by their gcd, so both
 substitutions return the primitive integer multiple of the exact
@@ -241,12 +243,12 @@ def _substitute(f: LPoly, images: Sequence[tuple[int, int, list]]) -> LPoly:
     window ``[low, low + radix)``: the extremes of ``f``'s exponents, widened
     by each image's extremes and 0 times ``maxdeg_i``, the largest degree of
     ``y_i`` in ``f``.  The field of ``y_i`` is ``[0, maxdeg_i]``, or takes
-    no room (radix 1) when the image holds no ``y_i``, as in the residual.
-    The keys of every power, product and term of the sum lie in windows
-    this wide, so packing is injective on each dict of the kernel; a term
-    of ``f`` is keyed less the lows, so each later field of a key of the
-    sum is a digit in ``[0, radix)`` and the keys sort as the exponent
-    tuples do.
+    no room (radix 1) when the image holds no ``y_i``, as in the residual
+    and on a retired coordinate.  The keys of every power, product and term
+    of the sum lie in windows this wide, so packing is injective on each
+    dict of the kernel; a term of ``f`` is keyed less the lows, so each
+    later field of a key of the sum is a digit in ``[0, radix)`` and the
+    keys sort as the exponent tuples do.
 
     Every term of ``f`` is put over ``big``, the lcm of the coefficient
     denominators of ``f`` times ``den_i ** maxdeg_i`` for every image, by
@@ -320,26 +322,23 @@ def _substitute(f: LPoly, images: Sequence[tuple[int, int, list]]) -> LPoly:
 def shift_y(f: LPoly, shifts: Sequence[tuple | None]) -> LPoly:
     """The primitive integer multiple of ``f`` with ``y_i -> y_i + c_i * x^xexp_i``.
 
-    ``shifts[i]`` is the pair ``(c_i, xexp_i)``, or None to leave ``y_i`` as
-    it is.  The exact substitution's numerators are divided by their gcd, so
-    the result is the exact polynomial times a positive constant (see the
-    module docstring); the zero polynomial stays zero.
+    ``shifts[i]`` is the pair ``(c_i, xexp_i)``, or None for ``y_i -> 0``,
+    a coordinate of infinite weight: every term that carries ``y_i`` drops
+    out, as in the residual of an empty series.  A zero ``c_i`` leaves
+    ``y_i`` as it is.  The exact substitution's numerators are divided by
+    their gcd, so the result is the exact polynomial times a positive
+    constant (see the module docstring); the zero polynomial stays zero,
+    and so does a polynomial whose every term carries a zeroed ``y_i``.
     """
     if len(shifts) != f.ny:
         raise ValueError("need one shift per y coordinate")
     images = [
-        (1, 1, []) if s is None or not s[0]
+        (1, 0, []) if s is None
+        else (1, 1, []) if not s[0]
         else (s[0].denominator, s[0].denominator, [(s[1], s[0].numerator)])
         for s in shifts
     ]
     return _substitute(f, images)
-
-
-def set_y_zero(f: LPoly, indices) -> LPoly:
-    """Substitute ``y_i = 0`` for every i in ``indices``."""
-    idx = set(indices)
-    keep = tuple(t for t in f.terms if all(t.ydeg[i] == 0 for i in idx))
-    return LPoly(f.nx, f.ny, keep)
 
 
 def substitute_y(f: LPoly, coords: Sequence[Sequence[tuple]]) -> LPoly:

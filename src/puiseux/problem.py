@@ -224,7 +224,11 @@ class _ExprParser:
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse a problem file; raises ProblemError with line and column."""
+    """Parse a problem file; raises ProblemError with line and column.
+
+    One leading UTF-8 byte-order mark is skipped, as editors on some
+    systems write one.
+    """
     x_names: list[str] = []
     y_names: list[str] = []
     weight_rows: list[tuple[int | Fraction, ...]] = []
@@ -232,7 +236,7 @@ def parse_problem(text: str) -> ProblemSpec:
     opts: dict = {}
     first_weight_line = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

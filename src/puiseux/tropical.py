@@ -84,6 +84,25 @@ class CandidateScan:
     underdetermined: int
 
 
+def lowest_terms(g: LPoly, W: WeightMatrix) -> dict:
+    """The lowest term of each y-degree vector of ``g`` by ``W``.
+
+    Maps each y-degree vector that occurs in ``g`` to ``(W.xexp, index,
+    term)`` of its term of least value, ``index`` its place in ``g.terms``.
+    Terms of equal y-degrees have distinct x-exponents, and ``W`` is
+    injective, so the lowest one is unique.
+    """
+    rows = W.rows
+    lowest: dict = {}
+    for j, t in enumerate(g.terms):
+        # a list frozen to a tuple: cheaper than tuple() over a generator
+        xval = tuple([sum(map(mul, r, t.xexp)) for r in rows])
+        prev = lowest.get(t.ydeg)
+        if prev is None or xval < prev[0]:
+            lowest[t.ydeg] = (xval, j, t)
+    return lowest
+
+
 def staircases(
     gens: Sequence[LPoly],
     W: WeightMatrix,
@@ -110,9 +129,10 @@ def staircases(
 
     Of two terms with equal y-degrees the lower one by ``W.xexp`` dominates
     the other in every mode (see ``restrict``), and dominance is transitive.
-    So each generator is first cut down, in one pass, to the lowest term of
-    each distinct y-degree vector, and the support test, the floor
-    adjustment, the sort and the dominance test run on those few terms only.
+    So each generator is first cut down, in one pass (``lowest_terms``), to
+    the lowest term of each distinct y-degree vector, and the support test,
+    the floor adjustment, the sort and the dominance test run on those few
+    terms only.
 
     ``restrict`` cuts this down to one ``lam`` exactly: a term that dominates
     a term of zero degree outside ``lam`` has zero degree there too, and the
@@ -121,17 +141,10 @@ def staircases(
     low, closed = _region(gens[0].ny, W.d, positive_only, floor)
     # per value coordinate, the bound of every y (zero where infinite)
     bounds = None if low is None else tuple(zip(*((0,) * W.d if f is None else f for f in low)))
-    rows = W.rows
     out = []
     for g in gens:
-        lowest: dict = {}  # y-degrees -> (W.xexp, term index, term) of its lowest term
-        for j, t in enumerate(g.terms):
-            xval = tuple(sum(map(mul, r, t.xexp)) for r in rows)
-            prev = lowest.get(t.ydeg)
-            if prev is None or xval < prev[0]:
-                lowest[t.ydeg] = (xval, j, t)
         entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
-        for xval, j, t in lowest.values():
+        for xval, j, t in lowest_terms(g, W).values():
             support = sum(1 << i for i, b in enumerate(t.ydeg) if b)
             adj = xval
             if bounds is not None:

@@ -224,6 +224,23 @@ class TestCheckCommand:
         assert json.loads(json.dumps(doc)) == doc
         assert json.dumps(doc, indent=2) + "\n" == text
 
+    def test_a_byte_order_mark_changes_no_run_and_no_check(self, tmp_path, capsys):
+        """A problem file and a solution file saved with a UTF-8 byte-order
+        mark run and check exactly like the same files without it."""
+        outcomes = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            problem = tmp_path / ("problem%d.txt" % len(bom))
+            problem.write_bytes(bom + (PROBLEMS / "nodal_cubic.txt").read_bytes())
+            rc = main(["run", str(problem), "--json"])
+            doc = capsys.readouterr()
+            sol_file = tmp_path / ("sol%d.json" % len(bom))
+            sol_file.write_bytes(bom + doc.out.encode("utf-8"))
+            check_rc = main(["check", str(problem), str(sol_file)])
+            outcomes.append((rc, doc, check_rc, capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        rc, _, check_rc, check = outcomes[1]
+        assert (rc, check_rc, check.out.count("residual order (6)")) == (0, 0, 2)
+
     def test_malformed_solution_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -39,6 +39,7 @@ from tutils import (
     naive_scale,
     naive_substitute,
     nonzero_rats,
+    recenter_in_three_passes,
     residual_order_reference,
     series_terms,
     value_of,
@@ -714,9 +715,42 @@ def test_scanned_branches_and_their_steps_are_normalized(monkeypatch, positive_o
 
 
 def test_the_retired_coordinate_check_sees_a_recenter_that_keeps_them(monkeypatch):
-    monkeypatch.setattr(expansion, "set_y_zero", lambda f, indices: f)
+    real_shift = expansion.shift_y
+
+    def keeping(f, shifts):
+        return real_shift(f, [(0, (0,) * f.nx) if s is None else s for s in shifts])
+
+    monkeypatch.setattr(expansion, "shift_y", keeping)
     branches, _ = _scanned_corpus(monkeypatch, True)
     assert any(_retired_degrees(b) for b in branches)
+
+
+@pytest.mark.parametrize("positive_only", [True, False])
+def test_recenter_is_the_three_pass_recentering(monkeypatch, positive_only):
+    """On every step ``expand`` takes on the corpus, the one substitution per
+    generator, which shifts the active ys and zeroes the retired ones, gives
+    the generators of ramifying, dropping the retired terms and shifting."""
+    retiring = dropped = 0
+    real_recenter = expansion.recenter
+
+    def recentering(branch, data, W):
+        nonlocal retiring, dropped
+        child = real_recenter(branch, data, W)
+        want = recenter_in_three_passes(branch, data)
+        assert child.gens == want, (branch.trace, data)
+        if set(i for i, e in enumerate(data.eta) if e is None) - branch.retired:
+            retiring += 1
+            dropped += len(branch.gens) - len(want)
+        return child
+
+    monkeypatch.setattr(expansion, "recenter", recentering)
+    texts = [path.read_text() for path in PROBLEMS] + [RETIRES_AFTER_A_SHIFT]
+    for text in texts:
+        spec = parse_problem(text)
+        for max_terms in (3, 6):
+            opts = replace(spec.options, max_terms=max_terms, positive_only=positive_only)
+            expand(spec.gens, spec.weights, opts)
+    assert retiring and dropped
 
 
 def _solution_keys(res):

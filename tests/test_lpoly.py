@@ -10,7 +10,6 @@ from puiseux import (
     parse_problem,
     ramify,
     render_poly,
-    set_y_zero,
     shift_y,
     substitute_y,
     weighted_order,
@@ -188,13 +187,18 @@ class TestSubstitutions:
 
     def test_shift_zero_is_identity(self):
         f = lp(1, 2, (2, (F(1),), (1, 2)), (-3, (F(0),), (0, 1)))
-        assert shift_y(f, [None, None]) == f
-        assert shift_y(f, [(0, (1,)), None]) == f
+        assert shift_y(f, [(0, (1,)), (0, (0,))]) == f
+        assert shift_y(f, [(0, (1,)), (F(0), (F(-1, 2),))]) == f
 
     def test_set_y_zero(self):
+        """A None shift retires its coordinate: the terms that carry it drop
+        out, the others are shifted, and a polynomial of retired terms only
+        becomes zero."""
         f = lp(1, 2, (1, (F(0),), (1, 0)), (1, (F(0),), (0, 1)), (1, (F(1),), (0, 0)))
-        got = set_y_zero(f, [1])
-        assert got == lp(1, 2, (1, (F(0),), (1, 0)), (1, (F(1),), (0, 0)))
+        assert shift_y(f, [(0, (0,)), None]) == lp(1, 2, (1, (F(0),), (1, 0)), (1, (F(1),), (0, 0)))
+        # y1 + x -> (y1 + x) + x, made primitive
+        assert shift_y(f, [(1, (1,)), None]) == lp(1, 2, (1, (0,), (1, 0)), (2, (1,), (0, 0)))
+        assert shift_y(lp(1, 2, (3, (F(1, 2),), (1, 2))), [None, (1, (1,))]).is_zero
 
     def test_substitute_exact_root(self):
         f = lp(1, 1, (1, (F(0),), (2,)), (-1, (F(1),), (0,)))  # y^2 - x
@@ -282,8 +286,10 @@ UNMERGED = st.lists(
 
 
 def shifts(nx, ny):
-    """One shift per y coordinate: None, or ``(c, xexp)`` for ``y_i -> y_i + c*x^xexp``."""
-    return st.tuples(*[st.one_of(st.none(), st.tuples(coprime_rats, xexps(nx)))] * ny)
+    """One shift per y coordinate: None for ``y_i -> 0``, or ``(c, xexp)`` for
+    ``y_i -> y_i + c*x^xexp``, where a zero ``c`` leaves ``y_i`` alone."""
+    coeffs = st.one_of(st.just(0), coprime_rats)
+    return st.tuples(*[st.one_of(st.none(), st.tuples(coeffs, xexps(nx)))] * ny)
 
 
 def term_dict(f):
@@ -318,7 +324,7 @@ class TestKernelAgainstNaiveExpansion:
     def test_shift_y(self, f, shift):
         """``shift_y`` is the primitive integer multiple of the exact shift, by a positive constant."""
         images = [
-            lp(2, 3, (1, (0, 0), ydeg), *([] if s is None else [(s[0], s[1], (0, 0, 0))]))
+            LPoly(2, 3) if s is None else lp(2, 3, (1, (0, 0), ydeg), (s[0], s[1], (0, 0, 0)))
             for s, ydeg in zip(shift, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         ]
         got = shift_y(f, shift)
@@ -371,14 +377,16 @@ wide_rats = st.one_of(small_rats, st.sampled_from([-50, -7, 0, 3, 10**6, F(10**6
 @st.composite
 def packed_cases(draw, series=False):
     """A ring with 1-3 x and 1-3 y, a polynomial in it, and one image per y:
-    a shift ``(c, xexp)`` or None, or a series term list that may repeat an
-    exponent, hold a zero coefficient, cancel entirely or be empty."""
+    a shift ``(c, xexp)``, ``c`` possibly zero, or None, or a series term
+    list that may repeat an exponent, hold a zero coefficient, cancel
+    entirely or be empty."""
     nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     wide = st.tuples(*[wide_rats] * nx)
     terms = st.tuples(coprime_rats, wide, ydegs(ny, 2))
     f = from_terms(nx, ny, draw(st.lists(terms, max_size=4)))
     if not series:
-        return f, draw(st.tuples(*[st.one_of(st.none(), st.tuples(coprime_rats, wide))] * ny))
+        coeffs = st.one_of(st.just(0), coprime_rats)
+        return f, draw(st.tuples(*[st.one_of(st.none(), st.tuples(coeffs, wide))] * ny))
     coords = []
     for _ in range(ny):
         pool = draw(st.lists(wide, min_size=1, max_size=3))
@@ -406,6 +414,13 @@ class TestPackedKeys:
     @example(case=(LPoly(2, 2), ((F(1, 2), (1, -50)), None)))
     @example(
         case=(
+            lp(2, 2, (1, (0, -50), (2, 1)), (3, (1, 10**6), (1, 0)), (-2, (F(1, 3), 2), (0, 0))),
+            ((F(5, 7), (F(-1, 2), 10**6)), None),
+        )
+    )
+    @example(case=(lp(1, 2, (2, (-7,), (1, 1)), (1, (0,), (0, 2))), ((0, (3,)), None)))
+    @example(
+        case=(
             lp(2, 1, (1, (0, -50), (2,)), (3, (1, 10**6), (1,)), (-2, (F(1, 3), 2), (0,))),
             ((F(5, 7), (F(-1, 2), 10**6)),),
         )
@@ -414,7 +429,7 @@ class TestPackedKeys:
         f, shift = case
         nx, ny = f.nx, f.ny
         images = [
-            naive_sum(y_var(nx, ny, i), *([] if s is None else [xm(nx, ny, s[0], *s[1])]))
+            LPoly(nx, ny) if s is None else naive_sum(y_var(nx, ny, i), xm(nx, ny, s[0], *s[1]))
             for i, s in enumerate(shift)
         ]
         got = shift_y(f, shift)
@@ -440,9 +455,9 @@ class TestPackedKeys:
     @seed(20261020)
     @given(case=packed_cases())
     def test_sorted_keys_are_the_canonical_order(self, case):
-        """With every shift None the kernel only packs, sorts and unpacks the terms."""
+        """With every shift zero the kernel only packs, sorts and unpacks the terms."""
         f, _ = case
-        got = shift_y(f, [None] * f.ny)
+        got = shift_y(f, [(0, (0,) * f.nx)] * f.ny)
         assert got == primitive(f)
         assert_canonical_order(got)
 

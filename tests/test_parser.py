@@ -212,3 +212,17 @@ def test_a_vars_line_names_an_x_and_a_y(text, line, col, msg):
     with pytest.raises(ProblemError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.col, err.value.msg) == (line, col, msg)
+
+
+def test_one_leading_byte_order_mark_is_skipped():
+    """A file saved with a UTF-8 byte-order mark parses, and fails, as without
+    it; a second mark is an unexpected character."""
+    text = _problem(["x1", "x2"], ["y1"], "y1^2 - x1*x2")
+    assert parse_problem("\ufeff" + text) == parse_problem(text)
+    for lines, want in (
+        (HEAD + "gen y1 - z1\n", (4, 10, "unknown variable 'z1'")),
+        ("\ufeff" + text, (1, 1, "unexpected character '\\ufeff'")),
+    ):
+        with pytest.raises(ProblemError) as err:
+            parse_problem("\ufeff" + lines)
+        assert (err.value.line, err.value.col, err.value.msg) == want

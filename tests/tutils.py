@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import hypothesis.strategies as st
 
-from puiseux import LPoly, StepData, WeightMatrix, weighted_order
+from puiseux import LPoly, StepData, WeightMatrix, ramify, shift_y, weighted_order
 from puiseux.lpoly import Term
 from puiseux.values import canonical
 
@@ -283,6 +283,26 @@ def naive_substitute(f, images):
             m = naive_product(m, naive_power(g, b))
         parts.append(m)
     return naive_sum(LPoly(f.nx, f.ny), *parts)
+
+
+def recenter_in_three_passes(branch, data):
+    """The generators of ``expansion.recenter``, made in three passes: ramify,
+    drop the terms that carry a newly retired y, and shift the active ys,
+    dropping a generator that retiring zeroes before any shift."""
+    k = data.dgamma
+    newly = [i for i, e in enumerate(data.eta) if e is None and i not in branch.retired]
+    gens = []
+    for g in branch.gens:
+        h = ramify(g, k)
+        h = LPoly(h.nx, h.ny, tuple(t for t in h.terms if not any(t.ydeg[i] for i in newly)))
+        if h.is_zero:
+            continue
+        shifts = [
+            (0, (0,) * h.nx) if row is None else (c, tuple(e * k for e in row))
+            for c, row in zip(data.c, data.gamma)
+        ]
+        gens.append(shift_y(h, shifts))
+    return tuple(gens)
 
 
 def series_terms(s):
