@@ -41,6 +41,8 @@ def main() -> int:
         spec = parse_problem(args.file.read_text(encoding="utf-8"))
     except OSError as e:
         return _fail("cannot read %s: %s" % (args.file, e.strerror))
+    except UnicodeDecodeError:
+        return _fail("cannot read %s: not UTF-8 text" % args.file)
     except ProblemError as e:
         return _fail("%s: %s" % (args.file, e))
     opts = spec.options

@@ -125,6 +125,9 @@ def _load_problem(path: str):
     except OSError as e:
         print("puiseux: cannot read %s: %s" % (path, e.strerror), file=sys.stderr)
         return None
+    except UnicodeDecodeError:
+        print("puiseux: cannot read %s: not UTF-8 text" % path, file=sys.stderr)
+        return None
     try:
         return parse_problem(text)
     except ProblemError as e:
@@ -169,8 +172,14 @@ def _cmd_check(args) -> int:
             file=sys.stderr,
         )
         return 1
+    except UnicodeDecodeError:
+        print("puiseux: cannot read %s: not UTF-8 text" % args.solution_file, file=sys.stderr)
+        return 1
     except json.JSONDecodeError as e:
         print("puiseux: %s: invalid JSON: %s" % (args.solution_file, e), file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("puiseux: %s: invalid JSON: nested too deeply" % args.solution_file, file=sys.stderr)
         return 1
     sols = doc.get("solutions") if isinstance(doc, dict) else None
     if not isinstance(sols, list):

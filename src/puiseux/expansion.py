@@ -57,6 +57,7 @@ from typing import Sequence
 
 from .lpoly import (
     LPoly,
+    lowest_terms,
     primitive,
     ramify,
     shift_y,
@@ -64,7 +65,7 @@ from .lpoly import (
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
-from .tropical import candidate_etas, lowest_terms, staircases
+from .tropical import candidate_etas, staircases
 from .values import WeightMatrix, canonical, sort_key
 
 
@@ -386,8 +387,9 @@ def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
 
     The least order of the y-free parts of the recentered generators, scaled
     back by ``cum_ram``; None (infinity) exactly when they all vanish.  With
-    every weight infinite, ``weighted_order`` skips the terms that contain a
-    y, so it reads each generator's y-free part in the same pass.
+    every weight infinite, ``weighted_order`` skips the y-degree vectors
+    that contain a y, so it reads each generator's y-free part in the same
+    pass.
     """
     orders = [weighted_order(g, W, (None,) * g.ny) for g in branch.gens]
     best = min((o for o in orders if o is not None), default=None)

@@ -38,8 +38,10 @@ normal form of ``values.primitive_ints``.
 The weighted value of a term under ``W`` and the y-weights ``eta`` is the
 tuple ``W.xexp + sum(ydeg[i] * eta[i])``.  A coordinate with infinite
 weight (``None``) makes every term containing it infinite, while zero
-degrees contribute nothing regardless of the weight; ``weighted_order``
-skips such terms before computing a value.
+degrees contribute nothing regardless of the weight.  Terms of equal
+y-degrees differ in value by ``W.xexp`` alone, so ``lowest_terms``, the
+one loop that values terms, keeps the lowest term of each y-degree vector;
+``weighted_order`` and the staircases of ``tropical`` read those.
 
 ``render_poly`` is the one polynomial printer: the output documents and
 ``LPoly``'s repr (with the names ``x1..``, ``y1..``) use it.
@@ -187,29 +189,44 @@ def primitive(f: LPoly) -> LPoly:
     return LPoly(f.nx, f.ny, tuple(Term(n, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
+def lowest_terms(g: LPoly, W: WeightMatrix) -> dict:
+    """The lowest term of each y-degree vector of ``g`` by ``W``.
+
+    Maps each y-degree vector that occurs in ``g`` to ``(W.xexp, index,
+    term)`` of its term of least value, ``index`` its place in ``g.terms``.
+    Terms of equal y-degrees have distinct x-exponents, and ``W`` is
+    injective, so the lowest one is unique.  ``weighted_order``,
+    ``tropical.staircases`` and ``expansion.forced_step`` read their values
+    off this map.
+    """
+    rows = W.rows
+    lowest: dict = {}
+    for j, t in enumerate(g.terms):
+        # a list frozen to a tuple: cheaper than tuple() over a generator
+        xval = tuple([sum(map(mul, r, t.xexp)) for r in rows])
+        prev = lowest.get(t.ydeg)
+        if prev is None or xval < prev[0]:
+            lowest[t.ydeg] = (xval, j, t)
+    return lowest
+
+
 def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tuple | None:
     """Minimum weighted value over the support; None for the zero polynomial.
 
-    One pass over the terms.  A term's value is ``W.xexp`` plus
-    ``ydeg[i] * eta[i]`` for each ``y_i`` it contains; ``eta`` is split into
-    its infinite and finite coordinates once, and a term with a nonzero
-    degree in an infinite one is skipped before its value is computed.
+    The minimum over the lowest term of each y-degree vector
+    (``lowest_terms``): a y-degree vector with a nonzero degree in a
+    coordinate of infinite weight is skipped, and any other adds
+    ``ydeg[i] * eta[i]`` to its lowest ``W.xexp``.
     """
-    rows = W.rows
-    infinite = [i for i, e in enumerate(eta) if e is None]
-    finite = [(i, e) for i, e in enumerate(eta) if e is not None]
-    best = None
-    for t in f.terms:
-        yd = t.ydeg
-        if any(map(yd.__getitem__, infinite)):
+    values = []
+    for yd, (v, _, _) in lowest_terms(f, W).items():
+        if any(b and e is None for b, e in zip(yd, eta)):
             continue
-        v = [sum(map(mul, r, t.xexp)) for r in rows]
-        for i, e in finite:
-            if yd[i]:
-                v = [p + yd[i] * q for p, q in zip(v, e)]
-        if best is None or v < best:
-            best = v
-    return None if best is None else tuple(best)
+        for b, e in zip(yd, eta):
+            if b:
+                v = tuple([p + b * q for p, q in zip(v, e)])
+        values.append(v)
+    return min(values, default=None)
 
 
 def ramify(f: LPoly, k: int) -> LPoly:

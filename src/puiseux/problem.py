@@ -13,15 +13,15 @@ Generator expressions use + - * ^ and parentheses, with explicit '*'.
 Rational or negative x-exponents must be parenthesized, as in x1^(1/2) or
 x1^(-2); y-exponents are nonnegative integers.  Numbers are ASCII digits.
 Each line is tokenized in one regular-expression pass, and a generator is
-evaluated straight into a dict of terms (exponent tuple to coefficient,
-``int`` until a ``p/q`` number takes part): a single term is raised to a
-power by scaling its exponents, and products are multiplied out by
-``_product``, which adds exponent tuples (while reading, an exponent may be
-a fraction and its bounds are not yet known, so the packed keys of
-``lpoly``'s kernel do not apply).  The ``LPoly`` is built once per
-generator, straight from that merged dict: exponents and coefficients made
-canonical, zero terms dropped, sorted.  A number ``p/q`` with ``q = 0`` is
-rejected at its token.
+evaluated when its line is read, straight into a dict of terms (exponent
+tuple to coefficient, ``int`` until a ``p/q`` number takes part): a single
+term is raised to a power by scaling its exponents, and products are
+multiplied out by ``_product``, which adds exponent tuples (while reading,
+an exponent may be a fraction and its bounds are not yet known, so the
+packed keys of ``lpoly``'s kernel do not apply).  The ``LPoly`` is built
+once per generator, straight from that merged dict: exponents and
+coefficients made canonical, zero terms dropped, sorted.  A number ``p/q``
+with ``q = 0`` is rejected at its token.
 
 The structured output is a plain JSON document: rationals are "p/q"
 strings, weighted values are arrays of rationals, and infinity is the
@@ -227,12 +227,16 @@ def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem file; raises ProblemError with line and column.
 
     One leading UTF-8 byte-order mark is skipped, as editors on some
-    systems write one.
+    systems write one.  Each line is checked, and each generator evaluated,
+    when it is read, so the first faulty line is the one reported; a
+    generator nested deeper than the evaluator's recursion allows is an
+    error at its line.  What needs the whole file (a vars line, a weight
+    row, a generator, the rank of the weight matrix) is checked at the end.
     """
     x_names: list[str] = []
     y_names: list[str] = []
     weight_rows: list[tuple[int | Fraction, ...]] = []
-    gen_lines: list[tuple[int, list]] = []
+    gens: list[LPoly] = []
     opts: dict = {}
     first_weight_line = 0
 
@@ -261,6 +265,12 @@ def parse_problem(text: str) -> ProblemSpec:
                     raise ProblemError(lineno, c, "variable names must start with x or y")
             if not x_names or not y_names:
                 raise ProblemError(lineno, col, "vars needs at least one x and one y variable")
+            nx, ny = len(x_names), len(y_names)
+            atoms = {
+                name: (tuple(int(j == i) for j in range(nx + ny)), i if i < nx else None)
+                for i, name in enumerate(x_names + y_names)
+            }
+            one = (0,) * (nx + ny)
         elif word == "weight":
             if not x_names:
                 raise ProblemError(lineno, col, "weight before vars")
@@ -286,7 +296,20 @@ def parse_problem(text: str) -> ProblemSpec:
         elif word == "gen":
             if not x_names:
                 raise ProblemError(lineno, col, "gen before vars")
-            gen_lines.append((lineno, rest))
+            if not rest:
+                raise ProblemError(lineno, 1, "empty generator")
+            try:
+                terms = _ExprParser(rest, lineno, atoms, one).parse()
+            except RecursionError:
+                raise ProblemError(lineno, 1, "generator is nested too deeply") from None
+            poly = tuple(
+                Term(canonical(terms[k]), tuple(map(canonical, k[:nx])), k[nx:])
+                for k in sorted(terms)
+                if terms[k]
+            )
+            if not poly:
+                raise ProblemError(lineno, 1, "generator is identically zero")
+            gens.append(LPoly(nx, ny, poly))
         elif word == "opt":
             if len(rest) != 2 or rest[0][0] != "name":
                 raise ProblemError(lineno, col, "expected: opt <name> <value>")
@@ -314,33 +337,12 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ProblemError(1, 1, "need at least one x and one y variable")
     if not weight_rows:
         raise ProblemError(1, 1, "need at least one weight row")
-    if not gen_lines:
+    if not gens:
         raise ProblemError(1, 1, "need at least one generator")
     try:
         W = WeightMatrix(weight_rows)
     except ValueError as e:
         raise ProblemError(first_weight_line, 1, str(e)) from None
-
-    nx, ny = len(x_names), len(y_names)
-    n = nx + ny
-    atoms = {
-        name: (tuple(int(j == i) for j in range(n)), i if i < nx else None)
-        for i, name in enumerate(x_names + y_names)
-    }
-    one = (0,) * n
-    gens = []
-    for lineno, toks in gen_lines:
-        if not toks:
-            raise ProblemError(lineno, 1, "empty generator")
-        terms = _ExprParser(toks, lineno, atoms, one).parse()
-        poly = tuple(
-            Term(canonical(terms[k]), tuple(map(canonical, k[:nx])), k[nx:])
-            for k in sorted(terms)
-            if terms[k]
-        )
-        if not poly:
-            raise ProblemError(lineno, 1, "generator is identically zero")
-        gens.append(LPoly(nx, ny, poly))
 
     return ProblemSpec(
         x_names=tuple(x_names),

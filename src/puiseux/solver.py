@@ -75,6 +75,17 @@ def _normal(p: dict) -> dict:
     return p if g == 1 else {k: c // g for k, c in p.items()}
 
 
+def _sub_multiple(work: dict, g: dict, c: int, shift: tuple) -> None:
+    """``work -= c * y^shift * g`` in place; a key whose coefficient cancels is dropped."""
+    for k, v in g.items():
+        k = tuple(map(add, k, shift))
+        nv = work.get(k, 0) - c * v
+        if nv:
+            work[k] = nv
+        else:
+            del work[k]
+
+
 def _reduce(p: dict, basis: Sequence[dict]) -> dict:
     """A positive multiple of the full remainder of p on division by the
     basis, first-found reducer.
@@ -98,15 +109,7 @@ def _reduce(p: dict, basis: Sequence[dict]) -> dict:
                     scale = lc // d
                     work = {k: v * scale for k, v in work.items()}
                     rem = {k: v * scale for k, v in rem.items()}
-                c //= d
-                quot = tuple(a - b for a, b in zip(m, gm))
-                for k, v in g.items():
-                    k = tuple(map(add, k, quot))
-                    nv = work.get(k, 0) - c * v
-                    if nv:
-                        work[k] = nv
-                    else:
-                        del work[k]
+                _sub_multiple(work, g, c // d, tuple(a - b for a, b in zip(m, gm)))
                 break
         else:
             rem[m] = c
@@ -124,13 +127,7 @@ def _spoly(f: dict, g: dict) -> dict:
     fq = tuple(x - y for x, y in zip(l, fm))
     gq = tuple(x - y for x, y in zip(l, gm))
     out = {tuple(map(add, k, fq)): c * fs for k, c in f.items()}
-    for k, c in g.items():
-        k = tuple(map(add, k, gq))
-        nc = out.get(k, 0) - c * gs
-        if nc:
-            out[k] = nc
-        else:
-            del out[k]
+    _sub_multiple(out, g, gs, gq)
     return out
 
 

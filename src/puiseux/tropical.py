@@ -36,10 +36,11 @@ enumerated above a floor (the branch's scaled previous weights, or zero on
 the first step), and a term that another term dominates there, with
 componentwise smaller y-degrees and a smaller floor-adjusted value, never
 reaches a minimum, so no pair containing it can validate.  A branch's
-staircases are computed once (``staircases``) and cut down to each set of
-finite coordinates (``restrict``).  Full pair choices whose systems are
-consistent but positive-dimensional among the remaining terms are counted
-and reported rather than enumerated.
+staircases are computed once (``staircases``), from the lowest term of
+each y-degree vector that ``lpoly.lowest_terms`` values, and cut down to
+each set of finite coordinates (``restrict``).  Full pair choices whose
+systems are consistent but positive-dimensional among the remaining terms
+are counted and reported rather than enumerated.
 
 A smooth plane branch past its first step needs no walk: when the lowest
 terms of its one generator show one edge of height one above the floor,
@@ -54,7 +55,7 @@ from itertools import combinations
 from operator import itemgetter, le, mul
 from typing import Sequence
 
-from .lpoly import LPoly
+from .lpoly import LPoly, lowest_terms
 from .values import WeightMatrix, add_row, canonical, sort_key
 
 
@@ -84,25 +85,6 @@ class CandidateScan:
     underdetermined: int
 
 
-def lowest_terms(g: LPoly, W: WeightMatrix) -> dict:
-    """The lowest term of each y-degree vector of ``g`` by ``W``.
-
-    Maps each y-degree vector that occurs in ``g`` to ``(W.xexp, index,
-    term)`` of its term of least value, ``index`` its place in ``g.terms``.
-    Terms of equal y-degrees have distinct x-exponents, and ``W`` is
-    injective, so the lowest one is unique.
-    """
-    rows = W.rows
-    lowest: dict = {}
-    for j, t in enumerate(g.terms):
-        # a list frozen to a tuple: cheaper than tuple() over a generator
-        xval = tuple([sum(map(mul, r, t.xexp)) for r in rows])
-        prev = lowest.get(t.ydeg)
-        if prev is None or xval < prev[0]:
-            lowest[t.ydeg] = (xval, j, t)
-    return lowest
-
-
 def staircases(
     gens: Sequence[LPoly],
     W: WeightMatrix,
@@ -129,10 +111,10 @@ def staircases(
 
     Of two terms with equal y-degrees the lower one by ``W.xexp`` dominates
     the other in every mode (see ``restrict``), and dominance is transitive.
-    So each generator is first cut down, in one pass (``lowest_terms``), to
-    the lowest term of each distinct y-degree vector, and the support test,
-    the floor adjustment, the sort and the dominance test run on those few
-    terms only.
+    So each generator is first cut down, in one pass
+    (``lpoly.lowest_terms``), to the lowest term of each distinct y-degree
+    vector, and the support test, the floor adjustment, the sort and the
+    dominance test run on those few terms only.
 
     ``restrict`` cuts this down to one ``lam`` exactly: a term that dominates
     a term of zero degree outside ``lam`` has zero degree there too, and the

@@ -241,6 +241,35 @@ class TestCheckCommand:
         rc, _, check_rc, check = outcomes[1]
         assert (rc, check_rc, check.out.count("residual order (6)")) == (0, 0, 2)
 
+    @pytest.mark.parametrize(
+        "problem, solution, message",
+        [
+            (b"# caf\xe9\n", b"{}", "cannot read {problem}: not UTF-8 text"),
+            (b"", b"\xff\xfe{}", "cannot read {solution}: not UTF-8 text"),
+            (b"", b"[" * 100000 + b"]" * 100000, "{solution}: invalid JSON: nested too deeply"),
+            (
+                b"",
+                b'{"solutions": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+                "{solution}: invalid JSON: nested too deeply",
+            ),
+        ],
+        ids=["problem-not-utf8", "solution-not-utf8", "nested-list", "nested-solutions"],
+    )
+    def test_an_unreadable_file_is_one_error_line(self, tmp_path, capsys, problem, solution, message):
+        """A file that is not UTF-8 text, or JSON nested too deeply to load,
+        ends ``check`` (and, for the problem file, ``run``) with one line."""
+        problem_file = tmp_path / "problem.txt"
+        problem_file.write_bytes((PROBLEMS / "cusp.txt").read_bytes() + problem)
+        solution_file = tmp_path / "solution.json"
+        solution_file.write_bytes(solution)
+        want = "puiseux: %s\n" % message.format(problem=problem_file, solution=solution_file)
+        commands = [["check", str(problem_file), str(solution_file)]]
+        if problem:
+            commands.append(["run", str(problem_file)])
+        for argv in commands:
+            rc = main(argv)
+            assert (rc, capsys.readouterr()) == (1, ("", want))
+
     def test_malformed_solution_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -171,6 +171,7 @@ ERRORS = [
     ("gen y1 - 1/0*x1", 4, 10, "zero denominator in '1/0'"),
     ("gen y1 - x1^(1/0)", 4, 14, "zero denominator in '1/0'"),
     ("weight 1/0", 4, 8, "zero denominator in '1/0'"),
+    ("gen y1 x1\nweight 1/0", 4, 8, "unexpected 'x1'"),
     ("weight 1.5 0", 4, 9, "unexpected character '.'"),
     ("vars x3 $", 4, 9, "unexpected character '$'"),
     ("opt max_terms 0", 4, 15, "max_terms needs a positive integer"),
@@ -226,3 +227,13 @@ def test_one_leading_byte_order_mark_is_skipped():
         with pytest.raises(ProblemError) as err:
             parse_problem("\ufeff" + lines)
         assert (err.value.line, err.value.col, err.value.msg) == want
+
+
+def test_a_deeply_nested_generator_is_a_problem_error():
+    """Nesting too deep for the recursive evaluator is reported at its line,
+    and moderate nesting still parses."""
+    nested = parse_problem(HEAD + "gen " + "(" * 100 + "y1 - x1" + ")" * 100 + "\n")
+    assert nested == parse_problem(HEAD + "gen y1 - x1\n")
+    with pytest.raises(ProblemError) as err:
+        parse_problem(HEAD + "gen " + "(" * 3000 + "y1 - x1" + ")" * 3000 + "\n")
+    assert (err.value.line, err.value.col, err.value.msg) == (4, 1, "generator is nested too deeply")

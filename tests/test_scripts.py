@@ -42,6 +42,13 @@ def test_residual_growth_reports_an_unreadable_file(tmp_path):
     _one_error_line(done, "cannot read %s: No such file or directory" % missing)
 
 
+def test_residual_growth_reports_a_file_that_is_not_utf8(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"vars x1 y1\nweight 1\ngen y1 - x1 # caf\xe9\n")
+    done = _script("residual_growth.py", bad)
+    _one_error_line(done, "cannot read %s: not UTF-8 text" % bad)
+
+
 def test_residual_growth_reports_a_problem_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("vars y1\nweight 1\ngen y1\n")
