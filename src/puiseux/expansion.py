@@ -10,14 +10,19 @@ emitted.
 
 Expanding a branch means enumerating candidate weights, solving each
 candidate's initial coefficient system on the torus, and recentering once
-per solution.  A smooth plane branch skips the first two past its first
+per solution.  A smooth plane branch skips all three past its first
 step: with one y, one generator and a floor, when the lowest terms of its
 generator show one edge of height one above the floor, ``forced_step``
 reads the step off that edge's two end terms.  ``expand`` tries it on
-every branch it makes, so such a branch runs to its end in one loop, a
-forced chain, each step checked by the same test.  Once a step is forced
-every later step is forced too (the persistence lemma of ``forced_step``),
-so a chain never falls back to the walk.  Recentering means: ramify so
+every branch that a walk step makes, and once a step is forced every
+later step is forced too (the persistence lemma of ``forced_step``), so
+such a branch runs to its end in one loop, a forced chain
+(``forced_chain``).  The chain holds its generator as y-degree groups of
+``W``-values, ``{k: {W.a: coefficient}}``, each term valued once; a step
+moves every key by a multiple of its value and multiplies every
+coefficient by an integer, so no exponent is rebuilt and no term valued
+again, and each next step is read off the lowest keys with the test of
+``forced_step``.  Recentering means: ramify so
 the new exponent rows become integral, then substitute once, shifting each
 active y by its new monomial and setting each coordinate whose weight went
 infinite to zero.  ``expand`` first replaces each generator by its primitive
@@ -33,13 +38,16 @@ accumulated truncation, in the ramified frame.  So ``expand`` (and with it
 when every y-free part is zero, that is when no generator keeps a y-free
 term (the accumulated sum is then an exact solution), or when the step
 budget runs out (the truncation is emitted with its residual order as a
-certificate).  Exactness is read off the supports of every branch; the
-residual order is read off the recentered generators (``residual_order``)
-only for a truncation that is emitted.  ``verify_residual``
+certificate).  Exactness is read off the supports of every branch, and
+off group 0 of a chain; the residual order is read off the recentered
+generators (``residual_order``), or off the lowest key of a chain's group
+0, only for a truncation that is emitted.  ``verify_residual``
 substitutes a series into the original generators independently
 (``substitute_y``, a positive multiple of each residual, whose order is the
-residual's); it hands the series over as the per-coordinate term lists of
-``SeriesSolution.coords``, unchanged, and ``puiseux check`` runs it.
+residual's), in the frame ramified by the denominators of the series'
+exponents; it hands the series over as the per-coordinate term lists of
+``SeriesSolution.coords``, with its exponents scaled into that frame, and
+``puiseux check`` runs it.
 Branches with no continuation are reported, not silently dropped: over Q a
 candidate can genuinely die, for instance when its coefficient system has
 only irrational roots.  A dead branch carries the ``ScanInfo`` of its last
@@ -51,10 +59,12 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
-from math import lcm, prod
+from itertools import chain, combinations
+from math import comb, gcd, lcm, prod
+from operator import add, mul
 from typing import Sequence
 
+from . import lpoly
 from .lpoly import (
     LPoly,
     lowest_terms,
@@ -62,11 +72,12 @@ from .lpoly import (
     ramify,
     shift_y,
     substitute_y,
+    term_values,
     weighted_order,
 )
 from .solver import SOLVER_BUDGET, torus_solutions
 from .tropical import candidate_etas, staircases
-from .values import WeightMatrix, canonical, sort_key
+from .values import WeightMatrix, add_row, canonical, sort_key
 
 
 class BranchBudgetExceeded(RuntimeError):
@@ -244,6 +255,24 @@ class ExpandResult:
     underdetermined_seen: bool
 
 
+def _edge(v0, c0, v1, c1, highs, F) -> tuple[tuple, Fraction] | None:
+    """The value and coefficient of a forced step, read off its two end terms, or None.
+
+    ``c0*x^a0`` of value ``v0`` is the lowest y-free term, ``c1*x^b1*y`` of
+    value ``v1`` the lowest y-degree-one term, and ``highs`` holds ``(k,
+    v)`` for the lowest value ``v`` of each y-degree ``k >= 2``.  This is the
+    test of ``forced_step``, which reads the lowest terms of a generator,
+    and of ``forced_chain``, which reads the lowest keys of its groups.
+    """
+    eta = tuple(canonical(p - q) for p, q in zip(v0, v1))
+    if not eta > F or any(tuple(w + (k - 1) * f for w, f in zip(v, F)) < v1 for k, v in highs):
+        return None
+    c = Fraction(-c0, c1)
+    if c0 * c.denominator + c1 * c.numerator != 0:  # c0 + c1*c, cleared
+        raise AssertionError("forced step produced a non-root; this is a bug")
+    return eta, c
+
+
 def forced_step(branch: Branch, W: WeightMatrix) -> StepData | None:
     """The step forced on a smooth plane branch, or None when it is not forced.
 
@@ -260,13 +289,13 @@ def forced_step(branch: Branch, W: WeightMatrix) -> StepData | None:
     its minimum.  The step is ``gamma = a0 - b1`` and ``c = -c0/c1``, the
     root of the initial form ``c0 + c1*c``, checked exactly.
 
-    Persistence.  ``expand`` tries this on every branch it makes, and once
-    a step is forced, the child's step is forced too or the child ends
-    exact, so a chain never falls back to the walk.  Let ``W.gamma = eta``
-    and ``c0 + c1*c = 0``.  The shift ``y -> y + c x^gamma`` sends ``x^a
-    y^m`` to terms ``x^(a + (m-j) gamma) y^j`` of value ``W.a + (m-j)
-    eta``.  With the new floor ``eta`` (ramifying scales every value alike
-    and changes nothing):
+    Persistence.  ``expand`` tries this on every branch that a walk step
+    makes, and once a step is forced, the child's step is forced too or the
+    child ends exact, so a chain never falls back to the walk.  Let
+    ``W.gamma = eta`` and ``c0 + c1*c = 0``.  The shift ``y -> y + c
+    x^gamma`` sends ``x^a y^m`` to terms ``x^(a + (m-j) gamma) y^j`` of value
+    ``W.a + (m-j) eta``.  With the new floor ``eta`` (ramifying scales every
+    value alike and changes nothing):
 
     1. The bound holds strictly: a new ``y^k`` term, ``k >= 2``, comes from
        some ``x^a y^m`` with ``m >= k`` and has ``W.a + (m-k) eta + (k-1)
@@ -288,21 +317,110 @@ def forced_step(branch: Branch, W: WeightMatrix) -> StepData | None:
     floor = branch.floor
     if floor is None or len(floor) != 1 or len(branch.gens) != 1:
         return None
-    low = lowest_terms(branch.gens[0], W)
+    low = lowest_terms(branch.gens[0].terms, W)
     if (0,) not in low or (1,) not in low:
         return None
     (v0, _, t0), (v1, _, t1) = low.pop((0,)), low.pop((1,))
-    F = floor[0]
-    eta = tuple(canonical(p - q) for p, q in zip(v0, v1))
-    if not eta > F or any(
-        tuple(w + (k - 1) * f for w, f in zip(v, F)) < v1 for (k,), (v, _, _) in low.items()
-    ):
+    highs = ((k, v) for (k,), (v, _, _) in low.items())
+    edge = _edge(v0, t0.coeff, v1, t1.coeff, highs, floor[0])
+    if edge is None:
         return None
-    c = Fraction(-t0.coeff, t1.coeff)
-    if t0.coeff * c.denominator + t1.coeff * c.numerator != 0:  # c0 + c1*c, cleared
-        raise AssertionError("forced step produced a non-root; this is a bug")
     gamma = tuple(canonical(p - q) for p, q in zip(t0.xexp, t1.xexp))
-    return StepData((eta,), (gamma,), (c,))
+    return StepData((edge[0],), (gamma,), (edge[1],))
+
+
+def _exponent_map(W: WeightMatrix):
+    """The map from a value ``W.gamma`` back to its exponent row ``gamma``.
+
+    It reads the value on a fixed invertible block of the rows of ``W``,
+    the first ones that are independent, and applies the block's inverse:
+    ``[W_B | I]`` reduces to ``[I | W_B^-1]``.
+    """
+    n = W.n
+    form, block = (), []
+    for i, r in enumerate(W.rows):
+        nxt = add_row(form, r, n)
+        if len(nxt) > len(form):
+            form = nxt
+            block.append(i)
+    form = ()
+    for j, i in enumerate(block):
+        form = add_row(form, W.rows[i] + tuple(int(k == j) for k in range(n)), n)
+    inverse = [r[n:] for _, r in sorted(form)]
+
+    def exponent(eta: tuple) -> tuple:
+        v = [eta[i] for i in block]
+        return tuple(canonical(sum(map(mul, r, v))) for r in inverse)
+
+    return exponent
+
+
+def _value_groups(g: LPoly, W: WeightMatrix) -> list[dict]:
+    """A generator in one y as its y-degree groups: per degree ``k``, ``{W.xexp: coefficient}``."""
+    groups: list[dict] = [{} for _ in range(max(t.ydeg[0] for t in g.terms) + 1)]
+    for t, v in zip(g.terms, term_values(g.terms, W)):
+        groups[t.ydeg[0]][v] = t.coeff
+    return groups
+
+
+def _shifted(groups: list[dict], eta: tuple, c: Fraction, k: int) -> list[dict]:
+    """The groups after the step ``y -> y + c x^gamma`` with ``W.gamma = eta``.
+
+    When the step ramifies, by ``k = dgamma``, every key and ``eta`` are
+    first scaled by ``k``.  The term ``x^a y^m`` goes to ``C(m, j)
+    c^(m-j) x^(a + (m-j) gamma) y^j``, so its key moves into group ``j`` by
+    ``(m-j) eta``.  With ``c = p/q`` and ``D`` the top degree, which the
+    shift keeps, the sum is taken times ``q^D``, so every factor is the
+    integer ``C(m, j) p^(m-j) q^(D-m+j)``, and it is divided by its gcd: the
+    groups of the primitive integer multiple that ``shift_y`` returns.
+    """
+    if k > 1:
+        groups = [{tuple([q * k for q in v]): n for v, n in grp.items()} for grp in groups]
+        eta = tuple(q * k for q in eta)
+    p, q = c.numerator, c.denominator
+    top = len(groups) - 1
+    out = []
+    for j in range(top + 1):
+        f = q**top
+        tgt = {v: n * f for v, n in groups[j].items()}
+        get = tgt.get
+        for m in range(j + 1, top + 1):
+            f = comb(m, j) * p ** (m - j) * q ** (top - m + j)
+            move = tuple(e * (m - j) for e in eta)
+            for v, n in groups[m].items():
+                key = tuple(map(add, v, move))
+                tgt[key] = get(key, 0) + n * f
+        out.append(tgt)
+    d = gcd(*chain.from_iterable(map(dict.values, out)))
+    return [{v: n // d for v, n in grp.items() if n} for grp in out]
+
+
+def forced_chain(branch: Branch, step: StepData, W: WeightMatrix, exponent):
+    """The forced chain that ``step``, forced on ``branch``, starts.
+
+    Yields each step of the chain with the groups it leaves: the recentered
+    generator as ``_value_groups``, each term valued once, here, and moved
+    by ``_shifted`` at every later step, with no ``recenter``.  After each
+    step the next one is read off the lowest keys of the groups with the
+    test of ``forced_step`` (``_edge``), above the floor the step leaves;
+    its exponent row comes from its value through ``exponent``
+    (``_exponent_map``).  By the persistence lemma of ``forced_step`` the
+    test holds until group 0 is empty, where the chain ends exact.
+    """
+    groups = _value_groups(branch.gens[0], W)
+    while True:
+        (eta,), (c,), k = step.eta, step.c, step.dgamma
+        groups = _shifted(groups, eta, c, k)
+        yield step, groups
+        low0, low1 = groups[0], groups[1]
+        if not low0:
+            return
+        v0, v1 = min(low0), min(low1)
+        highs = ((m, min(grp)) for m, grp in enumerate(groups[2:], 2) if grp)
+        edge = _edge(v0, low0[v0], v1, low1[v1], highs, tuple(canonical(q * k) for q in eta))
+        if edge is None:
+            raise AssertionError("a forced chain lost its forced step; this is a bug")
+        step = StepData((edge[0],), (exponent(edge[0]),), (edge[1],))
 
 
 def starting_data(branch: Branch, W: WeightMatrix, opts: ExpandOptions):
@@ -382,18 +500,22 @@ def recenter(branch: Branch, data: StepData, W: WeightMatrix) -> Branch:
     return Branch(tuple(h for h in gens if not h.is_zero), branch.trace + (data,))
 
 
+def _unramified(v: tuple, k: int) -> tuple:
+    """A value in the frame ramified by ``k``, brought back to the original frame."""
+    return tuple(canonical(Fraction(q, k)) for q in v)
+
+
 def residual_order(branch: Branch, W: WeightMatrix) -> tuple | None:
     """Order of the worst generator residual at the branch's truncation.
 
     The least order of the y-free parts of the recentered generators, scaled
     back by ``cum_ram``; None (infinity) exactly when they all vanish.  With
-    every weight infinite, ``weighted_order`` skips the y-degree vectors
-    that contain a y, so it reads each generator's y-free part in the same
-    pass.
+    every weight infinite, ``weighted_order`` drops the terms that contain a
+    y before it values any, so it reads each generator's y-free part.
     """
     orders = [weighted_order(g, W, (None,) * g.ny) for g in branch.gens]
     best = min((o for o in orders if o is not None), default=None)
-    return None if best is None else tuple(canonical(Fraction(q, branch.cum_ram)) for q in best)
+    return None if best is None else _unramified(best, branch.cum_ram)
 
 
 def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> tuple | None:
@@ -402,11 +524,23 @@ def verify_residual(gens: Sequence[LPoly], coords, W: WeightMatrix) -> tuple | N
     ``coords`` holds one ``(c, exponent)`` term list per y, as in
     ``SeriesSolution.coords``.  Independent of any expansion.  Returns None
     (infinity) exactly when every residual is the zero polynomial, which
-    certifies the (truncated) series as an exact solution.
+    certifies the (truncated) series as an exact solution.  The generators
+    are ramified by ``r``, the lcm of the series' exponent denominators, and
+    the series exponents scaled by ``r``, so that on integral input the
+    substitution and the order run on integer exponents; the order is
+    divided back by ``r``.  The ramification goes through ``lpoly`` itself,
+    not this module's ``ramify``, which the benchmark times as recentering.
     """
+    r = lcm(*{e.denominator for coord in coords for _, exp in coord for e in exp})
+    if r > 1:
+        coords = [
+            [(c, tuple(e.numerator * (r // e.denominator) for e in exp)) for c, exp in coord]
+            for coord in coords
+        ]
     eta_inf = (None,) * gens[0].ny
-    orders = [weighted_order(substitute_y(g, coords), W, eta_inf) for g in gens]
-    return min((o for o in orders if o is not None), default=None)
+    orders = [weighted_order(substitute_y(lpoly.ramify(g, r), coords), W, eta_inf) for g in gens]
+    best = min((o for o in orders if o is not None), default=None)
+    return best if best is None or r == 1 else _unramified(best, r)
 
 
 def _coords_key(coords):
@@ -427,13 +561,18 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     expanded does not show, and the total step count, which alone decides
     ``BranchBudgetExceeded``, does not depend on it either.
 
-    Forced chains.  Every branch that a step makes is first handed to
-    ``forced_step``, and while its step is forced and ``max_terms`` is not
-    reached, the step is taken at once, without a scan.  Each such step
-    still goes through ``recenter`` and counts against ``max_branches``.
-    The branch that is left then ends or takes the walk like any other; by
-    the persistence lemma of ``forced_step`` a chain stops only at
-    ``max_terms`` or at an exact solution.
+    Forced chains.  Every branch that a walk step makes is first handed to
+    ``forced_step``.  When its step is forced and ``max_terms`` is not
+    reached, ``forced_chain`` takes that step and every later one on the
+    value groups of its generator, without a scan and without
+    ``recenter``, and the chain emits its own solution: truncated at
+    ``max_terms``, with the lowest key of group 0 scaled back by the
+    cumulative ramification as its residual order, or exact when group 0 is
+    empty.  By the persistence lemma of ``forced_step`` a chain stops only
+    there, and its exact end is not scanned, since the walk finds nothing
+    above its floor.  Each chain step counts against ``max_branches`` as a
+    recentering does.  The map from values back to exponent rows is made
+    once, for the first chain.
     """
     gens = tuple(gens)
     if not gens:
@@ -453,23 +592,25 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
     dead: list[DeadBranch] = []
     any_irrational = False
     any_underdetermined = False
+    exponent = None  # the forced chains' value-to-exponent map, made for the first chain
 
-    def spawn(branch: Branch, sd: StepData) -> Branch:
+    def count():
         nonlocal spawned
         spawned += 1
         if spawned > opts.max_branches:
             raise BranchBudgetExceeded(
                 "more than %d expansion steps; raise max_branches" % opts.max_branches
             )
-        return recenter(branch, sd, W)
+
+    def emit(branch: Branch, residual: tuple | None):
+        solutions.append(SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace))
 
     y_free = (0,) * ny
     while frontier:
         branch = frontier.popleft()
         exact = not any(t.ydeg == y_free for g in branch.gens for t in g.terms)
         if exact or branch.step >= opts.max_terms:
-            residual = None if exact else residual_order(branch, W)
-            solutions.append(SeriesSolution(branch.coords(ny), branch.cum_ram, residual, branch.trace))
+            emit(branch, None if exact else residual_order(branch, W))
         if branch.step >= opts.max_terms or not branch.gens:
             continue
         steps, info = starting_data(branch, W, opts)
@@ -485,10 +626,21 @@ def expand(gens: Sequence[LPoly], W: WeightMatrix, opts: ExpandOptions = ExpandO
             dead.append(DeadBranch(reason, info, branch.trace))
             continue
         for sd in steps:
-            child = spawn(branch, sd)
-            while child.step < opts.max_terms and (sd := forced_step(child, W)) is not None:
-                child = spawn(child, sd)
-            frontier.append(child)
+            count()
+            child = recenter(branch, sd, W)
+            if child.step == opts.max_terms or (sd := forced_step(child, W)) is None:
+                frontier.append(child)
+                continue
+            if exponent is None:
+                exponent = _exponent_map(W)
+            trace = list(child.trace)
+            for sd, groups in forced_chain(child, sd, W, exponent):
+                count()
+                trace.append(sd)
+                if len(trace) == opts.max_terms:
+                    break
+            tail = Branch((), tuple(trace))  # the chain's generator lives in its groups
+            emit(tail, _unramified(min(groups[0]), tail.cum_ram) if groups[0] else None)
 
     final = tuple(sorted(solutions, key=lambda s: _coords_key(s.coords)))
     dead_sorted = tuple(

@@ -38,10 +38,14 @@ normal form of ``values.primitive_ints``.
 The weighted value of a term under ``W`` and the y-weights ``eta`` is the
 tuple ``W.xexp + sum(ydeg[i] * eta[i])``.  A coordinate with infinite
 weight (``None``) makes every term containing it infinite, while zero
-degrees contribute nothing regardless of the weight.  Terms of equal
-y-degrees differ in value by ``W.xexp`` alone, so ``lowest_terms``, the
-one loop that values terms, keeps the lowest term of each y-degree vector;
-``weighted_order`` and the staircases of ``tropical`` read those.
+degrees contribute nothing regardless of the weight.  ``term_values`` is
+the one routine that values terms: it makes ``W.xexp`` for a whole term
+sequence a column at a time.  Terms of equal y-degrees differ in value by
+``W.xexp`` alone, so ``lowest_terms`` keeps the lowest term of each
+y-degree vector; ``weighted_order`` (which drops the terms of infinite
+value before any is valued), the staircases of ``tropical`` and
+``expansion.forced_step`` read those, and ``expansion``'s forced chains
+key their value groups by the values themselves.
 
 ``render_poly`` is the one polynomial printer: the output documents and
 ``LPoly``'s repr (with the names ``x1..``, ``y1..``) use it.
@@ -189,21 +193,39 @@ def primitive(f: LPoly) -> LPoly:
     return LPoly(f.nx, f.ny, tuple(Term(n, t.xexp, t.ydeg) for n, t in zip(nums, f.terms)))
 
 
-def lowest_terms(g: LPoly, W: WeightMatrix) -> dict:
-    """The lowest term of each y-degree vector of ``g`` by ``W``.
+def term_values(terms: Sequence[Term], W: WeightMatrix) -> list[tuple]:
+    """The value ``W.xexp`` of each term, in order, as one tuple per term.
 
-    Maps each y-degree vector that occurs in ``g`` to ``(W.xexp, index,
-    term)`` of its term of least value, ``index`` its place in ``g.terms``.
-    Terms of equal y-degrees have distinct x-exponents, and ``W`` is
-    injective, so the lowest one is unique.  ``weighted_order``,
-    ``tropical.staircases`` and ``expansion.forced_step`` read their values
-    off this map.
+    The values are made a column at a time: the x-exponents are read as
+    columns, and each row of ``W`` sums its nonzero multiples of them with
+    builtin maps rather than a Python loop per term.
     """
-    rows = W.rows
+    if not terms:
+        return []
+    cols = list(zip(*map(itemgetter(1), terms)))
+    vcols = []
+    for r in W.rows:
+        acc = None
+        for w, col in zip(r, cols):
+            if w:
+                part = col if w == 1 else map(mul, col, repeat(w))
+                acc = part if acc is None else map(add, acc, part)
+        vcols.append(repeat(0, len(terms)) if acc is None else acc)
+    return list(zip(*vcols))
+
+
+def lowest_terms(terms: Sequence[Term], W: WeightMatrix) -> dict:
+    """The lowest of the given terms of each y-degree vector by ``W``.
+
+    Maps each y-degree vector that occurs among ``terms`` to ``(W.xexp,
+    index, term)`` of its term of least value, ``index`` its place in
+    ``terms``.  Terms of equal y-degrees have distinct x-exponents, and
+    ``W`` is injective, so the lowest one is unique.  The values come from
+    ``term_values``; ``weighted_order``, ``tropical.staircases`` and
+    ``expansion.forced_step`` read them off this map.
+    """
     lowest: dict = {}
-    for j, t in enumerate(g.terms):
-        # a list frozen to a tuple: cheaper than tuple() over a generator
-        xval = tuple([sum(map(mul, r, t.xexp)) for r in rows])
+    for j, (t, xval) in enumerate(zip(terms, term_values(terms, W))):
         prev = lowest.get(t.ydeg)
         if prev is None or xval < prev[0]:
             lowest[t.ydeg] = (xval, j, t)
@@ -213,15 +235,23 @@ def lowest_terms(g: LPoly, W: WeightMatrix) -> dict:
 def weighted_order(f: LPoly, W: WeightMatrix, eta: Sequence[tuple | None]) -> tuple | None:
     """Minimum weighted value over the support; None for the zero polynomial.
 
-    The minimum over the lowest term of each y-degree vector
-    (``lowest_terms``): a y-degree vector with a nonzero degree in a
-    coordinate of infinite weight is skipped, and any other adds
-    ``ydeg[i] * eta[i]`` to its lowest ``W.xexp``.
+    The terms with a nonzero degree in a coordinate of infinite weight are
+    skipped before any term is valued, as whole y-degree vectors: a
+    polynomial without such terms, as a residual is, is not copied.  The
+    minimum is then taken over the lowest of the other terms of each
+    y-degree vector (``lowest_terms``), each adding ``ydeg[i] * eta[i]`` to
+    its ``W.xexp``.
     """
+    terms = f.terms
+    off = [i for i, e in enumerate(eta) if e is None]
+    if off:
+        ydegs = list(map(itemgetter(2), terms))
+        degs = set(ydegs)
+        keep = {yd for yd in degs if not any(yd[i] for i in off)}
+        if len(keep) < len(degs):
+            terms = list(compress(terms, map(keep.__contains__, ydegs)))
     values = []
-    for yd, (v, _, _) in lowest_terms(f, W).items():
-        if any(b and e is None for b, e in zip(yd, eta)):
-            continue
+    for yd, (v, _, _) in lowest_terms(terms, W).items():
         for b, e in zip(yd, eta):
             if b:
                 v = tuple([p + b * q for p, q in zip(v, e)])

@@ -111,6 +111,12 @@ def _product(p: dict, q: dict) -> dict:
     return acc
 
 
+# The deepest nesting of parentheses a generator may have.  The evaluator
+# spends four Python frames per level, so this stays far inside the default
+# recursion limit of 1000 under any reasonable caller.
+MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent evaluator of one generator expression.
 
@@ -118,13 +124,16 @@ class _ExprParser:
     the y-degrees) to its coefficient, an ``int`` until a ``p/q`` number
     takes part.  Zero coefficients and exponents that are integral
     ``Fraction``s may stay in the dict; the caller builds the ``LPoly`` once,
-    which drops the one and makes the other canonical.
+    which drops the one and makes the other canonical.  The evaluator counts
+    its open parentheses, and one past ``MAX_NESTING`` is an error at column
+    1, so the limit is a property of the file, not of the caller's stack.
     """
 
     def __init__(self, toks, line, atoms, one):
         self.toks = toks
         self.line = line
         self.pos = 0
+        self.depth = 0
         self.atoms = atoms  # name -> (exponent key, x index or None)
         self.one = one  # the exponent key of a constant
 
@@ -215,7 +224,11 @@ class _ExprParser:
             key, xvar = self.atoms[text]
             return {key: 1}, xvar
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(1, "generator is nested too deeply")
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             k2, _, c2 = self._next()
             if k2 != ")":
                 self._fail(c2 if c2 > 0 else col, "unclosed parenthesis")
@@ -229,9 +242,10 @@ def parse_problem(text: str) -> ProblemSpec:
     One leading UTF-8 byte-order mark is skipped, as editors on some
     systems write one.  Each line is checked, and each generator evaluated,
     when it is read, so the first faulty line is the one reported; a
-    generator nested deeper than the evaluator's recursion allows is an
-    error at its line.  What needs the whole file (a vars line, a weight
-    row, a generator, the rank of the weight matrix) is checked at the end.
+    generator nested deeper than ``MAX_NESTING`` parentheses, or deeper
+    than the interpreter's recursion allows, is an error at its line.  What
+    needs the whole file (a vars line, a weight row, a generator, the rank
+    of the weight matrix) is checked at the end.
     """
     x_names: list[str] = []
     y_names: list[str] = []

@@ -45,7 +45,11 @@ are counted and reported rather than enumerated.
 A smooth plane branch past its first step needs no walk: when the lowest
 terms of its one generator show one edge of height one above the floor,
 ``expansion.forced_step`` reads the step off that edge, the only candidate
-the walk would find, and ``expand`` takes it without a scan.
+the walk would find, and ``expand`` takes it without a scan, and every
+later step of the branch as well, on the ``W``-values of its terms
+(``expansion.forced_chain``).  The exact end of such a chain is not
+scanned either: the persistence lemma of ``forced_step`` shows that the
+walk finds no candidate above its floor.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def staircases(
     out = []
     for g in gens:
         entries = []  # (floor-adjusted value, total y-degree, term index, term, W.xexp, y-support)
-        for xval, j, t in lowest_terms(g, W).values():
+        for xval, j, t in lowest_terms(g.terms, W).values():
             support = sum(1 << i for i, b in enumerate(t.ydeg) if b)
             adj = xval
             if bounds is not None:

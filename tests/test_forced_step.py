@@ -3,19 +3,26 @@
 ``expansion.forced_step`` reads the step of a branch with one y, one
 generator and a floor off the lowest terms of its generator, when they
 show that the walk's only candidate above the floor is the edge of its
-y-free and its y-degree-one term, and ``expand`` takes that step on every
-branch it makes, for as long as it is forced, without a scan.  The tests
-here run ``expand`` once as it is and once with the reader switched off,
-and ask for equal results or the same budget error; they ask that on every
-branch that ``recenter`` returns the reader fires exactly when the walk
-finds that one edge, and then gives the walk's one step, and that no
-branch that is scanned has a forced step; and they check the persistence
-lemma of ``forced_step`` on every branch that a forced step makes.
+y-free and its y-degree-one term.  ``expand`` tries it on every branch
+that a walk step makes, and from a forced step on, ``forced_chain`` takes
+every later step on value groups, without a scan and without
+``recenter``.  The tests here run ``expand`` once as it is and once with
+the reader switched off, and ask for equal results or the same budget
+error.  They replay every trace that ``expand`` emits through
+``recenter``, and ask that on every branch of it the reader fires exactly
+when the walk finds that one edge, and then gives the walk's one step,
+which is the step the trace took; they check the persistence lemma of
+``forced_step`` on every replayed branch that a forced step makes; they
+ask that no branch that is scanned has a forced step; and they run every
+forced chain beside ``recenter``, and ask that at each of its steps the
+groups are the values and, up to one positive factor, the coefficients
+of the recentered generator.
 """
 
 from contextlib import ExitStack
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
@@ -37,7 +44,8 @@ from puiseux import (
     starting_data,
 )
 from puiseux import expansion
-from tutils import from_terms, identity, lp
+from puiseux.lpoly import primitive
+from tutils import from_terms, identity, lp, naive_product
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -99,29 +107,78 @@ def _forced_is_the_walks_step(branch, W):
     return edge
 
 
-def _expand_checked(gens, W, opts) -> tuple[int, int]:
-    """Expand, checking every branch made and every branch scanned.
+def _groups_match(groups, g, W):
+    """The groups of a forced chain hold the values of ``g``'s terms, by
+    y-degree, with ``g``'s coefficients times one positive factor, and
+    their coefficients are coprime integers, as ``shift_y`` keeps them."""
+    coeffs = [n for grp in groups for n in grp.values()]
+    assert all(type(n) is int for n in coeffs) and gcd(*coeffs) == 1, groups
+    want: dict = {}
+    for t in g.terms:
+        want.setdefault(t.ydeg[0], {})[_value(W, t.xexp)] = t.coeff
+    got = {k: grp for k, grp in enumerate(groups) if grp}
+    assert got.keys() == want.keys(), (groups, g)
+    assert all(got[k].keys() == want[k].keys() for k in want), (groups, g)
+    factors = {F(got[k][v], want[k][v]) for k in want for v in want[k]}
+    assert len(factors) == 1 and factors.pop() > 0, (groups, g)
 
-    Returns the number of branches made and of the forced ones among them.
+
+_real_chain = expansion.forced_chain
+
+
+def _shadowed_chain(branch, step, W, exponent):
+    """``forced_chain`` run beside ``recenter``: each step it yields is the
+    forced step of the recentered branch, and its groups match that branch's
+    generator."""
+    shadow = branch
+    for sd, groups in _real_chain(branch, step, W, exponent):
+        assert sd == expansion.forced_step(shadow, W), shadow
+        shadow = recenter(shadow, sd, W)
+        _groups_match(groups, shadow.gens[0], W)
+        yield sd, groups
+
+
+def _replayed(gens, result, W):
+    """Every branch of the traces a result emits, solutions and dead
+    branches, made by ``recenter`` from the root that ``expand`` starts
+    from, once per prefix: ``(branch, step, child)``."""
+    made = {(): Branch(tuple(map(primitive, gens)))}
+    traces = [s.trace for s in result.solutions] + [d.trace for d in result.dead_branches]
+    for trace in traces:
+        for n, sd in enumerate(trace, 1):
+            if trace[:n] not in made:
+                branch = made[trace[: n - 1]]
+                made[trace[:n]] = child = recenter(branch, sd, W)
+                yield branch, sd, child
+
+
+def _expand_checked(gens, W, opts) -> tuple[int, int]:
+    """Expand, checking every forced chain, every branch scanned, and every
+    branch of the traces it emits, replayed through ``recenter``.
+
+    Returns the number of branches replayed and of the forced ones among
+    them.  A run that ends in a budget error emits no trace, so only its
+    chains and scans are checked.
     """
     made = forced = 0
-
-    def checked_recenter(branch, data, W):
-        nonlocal made, forced
-        child = recenter(branch, data, W)
-        made += 1
-        forced += _forced_is_the_walks_step(child, W)
-        return child
 
     def checked_scan(branch, W, opts):
         assert expansion.forced_step(branch, W) is None, branch
         return starting_data(branch, W, opts)
 
     with (
-        patch.object(expansion, "recenter", checked_recenter),
+        patch.object(expansion, "forced_chain", _shadowed_chain),
         patch.object(expansion, "starting_data", checked_scan),
     ):
-        _outcome(gens, W, opts)
+        got = _outcome(gens, W, opts)
+    if not isinstance(got, tuple):
+        for branch, sd, child in _replayed(gens, got, W):
+            made += 1
+            forced += _forced_is_the_walks_step(child, W)
+            step = expansion.forced_step(branch, W)
+            if step is not None:
+                assert sd == step, branch
+                _check_persistence(branch, W, child)
     return made, forced
 
 
@@ -296,18 +353,14 @@ def _check_persistence(branch, W, child):
 
 def test_a_forced_step_is_followed_by_forced_steps_on_the_corpus():
     checked = 0
-
-    def checked_recenter(branch, data, W):
-        nonlocal checked
-        child = recenter(branch, data, W)
-        if expansion.forced_step(branch, W) is not None:
-            checked += 1
-            _check_persistence(branch, W, child)
-        return child
-
-    with patch.object(expansion, "recenter", checked_recenter):
-        for gens, W, opts in _corpus_runs():
-            _outcome(gens, W, opts)
+    for gens, W, opts in _corpus_runs():
+        got = _outcome(gens, W, opts)
+        if isinstance(got, tuple):
+            continue
+        for branch, _, child in _replayed(gens, got, W):
+            if expansion.forced_step(branch, W) is not None:
+                checked += 1
+                _check_persistence(branch, W, child)
     assert checked > 0
 
 
@@ -323,7 +376,8 @@ def test_a_forced_step_is_followed_by_forced_steps_above_any_floor(branch):
 def _calls(name: str, max_terms: int = 17) -> dict:
     """The layer calls of one ``expand`` of a corpus problem."""
     spec = parse_problem((PROBLEMS / name).read_text())
-    counts = dict.fromkeys(("starting_data", "candidate_etas", "torus_solutions", "recenter"), 0)
+    names = ("starting_data", "candidate_etas", "torus_solutions", "recenter", "forced_chain")
+    counts = dict.fromkeys(names, 0)
     with ExitStack() as stack:
         for attr in counts:
             def counted(*args, _fn=getattr(expansion, attr), _attr=attr, **kwargs):
@@ -336,13 +390,65 @@ def _calls(name: str, max_terms: int = 17) -> dict:
 
 
 def test_smooth_plane_branches_scan_only_at_the_root():
-    # two smooth branches of 17 terms: 34 recenterings and one scan, the
-    # root's, the first step without a floor; each branch takes its other
-    # 16 steps as a forced chain and ends truncated at max_terms
+    # two smooth branches of 17 terms: one scan, the root's, the first step
+    # without a floor, and two recenterings, one per branch; each branch
+    # takes its other 16 steps as a forced chain and ends truncated at
+    # max_terms.  Replayed through recenter, the two traces make 34
+    # branches, each with a forced step.
     for name in ("nodal_cubic.txt", "sqrt_factor.txt"):
         assert _calls(name) == {
-            "starting_data": 1, "candidate_etas": 1, "torus_solutions": 1, "recenter": 34
+            "starting_data": 1, "candidate_etas": 1, "torus_solutions": 1, "recenter": 2,
+            "forced_chain": 2,
         }
+        spec = parse_problem((PROBLEMS / name).read_text())
+        opts = replace(spec.options, max_terms=17)
+        assert _expand_checked(spec.gens, spec.weights, opts) == (34, 34)
+
+
+def test_chain_groups_are_the_recentered_values_on_the_corpus():
+    steps = 0
+
+    def counted(branch, step, W, exponent):
+        nonlocal steps
+        for out in _shadowed_chain(branch, step, W, exponent):
+            steps += 1
+            yield out
+
+    with patch.object(expansion, "forced_chain", counted):
+        for gens, W, opts in _corpus_runs():
+            _outcome(gens, W, opts)
+    assert steps > 0
+
+
+def test_a_ramified_chain_in_a_fractional_frame():
+    # (y - x^(1/2) - x^(4/3) - 2*x^(7/5)) * (y + x^(1/3) - x) under a 2-row
+    # fractional W: the chain of the first factor ramifies at its steps
+    # x^(4/3) and x^(7/5), in the frame of the input's own fractional
+    # exponents, and ends exact at 3 terms; at 2 terms it ends truncated,
+    # its residual read off the ramified groups
+    s = from_terms(1, 1, [(1, (0,), (1,)), (-1, (F(1, 2),), (0,)), (-1, (F(4, 3),), (0,)),
+                          (-2, (F(7, 5),), (0,))])
+    t = from_terms(1, 1, [(1, (0,), (1,)), (1, (F(1, 3),), (0,)), (-1, (1,), (0,))])
+    gens = [naive_product(s, t)]
+    W = WeightMatrix([[1], [F(1, 2)]])
+    for max_terms, ramified, exact in ((5, 2, [True, True]), (2, 1, [False, True])):
+        opts = ExpandOptions(max_terms=max_terms)
+        got = _expands_agree(gens, W, opts)
+        steps = [sd for sol in got.solutions for sd in sol.trace[1:] if sd.dgamma > 1]
+        assert len(steps) == ramified
+        assert sorted(sol.exact for sol in got.solutions) == exact
+        assert _expand_checked(gens, W, opts)[1] > 0
+
+
+@seed(20261020)
+@given(branch=_floored_branches())
+def test_chain_groups_are_the_recentered_values_above_any_floor(branch):
+    b, W = branch
+    step = expansion.forced_step(b, W)
+    if step is not None:
+        chain = _shadowed_chain(b, step, W, expansion._exponent_map(W))
+        for _ in zip(range(4), chain):
+            pass
 
 
 def test_a_system_with_one_y_left_active_takes_the_walk():

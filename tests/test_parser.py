@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 
 from oracle_parser import parse_generator
 from puiseux import ProblemError, parse_problem
+from puiseux.problem import MAX_NESTING
 
 X_NAMES = ("x1", "x2", "xb")
 Y_NAMES = ("y1", "y2", "yb")
@@ -236,4 +237,24 @@ def test_a_deeply_nested_generator_is_a_problem_error():
     assert nested == parse_problem(HEAD + "gen y1 - x1\n")
     with pytest.raises(ProblemError) as err:
         parse_problem(HEAD + "gen " + "(" * 3000 + "y1 - x1" + ")" * 3000 + "\n")
+    assert (err.value.line, err.value.col, err.value.msg) == (4, 1, "generator is nested too deeply")
+
+
+def _nested(depth: int) -> str:
+    return HEAD + "gen " + "(" * depth + "y1 - x1" + ")" * depth + "\n"
+
+
+def _beneath(frames: int, fn):
+    """``fn()`` called under ``frames`` more Python frames."""
+    return fn() if frames == 0 else _beneath(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_the_nesting_limit_does_not_move_with_the_callers_stack(frames):
+    """``MAX_NESTING`` parentheses parse and one more is an error, at the top
+    level as under a deep caller."""
+    want = parse_problem(HEAD + "gen y1 - x1\n")
+    assert _beneath(frames, lambda: parse_problem(_nested(MAX_NESTING))) == want
+    with pytest.raises(ProblemError) as err:
+        _beneath(frames, lambda: parse_problem(_nested(MAX_NESTING + 1)))
     assert (err.value.line, err.value.col, err.value.msg) == (4, 1, "generator is nested too deeply")
